@@ -161,11 +161,13 @@ func BenchmarkRoundingGuessCold(b *testing.B) {
 
 // BenchmarkRoundingGuessWarm measures the same guess trajectory through a
 // Relaxation: one build at T=ub, then in-place re-solves (mutated RHS and
-// bounds, basis warm-started via dual simplex) per guess.
+// bounds, basis warm-started via dual simplex) per guess. refactors/op is
+// the number of basis refactorizations the trajectory triggered.
 func BenchmarkRoundingGuessWarm(b *testing.B) {
 	for _, kind := range []lp.BackendKind{lp.Dense, lp.Sparse} {
 		b.Run(string(kind), func(b *testing.B) {
 			in, ub, guesses := roundingGuessSetup(b)
+			refactors := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -178,7 +180,9 @@ func BenchmarkRoundingGuessWarm(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				refactors += rel.Refactors()
 			}
+			b.ReportMetric(float64(refactors)/float64(b.N), "refactors/op")
 		})
 	}
 }

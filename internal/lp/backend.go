@@ -156,7 +156,8 @@ type Backend interface {
 	Basis() *Basis
 	// Warm installs a basis snapshot (e.g. taken from another backend bound
 	// to the same problem), refactorizing as needed. The next Solve starts
-	// from it.
+	// from it. A snapshot of the wrong shape, or one naming a column in two
+	// rows, is rejected with an error before any factorization.
 	Warm(*Basis) error
 	// Kind reports the resolved implementation kind (never Auto: an
 	// auto-constructed backend reports what the size trigger picked).

@@ -175,6 +175,11 @@ type Solution struct {
 	Objective float64
 	// Iterations is the total number of simplex pivots performed.
 	Iterations int
+	// Refactors is the number of basis refactorizations the sparse
+	// backend ran since the previous Solve returned (periodic eta-file
+	// rebuilds during the solve plus a Warm transplant's). The dense
+	// inverse never refactorizes mid-solve, so only Warm counts there.
+	Refactors int
 	// Presolve reports what the reduction pipeline did for this backend,
 	// when the solve ran through one (nil otherwise). See WithPresolve.
 	Presolve *PresolveInfo

@@ -271,6 +271,7 @@ func (s *presolveBackend) Solve() (*Solution, error) {
 	out := &s.solBuf
 	out.Status = innerSol.Status
 	out.Iterations = innerSol.Iterations
+	out.Refactors = innerSol.Refactors
 	out.Presolve = s.info
 	out.X = growF(&s.xFull, s.nv)
 	out.Objective = 0
@@ -291,6 +292,7 @@ func (s *presolveBackend) verdictSolution(st Status, obj float64) *Solution {
 	out := &s.solBuf
 	out.Status = st
 	out.Iterations = 0
+	out.Refactors = 0
 	out.Objective = obj
 	out.Presolve = s.info
 	out.X = growF(&s.xFull, s.nv)

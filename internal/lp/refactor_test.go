@@ -58,6 +58,13 @@ func randomSchedShapeSpec(rng *rand.Rand) *problemSpec {
 	m := 3 + rng.Intn(4)
 	n := 8 + rng.Intn(12)
 	K := 2 + rng.Intn(3)
+	return schedShapeSpec(rng, m, n, K, 0.7)
+}
+
+// schedShapeSpec builds the scheduling-shaped LP for m machines, n jobs and
+// K setup classes, each job eligible on its home machine and on every
+// other with probability elig (elig 1 gives the full m + n + m·n rows).
+func schedShapeSpec(rng *rand.Rand, m, n, K int, elig float64) *problemSpec {
 	class := make([]int, n)
 	for j := range class {
 		class[j] = rng.Intn(K)
@@ -70,7 +77,7 @@ func randomSchedShapeSpec(rng *rand.Rand) *problemSpec {
 		y[i] = make([]int, K)
 		for j := 0; j < n; j++ {
 			x[i][j] = -1
-			if i == j%m || rng.Float64() < 0.7 { // every job runs somewhere
+			if i == j%m || rng.Float64() < elig { // every job runs somewhere
 				ps.obj = append(ps.obj, 0)
 				ps.ub = append(ps.ub, 1)
 				x[i][j] = len(ps.obj) - 1
@@ -223,4 +230,232 @@ func TestRefactorPreservesWarmVerdicts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRefactorSlackFirstInvariant pins the slack-first factorization on
+// scheduling-shaped bases that mix basic slacks with basic structural
+// columns hitting those same rows: the sparse eta file must hold exactly
+// one eta per basic structural column (none for slacks, which sit on the
+// identity in their own row), and on both representations ftran of every
+// basic column must return its unit vector.
+func TestRefactorSlackFirstInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	mixed := 0
+	for trial := 0; trial < 30; trial++ {
+		ps := randomSchedShapeSpec(rng)
+		sp, err := NewBackend(Sparse, ps.build(), nil, WithPresolve(false))
+		if err != nil {
+			t.Fatalf("trial %d: NewBackend: %v", trial, err)
+		}
+		// A few shrinking load-row steps, so the bases checked include
+		// dual-simplex repairs, not only the cold optimum.
+		base := ps.rows[0].rhs
+		for step := 0; step < 4; step++ {
+			for r, row := range ps.rows {
+				if row.sense == LE && row.rhs > 0 {
+					sp.SetRHS(r, base*(1-0.08*float64(step)))
+				}
+			}
+			sol, err := sp.Solve()
+			if err != nil {
+				t.Fatalf("trial %d step %d: Solve: %v", trial, step, err)
+			}
+			if sol.Status != Optimal {
+				break
+			}
+			basis := sp.Basis()
+			s := sp.(*solverState)
+			if slackRowHitByStructural(s) {
+				mixed++
+			}
+
+			a := sp.Clone().(*solverState)
+			if err := a.refactor(); err != nil {
+				t.Fatalf("trial %d step %d: refactor: %v", trial, step, err)
+			}
+			structural := 0
+			for _, j := range a.basis {
+				if j < a.sf.nv {
+					structural++
+				}
+			}
+			if etas := len(a.inv.(*etaFile).pivRow); etas != structural {
+				t.Fatalf("trial %d step %d: %d etas for %d basic structural columns", trial, step, etas, structural)
+			}
+			for r, j := range a.basis {
+				if j >= a.sf.nv && j-a.sf.nv != r {
+					t.Fatalf("trial %d step %d: slack %d placed in row %d", trial, step, j-a.sf.nv, r)
+				}
+			}
+			checkUnitFtran(t, a, "sparse")
+
+			de, err := NewBackend(Dense, ps.build(), nil, WithPresolve(false))
+			if err != nil {
+				t.Fatalf("trial %d: NewBackend dense: %v", trial, err)
+			}
+			if err := de.Warm(basis); err != nil {
+				t.Fatalf("trial %d step %d: dense Warm: %v", trial, step, err)
+			}
+			checkUnitFtran(t, de.(*solverState), "dense")
+		}
+	}
+	if mixed < 10 {
+		t.Fatalf("corpus degenerated: only %d bases mix basic slacks with structural columns in their rows", mixed)
+	}
+}
+
+// slackRowHitByStructural reports whether some basic slack's row also holds
+// an entry of a basic structural column — the case slack-first must get
+// right, since that entry lands in the structural column's eta.
+func slackRowHitByStructural(s *solverState) bool {
+	slackRow := make([]bool, s.sf.m)
+	for _, j := range s.basis {
+		if j >= s.sf.nv {
+			slackRow[j-s.sf.nv] = true
+		}
+	}
+	for _, j := range s.basis {
+		if j >= s.sf.nv {
+			continue
+		}
+		for k := s.sf.colPtr[j]; k < s.sf.colPtr[j+1]; k++ {
+			if slackRow[s.sf.colRow[k]] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// checkUnitFtran checks B⁻¹·a_j = e_r for the column j basic in each row r.
+func checkUnitFtran(t *testing.T, s *solverState, name string) {
+	t.Helper()
+	for r, j := range s.basis {
+		w := s.ftranColumn(j)
+		for i, v := range w {
+			want := 0.0
+			if i == r {
+				want = 1
+			}
+			if math.Abs(v-want) > 1e-9 {
+				t.Fatalf("%s: ftran of column %d (row %d) has %v at row %d, want %v", name, j, r, v, i, want)
+			}
+		}
+	}
+}
+
+// TestWarmRejectsDuplicateColumns checks that a Basis naming the same
+// column in two rows — a slack or a structural column — is refused before
+// any factorization, and that the backend then still solves cold to the
+// legacy tableau's verdict.
+func TestWarmRejectsDuplicateColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var ps *problemSpec
+	var donor *Basis
+	var slacks, structs []int // rows holding a basic slack / structural column
+	for donor == nil {
+		ps = randomSchedShapeSpec(rng)
+		be, err := NewBackend(Sparse, ps.build(), nil, WithPresolve(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := be.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != Optimal {
+			continue
+		}
+		b := be.Basis()
+		slacks, structs = slacks[:0], structs[:0]
+		for r, j := range b.Cols {
+			if j >= len(ps.obj) {
+				slacks = append(slacks, r)
+			} else {
+				structs = append(structs, r)
+			}
+		}
+		if len(slacks) > 0 && len(structs) > 1 {
+			donor = b
+		}
+	}
+	oracle, err := ps.build().Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := func(from, to int) *Basis {
+		b := &Basis{Cols: append([]int(nil), donor.Cols...), Status: append([]VarStatus(nil), donor.Status...)}
+		b.Cols[to] = b.Cols[from] // the displaced column stays BasicVar: counts still match
+		return b
+	}
+	cases := map[string]*Basis{
+		"slack":      dup(slacks[0], structs[0]),
+		"structural": dup(structs[0], structs[1]),
+	}
+	for name, bad := range cases {
+		for _, kind := range []BackendKind{Sparse, Dense} {
+			for _, pre := range []bool{false, true} {
+				be, err := NewBackend(kind, ps.build(), nil, WithPresolve(pre))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := be.Warm(bad); err == nil {
+					t.Fatalf("%s/%s/presolve=%v: Warm accepted a duplicated %s column", name, kind, pre, name)
+				}
+				sol, err := be.Solve()
+				if err != nil {
+					t.Fatalf("%s/%s/presolve=%v: Solve after rejected Warm: %v", name, kind, pre, err)
+				}
+				agree(t, ps, fmt.Sprintf("%s/%s/presolve=%v", name, kind, pre), oracle, sol)
+			}
+		}
+	}
+}
+
+// BenchmarkRefactor times one refactorization of an anchor-shaped basis:
+// the scheduling LP at M=10, N=100, K=8 with full eligibility (1110 rows,
+// like the rounding relaxation at the M=10/N=100/K=8 anchor), captured
+// after a warm dual-simplex re-solve at the tightest feasible load found by
+// bisection. etas and eta-nnz report the size of the factorization.
+func BenchmarkRefactor(b *testing.B) {
+	ps := schedShapeSpec(rand.New(rand.NewSource(1)), 10, 100, 8, 1)
+	be, err := NewBackend(Sparse, ps.build(), nil, WithPresolve(false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	setLoad := func(T float64) Status {
+		for r := 0; r < 10; r++ {
+			be.SetRHS(r, T)
+		}
+		sol, err := be.Solve()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sol.Status
+	}
+	lo, hi := 0.0, ps.rows[0].rhs
+	if setLoad(hi) != Optimal {
+		b.Fatal("anchor LP infeasible at its initial load")
+	}
+	for hi-lo > 0.01*hi {
+		if mid := (lo + hi) / 2; setLoad(mid) == Optimal {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	if setLoad(hi) != Optimal {
+		b.Fatal("anchor LP infeasible at the bisected load")
+	}
+	s := be.Clone().(*solverState)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.refactor(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e := s.inv.(*etaFile)
+	b.ReportMetric(float64(len(e.pivRow)), "etas")
+	b.ReportMetric(float64(e.nnz), "eta-nnz")
 }

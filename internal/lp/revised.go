@@ -32,9 +32,10 @@ type solverState struct {
 	status []varStatus // per column
 	xB     []float64   // values of the basic variables (ws-backed)
 
-	sol    Solution
-	iters  int  // pivots in the current Solve call
-	dualOK bool // the current basis is known dual feasible (prior optimum)
+	sol       Solution
+	iters     int  // pivots in the current Solve call
+	refactors int  // refactorizations since the previous Solve returned
+	dualOK    bool // the current basis is known dual feasible (prior optimum)
 
 	kind BackendKind // resolved implementation kind (Dense or Sparse)
 }
@@ -131,10 +132,15 @@ func (s *solverState) Warm(b *Basis) error {
 	if nBasic != s.sf.m {
 		return fmt.Errorf("lp: Warm basis has %d basic columns, want %d", nBasic, s.sf.m)
 	}
+	seen := make([]bool, s.sf.n)
 	for _, j := range b.Cols {
 		if j < 0 || j >= s.sf.n || b.Status[j] != BasicVar {
 			return fmt.Errorf("lp: Warm basis row column %d is not a basic column", j)
 		}
+		if seen[j] {
+			return fmt.Errorf("lp: Warm basis names column %d in two rows", j)
+		}
+		seen[j] = true
 	}
 	copy(s.basis, b.Cols)
 	for j, st := range b.Status {
@@ -259,51 +265,71 @@ const refactorPivRel = 0.1
 // future hit per live column that touches it — so the pass works to keep
 // pivot rows out of live columns' patterns:
 //
-//   - row singletons first: whenever some live row is hit by exactly one
+//   - slacks first: a basic slack is the unit column of its own row, and
+//     placing it there against the identity that reset installs changes
+//     nothing — no ftran, no pivot scan, no eta. Every such row is retired
+//     before the structural columns are looked at, which leaves only the
+//     structural bump (~232 of the 1110 basic columns at the M=10/N=100/
+//     K=8 scheduling anchor) for the stages below. Entries of structural
+//     columns in slack rows never pivot and stay out of the row counts.
+//   - row singletons next: whenever some live row is hit by exactly one
 //     unplaced column, that column is placed with that row as preferred
 //     pivot. A chain of such placements is a permuted triangle and
 //     factorizes with zero fill, and the retired row can never hit anyone.
-//   - otherwise the sparsest remaining column enters (the same
-//     sparsest-first heuristic the previous static sort.Slice computed,
-//     now a counting sort walked through count buckets), and the numeric
-//     pivot prefers the live row hit by the fewest live columns among
-//     those within refactorPivRel of the largest available magnitude
-//     (threshold pivoting), minimizing the hits the retirement mints.
+//   - otherwise the sparsest remaining column enters (a counting sort
+//     walked through count buckets), and the numeric pivot prefers the
+//     live row hit by the fewest live columns among those within
+//     refactorPivRel of the largest available magnitude (threshold
+//     pivoting), minimizing the hits the retirement mints.
 //
 // Row counts update in O(1) per retired pattern entry through a row→column
-// CSR of the basic pattern, and the numeric scan walks only the shrinking
-// unpivoted-row set (the former full-row scan per column was the
-// refactorization's O(m²) hot spot).
+// CSR of the bump pattern, and the numeric scan walks only the shrinking
+// unpivoted-row set. The basic column set must be duplicate-free (Warm
+// rejects a Basis that repeats a column): a repeated slack would retire
+// its row twice.
 func (s *solverState) refactor() error {
-	m := s.sf.m
-	cols := growInt(&s.ws.newBasis, m)
-	copy(cols, s.basis)
+	m, nv := s.sf.m, s.sf.nv
+	s.refactors++
 
-	// cnt[i] = stored nonzeros of column cols[i] (CSC duplicates count with
-	// multiplicity, in step with the row CSR below). −1 marks placed.
-	cnt := growInt(&s.ws.cnt, m)
-	maxCnt, nnz := 0, 0
-	for i, j := range cols {
-		c := s.sf.colNNZ(j)
-		cnt[i] = c
-		nnz += c
-		if c > maxCnt {
-			maxCnt = c
+	// Slack-first: retire every basic slack's own row (rc −1) and gather
+	// the structural columns — the bump — into cols.
+	rc := growInt(&s.ws.rc, m)
+	for r := range rc {
+		rc[r] = 0
+	}
+	cols := growInt(&s.ws.newBasis, m)[:0]
+	for _, j := range s.basis {
+		if j >= nv {
+			rc[j-nv] = -1
+		} else {
+			cols = append(cols, j)
 		}
 	}
-	// Row → column-position CSR over the basic pattern, so retiring a pivot
-	// row decrements exactly the columns it touches (and vice versa).
+	nb := len(cols)
+
+	// cnt[i] = stored nonzeros of column cols[i], the sparsest-first key.
+	// Entries in slack rows never pivot but still ride along in the
+	// column's eta and in every later column that hits its pivot row, so
+	// they count. −1 marks placed. Row → column-position CSR over the bump
+	// pattern in live rows (CSC duplicates count with multiplicity), so
+	// retiring a pivot row decrements exactly the columns it touches.
+	cnt := growInt(&s.ws.cnt, nb)
 	rowPtr := growI32(&s.ws.rowPtr, m+1)
 	for r := range rowPtr {
 		rowPtr[r] = 0
 	}
-	for _, j := range cols {
-		if j >= s.sf.nv {
-			rowPtr[j-s.sf.nv+1]++
-			continue
+	maxCnt, nnz := 0, 0
+	for i, j := range cols {
+		c := s.sf.colNNZ(j)
+		cnt[i] = c
+		if c > maxCnt {
+			maxCnt = c
 		}
 		for k := s.sf.colPtr[j]; k < s.sf.colPtr[j+1]; k++ {
-			rowPtr[s.sf.colRow[k]+1]++
+			if r := s.sf.colRow[k]; rc[r] >= 0 {
+				rowPtr[r+1]++
+				nnz++
+			}
 		}
 	}
 	for r := 0; r < m; r++ {
@@ -313,67 +339,54 @@ func (s *solverState) refactor() error {
 	fill := growI32(&s.ws.rowFill, m)
 	copy(fill, rowPtr[:m])
 	for i, j := range cols {
-		if j >= s.sf.nv {
-			r := j - s.sf.nv
-			rowCol[fill[r]] = int32(i)
-			fill[r]++
-			continue
-		}
 		for k := s.sf.colPtr[j]; k < s.sf.colPtr[j+1]; k++ {
-			r := s.sf.colRow[k]
-			rowCol[fill[r]] = int32(i)
-			fill[r]++
+			if r := s.sf.colRow[k]; rc[r] >= 0 {
+				rowCol[fill[r]] = int32(i)
+				fill[r]++
+			}
 		}
 	}
-	// Live-column count per row; rows whose count drops to 1 are singleton
-	// candidates (re-checked at pop: counts keep moving). −1 marks retired.
-	rc := growInt(&s.ws.rc, m)
+	// Live-column count per live row; rows whose count drops to 1 are
+	// singleton candidates (re-checked at pop: counts keep moving). The
+	// unpivoted-row set for the numeric pivot scan (swap-remove) holds the
+	// live rows only. Slack rows take their slack here, once and for all.
 	stack := s.ws.rowStack[:0]
+	unrows := growInt(&s.ws.unrows, m)
+	rowIdx := growInt(&s.ws.rowIdx, m)
+	nun := 0
 	for r := 0; r < m; r++ {
+		if rc[r] < 0 {
+			s.basis[r] = nv + r
+			continue
+		}
 		rc[r] = int(rowPtr[r+1] - rowPtr[r])
 		if rc[r] == 1 {
 			stack = append(stack, r)
 		}
+		unrows[nun] = r
+		rowIdx[r] = nun
+		nun++
 	}
 
 	// Sparsest-first fallback order: a counting sort of the columns by
 	// nonzero count, walked through singly-linked count buckets (bhead[c]
-	// chains the columns with exactly c nonzeros; placed columns are
+	// chains the columns with exactly c entries; placed columns are
 	// skipped by their cnt mark as the walk passes them).
 	bhead := growInt(&s.ws.bhead, maxCnt+1)
 	for c := range bhead {
 		bhead[c] = -1
 	}
-	bnext := growInt(&s.ws.bnext, m)
-	for i := m - 1; i >= 0; i-- {
+	bnext := growInt(&s.ws.bnext, nb)
+	for i := nb - 1; i >= 0; i-- {
 		c := cnt[i]
 		bnext[i] = bhead[c]
 		bhead[c] = i
 	}
 
-	// The unpivoted-row set for the numeric pivot scan (swap-remove).
-	unrows := growInt(&s.ws.unrows, m)
-	rowIdx := growInt(&s.ws.rowIdx, m)
-	for r := 0; r < m; r++ {
-		unrows[r] = r
-		rowIdx[r] = r
-	}
-	nun := m
-
-	// dropRow retires one pattern entry of a placed column: its row loses a
-	// live column, minting a singleton candidate at count 1.
-	dropRow := func(r int32) {
-		if rc[r] > 0 {
-			if rc[r]--; rc[r] == 1 {
-				stack = append(stack, int(r))
-			}
-		}
-	}
-
 	w := growF(&s.ws.w, m)
 	s.inv.reset(m)
 	cur := 0
-	for placed := 0; placed < m; placed++ {
+	for placed := 0; placed < nb; placed++ {
 		// Selection: a row singleton when one exists, else the sparsest
 		// unplaced column from the counting-sort walk.
 		i := -1
@@ -407,13 +420,13 @@ func (s *solverState) refactor() error {
 			bhead[cur] = bnext[i]
 		}
 		j := cols[i]
-		// Retire the column structurally: rows it touched lose one live
-		// column.
-		if j >= s.sf.nv {
-			dropRow(int32(j - s.sf.nv))
-		} else {
-			for k := s.sf.colPtr[j]; k < s.sf.colPtr[j+1]; k++ {
-				dropRow(s.sf.colRow[k])
+		// Retire the column structurally: live rows it touched lose one
+		// live column, minting a singleton candidate at count 1.
+		for k := s.sf.colPtr[j]; k < s.sf.colPtr[j+1]; k++ {
+			if r := s.sf.colRow[k]; rc[r] > 0 {
+				if rc[r]--; rc[r] == 1 {
+					stack = append(stack, int(r))
+				}
 			}
 		}
 		cnt[i] = -1
@@ -900,7 +913,8 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 // --- solution extraction -----------------------------------------------------
 
 func (s *solverState) finish(st Status) *Solution {
-	s.sol = Solution{Status: st, Iterations: s.iters}
+	s.sol = Solution{Status: st, Iterations: s.iters, Refactors: s.refactors}
+	s.refactors = 0
 	if st != Optimal {
 		return &s.sol
 	}

@@ -19,9 +19,9 @@ type Workspace struct {
 	xB, w, y, rho, rhsEff, cB []float64
 	// solution output (nv)
 	x []float64
-	// refactorization scratch: the basic column set, its residual pattern
-	// counts and count-bucket links, the unpivoted-row scan set, and the
-	// row→column CSR of the basic pattern.
+	// refactorization scratch: the structural basic columns (the bump),
+	// their pattern counts and count-bucket links, the unpivoted-row scan
+	// set, and the row→column CSR of the bump pattern.
 	newBasis                []int
 	cnt, bhead, bnext       []int
 	unrows, rowIdx          []int

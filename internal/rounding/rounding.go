@@ -375,9 +375,10 @@ type Relaxation struct {
 	pending  *lp.Basis
 	lastT    float64
 
-	frac     *Fractional
-	iters    int
-	presolve *lp.PresolveInfo // latest reduction stats (nil when bypassed off)
+	frac      *Fractional
+	iters     int
+	refactors int
+	presolve  *lp.PresolveInfo // latest reduction stats (nil when bypassed off)
 }
 
 // NewRelaxation builds the relaxation once at cfg.Envelope (via the same
@@ -471,6 +472,10 @@ func (rel *Relaxation) ResolvedBackend() string {
 // calls so far — the per-backend effort metric behind Detail.LPIterations.
 func (rel *Relaxation) Iterations() int { return rel.iters }
 
+// Refactors returns the cumulative basis refactorizations across all
+// ReSolve calls so far — the count behind Detail.LPRefactors.
+func (rel *Relaxation) Refactors() int { return rel.refactors }
+
 // Presolve reports what the LP presolve pipeline did for this relaxation's
 // backend — the stats from the most recent solve that ran through it, or
 // nil when presolve is disabled or no solve has completed yet.
@@ -535,6 +540,7 @@ func (rel *Relaxation) ReSolve(T float64) (*Fractional, error) {
 		}
 	}
 	rel.iters += sol.Iterations
+	rel.refactors += sol.Refactors
 	if sol.Presolve != nil {
 		rel.presolve = sol.Presolve
 	}
@@ -795,6 +801,10 @@ type Detail struct {
 	// effort metric that makes LP-backend wins visible per run, not only
 	// in microbenchmarks.
 	LPIterations int
+	// LPRefactors is the total number of basis refactorizations across the
+	// same LP solves (lp.Solution.Refactors summed per relaxation): the
+	// count that shows how often the sparse backend rebuilt its eta file.
+	LPRefactors int
 	// LPBackend is the lp backend the run solved on ("dense", "sparse",
 	// "ipm"), with an auto request reporting its size-triggered
 	// resolution as e.g. "auto(ipm)".
@@ -958,6 +968,7 @@ func ScheduleDetailed(ctx context.Context, in *core.Instance, opt Options) (core
 	})
 	for _, r := range rels {
 		det.LPIterations += r.Iterations()
+		det.LPRefactors += r.Refactors()
 	}
 	det.Accepted = out.Accepted
 	det.Relaxation = rels[0]

@@ -244,3 +244,58 @@ func TestRelaxationEnvelopeDefaults(t *testing.T) {
 		t.Fatalf("ReSolve at greedy bound: f=%v err=%v (must be feasible)", f, err)
 	}
 }
+
+// TestAnchorBisectionRefactors drives the M=10/N=100/K=8 anchor (the
+// relaxation has 1110 rows) through a bisection of makespan guesses on
+// the sparse and dense backends side by side. The verdicts must agree at
+// every step, and the sparse backend must refactorize at least once along
+// the way, so the slack-first factorization is exercised at production
+// shape; ScheduleDetailed must surface the count in Detail.LPRefactors.
+func TestAnchorBisectionRefactors(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	in := gen.Unrelated(rng, gen.Params{N: 100, M: 10, K: 8})
+	g, err := baseline.Greedy(in)
+	if err != nil {
+		t.Fatalf("greedy: %v", err)
+	}
+	ub := g.Makespan(in)
+	rels := make(map[lp.BackendKind]*Relaxation)
+	for _, kind := range []lp.BackendKind{lp.Sparse, lp.Dense} {
+		if rels[kind], err = NewRelaxation(in, RelaxationConfig{Envelope: ub, Backend: kind}); err != nil {
+			t.Fatalf("NewRelaxation(%s): %v", kind, err)
+		}
+	}
+	lo, hi := ub/4, ub
+	for step := 0; hi/lo > 1.02; step++ {
+		T := math.Sqrt(lo * hi)
+		fs, err := rels[lp.Sparse].ReSolve(T)
+		if err != nil {
+			t.Fatalf("step %d: sparse ReSolve(%v): %v", step, T, err)
+		}
+		fd, err := rels[lp.Dense].ReSolve(T)
+		if err != nil {
+			t.Fatalf("step %d: dense ReSolve(%v): %v", step, T, err)
+		}
+		if (fs == nil) != (fd == nil) {
+			t.Fatalf("step %d (T=%v): sparse feasible=%v, dense feasible=%v", step, T, fs != nil, fd != nil)
+		}
+		if fs != nil {
+			hi = T
+		} else {
+			lo = T
+		}
+	}
+	if n := rels[lp.Sparse].Refactors(); n < 1 {
+		t.Errorf("sparse backend never refactorized over the bisection (%d pivots)", rels[lp.Sparse].Iterations())
+	}
+
+	_, det, err := ScheduleDetailed(context.Background(), in, Options{Rng: rand.New(rand.NewSource(1)), LPBackend: "sparse"})
+	if err != nil {
+		t.Fatalf("ScheduleDetailed: %v", err)
+	}
+	if det.LPRefactors < 1 {
+		t.Errorf("Detail.LPRefactors = %d over %d LP iterations, want ≥1", det.LPRefactors, det.LPIterations)
+	}
+	t.Logf("bisection refactors: sparse %d; ScheduleDetailed: %d refactors, %d iterations, %d guesses",
+		rels[lp.Sparse].Refactors(), det.LPRefactors, det.LPIterations, det.Guesses)
+}
