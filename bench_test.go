@@ -160,9 +160,10 @@ func BenchmarkRoundingGuessCold(b *testing.B) {
 }
 
 // BenchmarkRoundingGuessWarm measures the same guess trajectory through a
-// Relaxation: one build at T=ub, then in-place re-solves (mutated RHS and
-// bounds, basis warm-started via dual simplex) per guess. refactors/op is
-// the number of basis refactorizations the trajectory triggered.
+// Relaxation: one build at T=ub, then in-place re-solves (clamped bounds,
+// basis warm-started via dual simplex) per guess, each minimizing the
+// makespan column. refactors/op is the number of basis refactorizations
+// the trajectory triggered.
 func BenchmarkRoundingGuessWarm(b *testing.B) {
 	for _, kind := range []lp.BackendKind{lp.Dense, lp.Sparse} {
 		b.Run(string(kind), func(b *testing.B) {
@@ -185,6 +186,28 @@ func BenchmarkRoundingGuessWarm(b *testing.B) {
 			b.ReportMetric(float64(refactors)/float64(b.N), "refactors/op")
 		})
 	}
+}
+
+// BenchmarkRoundingAnchor is one cold rounding solve of the M=10, N=100,
+// K=8 anchor, end to end: greedy bootstrap, relaxation build, the seed
+// solve at T=ub and whatever dual search it leaves open. guesses/op counts
+// the search's LP feasibility tests (0 when the seed solve closed the
+// bracket) and lp-iters/op the simplex pivots of every solve.
+func BenchmarkRoundingAnchor(b *testing.B) {
+	in, _, _ := roundingGuessSetup(b)
+	guesses, iters := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, det, err := rounding.ScheduleDetailed(context.Background(), in, rounding.Options{Rng: rand.New(rand.NewSource(1))})
+		if err != nil {
+			b.Fatal(err)
+		}
+		guesses += det.Guesses
+		iters += det.LPIterations
+	}
+	b.ReportMetric(float64(guesses)/float64(b.N), "guesses/op")
+	b.ReportMetric(float64(iters)/float64(b.N), "lp-iters/op")
 }
 
 // BenchmarkLPBackend compares a single cold solve of the rounding

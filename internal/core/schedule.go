@@ -147,7 +147,7 @@ type Result struct {
 	// current run, not of the run that produced any cached bounds.
 	Nodes int64
 	// LPIters counts the simplex pivots performed across every LP solved by
-	// this run (the randomized rounding's per-guess feasibility tests); 0
+	// this run (the randomized rounding's relaxation LPs); 0
 	// for algorithms that solve no LPs. It is the per-backend effort metric
 	// the LP-backend comparison rows of schedbench report.
 	LPIters int64

@@ -47,7 +47,7 @@ type Options struct {
 	// (0 = solver default).
 	RoundingC int
 	// LPBackend selects the LP solver backend behind solvers that solve
-	// LPs (the randomized rounding's per-guess feasibility tests):
+	// LPs (the randomized rounding's relaxation LPs):
 	// "sparse" (warm-started revised simplex, the default), or "dense"
 	// (the reference dense solver). Unknown names are a solve-time error.
 	LPBackend string

@@ -18,8 +18,8 @@ import (
 // The patch rungs, cheapest first:
 //
 //   - Pure clamp patch (job departure, machine removal): the existing
-//     backend is mutated with SetVarUpper/SetRHS exactly like a guess
-//     change, and the warm basis survives untouched.
+//     backend is mutated with SetVarUpper/SetRHS like a guess change, and
+//     the warm basis survives untouched.
 //   - Extend-and-transplant (job arrival, machine addition, resize): the
 //     retained lp.Problem grows by the delta's columns and rows (AddTerm
 //     appends coefficient deltas to existing rows), and the current basis
@@ -118,9 +118,9 @@ func (rel *Relaxation) patchDepart(d core.Delta, newIn *core.Instance) error {
 	return nil
 }
 
-// patchMachineRemove clamps every column of the removed machine. The
-// machine's load row keeps its last RHS; with all its terms clamped it is
-// trivially satisfied for every future guess.
+// patchMachineRemove clamps every column of the removed machine. With all
+// its terms clamped the machine's load row reads −τ ≤ 0, which every
+// solution satisfies.
 func (rel *Relaxation) patchMachineRemove(d core.Delta, newIn *core.Instance) error {
 	mdl, in := rel.mdl, rel.in
 	if newIn.M != in.M-1 || newIn.N != in.N || d.Machine < 0 || d.Machine >= in.M {
@@ -179,12 +179,7 @@ func (rel *Relaxation) addXVar(i, j int, p float64, yv int, asgRow int) int {
 	prob := rel.mdl.prob
 	v := prob.AddVar(0, 1)
 	if p > 0 {
-		if rel.mdl.loadRow[i] >= 0 {
-			prob.AddTerm(rel.mdl.loadRow[i], lp.Term{Var: v, Coef: p})
-		} else {
-			rel.mdl.loadRow[i] = prob.NumRows()
-			prob.AddConstraint(lp.LE, rel.envelope, lp.Term{Var: v, Coef: p})
-		}
+		rel.addLoadTerm(i, lp.Term{Var: v, Coef: p})
 	}
 	if asgRow >= 0 {
 		prob.AddTerm(asgRow, lp.Term{Var: v, Coef: 1})
@@ -193,6 +188,16 @@ func (rel *Relaxation) addXVar(i, j int, p float64, yv int, asgRow int) int {
 	rel.mdl.xv = append(rel.mdl.xv, relaxVar{v: v, j: j, p: p})
 	rel.banned = append(rel.banned, false)
 	return v
+}
+
+// addLoadTerm adds a term to machine i's load row, creating the row when
+// the machine had none.
+func (rel *Relaxation) addLoadTerm(i int, t lp.Term) {
+	if r := rel.mdl.loadRow[i]; r >= 0 {
+		rel.mdl.prob.AddTerm(r, t)
+	} else {
+		rel.mdl.addLoadRow(i, t)
+	}
 }
 
 // extend finalizes a model-growing patch: the current basis is remapped
@@ -247,15 +252,9 @@ func (rel *Relaxation) patchArrive(d core.Delta, newIn *core.Instance) error {
 	vars := make([]int, len(cands))
 	asgTerms := make([]lp.Term, len(cands))
 	for c, cd := range cands {
-		prob := mdl.prob
-		v := prob.AddVar(0, 1)
+		v := mdl.prob.AddVar(0, 1)
 		if cd.p > 0 {
-			if mdl.loadRow[cd.i] >= 0 {
-				prob.AddTerm(mdl.loadRow[cd.i], lp.Term{Var: v, Coef: cd.p})
-			} else {
-				mdl.loadRow[cd.i] = prob.NumRows()
-				prob.AddConstraint(lp.LE, rel.envelope, lp.Term{Var: v, Coef: cd.p})
-			}
+			rel.addLoadTerm(cd.i, lp.Term{Var: v, Coef: cd.p})
 		}
 		vars[c] = v
 		asgTerms[c] = lp.Term{Var: v, Coef: 1}
@@ -323,11 +322,9 @@ func (rel *Relaxation) patchMachineAdd(newIn *core.Instance) error {
 		mdl.xv = append(mdl.xv, relaxVar{v: v, j: j, p: p})
 		rel.banned = append(rel.banned, false)
 	}
+	mdl.loadRow = append(mdl.loadRow, -1)
 	if len(loadTerms) > 0 {
-		mdl.loadRow = append(mdl.loadRow, prob.NumRows())
-		prob.AddConstraint(lp.LE, rel.envelope, loadTerms...)
-	} else {
-		mdl.loadRow = append(mdl.loadRow, -1)
+		mdl.addLoadRow(i0, loadTerms...)
 	}
 	for _, f := range fours {
 		prob.AddConstraint(lp.LE, 0, lp.Term{Var: f.v, Coef: 1}, lp.Term{Var: f.yv, Coef: -1})
@@ -366,13 +363,10 @@ func (rel *Relaxation) patchResize(d core.Delta, newIn *core.Instance) error {
 				continue
 			}
 			changed = true
-			if delta := pNew - pOld; delta != 0 {
-				if mdl.loadRow[i] >= 0 {
-					mdl.prob.AddTerm(mdl.loadRow[i], lp.Term{Var: v, Coef: delta})
-				} else if pNew > 0 {
-					mdl.loadRow[i] = mdl.prob.NumRows()
-					mdl.prob.AddConstraint(lp.LE, rel.envelope, lp.Term{Var: v, Coef: pNew})
-				}
+			if mdl.loadRow[i] >= 0 {
+				mdl.prob.AddTerm(mdl.loadRow[i], lp.Term{Var: v, Coef: pNew - pOld})
+			} else if pNew > 0 {
+				mdl.addLoadRow(i, lp.Term{Var: v, Coef: pNew})
 			}
 			for t := range mdl.xv {
 				if mdl.xv[t].v == v {

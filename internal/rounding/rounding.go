@@ -2,21 +2,29 @@
 // Section 3.1 of the paper: an O(log n + log m)-approximation for scheduling
 // with setup times on unrelated machines.
 //
-// For a makespan guess T, the LP relaxation of ILP-UM is solved:
+// The LP relaxation of ILP-UM carries the makespan as a variable τ. For a
+// makespan guess T it is
 //
-//	Σ_j x_ij p_ij + Σ_k y_ik s_ik ≤ T   ∀i            (1)
+//	minimize τ subject to
+//	Σ_j x_ij p_ij + Σ_k y_ik s_ik ≤ τ   ∀i            (1)
 //	Σ_i x_ij = 1                        ∀j            (2)
 //	0 ≤ x_ij, y_ik ≤ 1                                (3 relaxed)
 //	y_i,k_j ≥ x_ij                      ∀i,j          (4)
 //	x_ij = 0                            ∀i,j: p_ij > T (5)
 //
-// and rounded: in each of c·log n iterations every (machine, class) pair
-// opens with probability y*_ik, and an open pair claims each of its
-// class's jobs independently with probability x*_ij/y*_ik. Jobs assigned
-// multiple times keep their first assignment; jobs never assigned fall back
-// to argmin_i p_ij. Theorem 3.3: the result is O(T(log n + log m)) with
-// high probability, and binary search over T (package dual) turns this into
-// an O(log n + log m)-approximation.
+// and the paper's feasibility LP at T is feasible exactly when τ*(T) ≤ T.
+// The optimal fractional solution is rounded: in each of c·log n
+// iterations every (machine, class) pair opens with probability y*_ik, and
+// an open pair claims each of its class's jobs independently with
+// probability x*_ij/y*_ik. Jobs assigned multiple times keep their first
+// assignment; jobs never assigned fall back to argmin_i p_ij. Theorem 3.3:
+// rounding a solution of the relaxation at T yields O(T(log n + log m)) with
+// high probability. One solve at the top of the search bracket returns
+// τ0 = τ*(ub); clamps only shrink the feasible region, so every guess below
+// τ0 is infeasible and τ0 ≤ Opt. When the optimum puts no weight on an x_ij
+// with p_ij > τ0 it is itself feasible at T = τ0, Theorem 3.3 applies there,
+// and no binary search runs; otherwise the binary search over T (package
+// dual) decides the remaining bracket [τ0, ub].
 package rounding
 
 import (
@@ -49,10 +57,10 @@ type Options struct {
 	// Bounds, when non-nil, connects the run to a live bound exchange (the
 	// engine portfolio's incumbent bus): the greedy bootstrap and every
 	// rounded schedule are published as incumbents the moment they appear,
-	// LP-infeasible guesses as certified lower bounds, and the binary
-	// search skips guesses at or above the live incumbent.
+	// the LP threshold and LP-infeasible guesses as certified lower bounds,
+	// and the binary search skips guesses at or above the live incumbent.
 	Bounds core.BoundBus
-	// LPBackend names the lp.Backend the per-guess feasibility LPs run on:
+	// LPBackend names the lp.Backend the relaxation LPs run on:
 	// "sparse" (revised simplex, the default), "dense", "ipm"
 	// (interior-point cold solve with crossover to warm simplex), "auto"
 	// (size-triggered: IPM on large cold builds, sparse otherwise), or ""
@@ -78,13 +86,14 @@ type Options struct {
 	Budget core.TokenBudget
 	// Warm, when usable (non-nil with a feasible Fallback witness and a
 	// positive finite Upper), switches the run onto the incremental
-	// re-solve path: the greedy bootstrap and the envelope-seed solve are
-	// skipped, the binary search opens on [Warm.Lower, Warm.Upper] instead
-	// of [0, greedy], Warm.Fallback stands in for the greedy witness, and
-	// when Warm.State holds a *Relaxation already patched onto this exact
-	// instance (pointer identity) the LP is re-entered with its retained
-	// warm basis instead of being rebuilt. An unusable Warm value silently
-	// degrades to the cold path — correctness never depends on it.
+	// re-solve path: the greedy bootstrap is skipped, the bracket opens on
+	// [Warm.Lower, Warm.Upper] instead of [0, greedy], Warm.Fallback stands
+	// in for the greedy witness, and when Warm.State holds a *Relaxation
+	// already patched onto this exact instance (pointer identity) the LP is
+	// re-entered with its retained warm basis instead of being rebuilt. The
+	// seed solve at the top of the bracket runs on both paths. An unusable
+	// Warm value silently degrades to the cold path — correctness never
+	// depends on it.
 	Warm *core.WarmStart
 }
 
@@ -168,6 +177,15 @@ func (f *Fractional) Release() {
 	fracPool.Put(f)
 }
 
+// tauTol is the relative tolerance of the makespan verdict: a guess T is
+// LP-feasible when τ*(T) ≤ T·(1+tauTol), and τ0·(1−tauTol) is the certified
+// lower bound the seed solve reports.
+const tauTol = 1e-6
+
+// witnessTol is the assignment weight below which an x_ij counts as zero
+// when checking that the optimum is feasible at its own τ*.
+const witnessTol = 1e-9
+
 // SolveLP solves the LP relaxation of ILP-UM for guess T. It returns
 // (nil, nil) when the relaxation is infeasible — a certificate that no
 // schedule with makespan ≤ T exists.
@@ -180,7 +198,7 @@ func SolveLP(in *core.Instance, T float64) (*Fractional, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rounding: LP solve for T=%g: %w", T, err)
 	}
-	if sol.Status != lp.Optimal {
+	if sol.Status != lp.Optimal || sol.X[mdl.tau] > T*(1+tauTol) {
 		return nil, nil
 	}
 	f := newFractional(in.M, in.N, in.K)
@@ -191,12 +209,14 @@ func SolveLP(in *core.Instance, T float64) (*Fractional, error) {
 
 // ilpModel is the LP relaxation of ILP-UM — rows (1), (2), (4) —
 // materialized at an envelope T: a variable exists for every (machine,
-// job) pair assignable at T and the load RHS is T. It is the one model
-// builder shared by the cold path (SolveLP solves it as-is) and the warm
-// path (Relaxation mutates the variable bounds and RHS in place for
-// smaller guesses), so the two can never drift apart.
+// job) pair assignable at T, and the makespan column τ (cost 1) bounds every
+// load row, so the load rows have RHS 0. It is the one model builder shared
+// by the cold path (SolveLP solves it as-is) and the warm path (Relaxation
+// clamps variable bounds in place for smaller guesses), so the two can
+// never drift apart.
 type ilpModel struct {
 	prob    *lp.Problem
+	tau     int     // the makespan variable τ
 	xIdx    [][]int // variable per (machine, job); -1 excluded
 	yIdx    [][]int // variable per (machine, class); -1 excluded
 	loadRow []int   // constraint row of machine i's load; -1 none
@@ -222,6 +242,7 @@ func buildILPModel(in *core.Instance, T float64) *ilpModel {
 		loadRow: make([]int, in.M),
 	}
 	p := mdl.prob
+	mdl.tau = p.AddVar(1, math.Inf(1))
 	// Variable gating: x_ij exists iff the pair is assignable at T
 	// (finite p ≤ T, finite class setup); y_ik iff the setup is finite.
 	for i := 0; i < in.M; i++ {
@@ -262,8 +283,7 @@ func buildILPModel(in *core.Instance, T float64) *ilpModel {
 			}
 		}
 		if len(terms) > 0 {
-			mdl.loadRow[i] = p.NumRows()
-			p.AddConstraint(lp.LE, T, terms...)
+			mdl.addLoadRow(i, terms...)
 		} else {
 			mdl.loadRow[i] = -1
 		}
@@ -298,6 +318,13 @@ func buildILPModel(in *core.Instance, T float64) *ilpModel {
 		}
 	}
 	return mdl
+}
+
+// addLoadRow appends machine i's load row (1), Σ terms − τ ≤ 0, and records
+// it in loadRow[i]. terms must be non-empty.
+func (mdl *ilpModel) addLoadRow(i int, terms ...lp.Term) {
+	mdl.loadRow[i] = mdl.prob.NumRows()
+	mdl.prob.AddConstraint(lp.LE, 0, append(terms, lp.Term{Var: mdl.tau, Coef: -1})...)
 }
 
 // fillFractional copies the structural LP values into the X/Y matrices;
@@ -336,12 +363,13 @@ type RelaxationConfig struct {
 
 // Relaxation is the ILP-UM LP relaxation built once at the envelope T=ub
 // and re-solved per guess. Where SolveLP rebuilds O(M·N) variables,
-// O(M·N) constraints and a fresh solver for every binary-search guess,
-// ReSolve applies a guess by mutating the built problem in place —
-// constraint (5) clamps variable upper bounds to 0, the load RHS is
-// updated — and warm-starts the backend from the previous optimal basis
-// (dual simplex), so a dual-approximation search costs one build plus
-// cheap re-solves instead of guesses × full solves.
+// O(M·N) constraints and a fresh solver for every guess, ReSolve applies a
+// guess by clamping variable upper bounds in place (constraint (5); the
+// load rows bound the makespan column τ and never change) and warm-starts
+// the backend from the previous optimal basis (dual simplex). Each solve
+// also reports τ* and whether the optimum is feasible at its own τ*
+// (Threshold), which is what lets one solve at the envelope close a dual
+// search.
 //
 // A Relaxation is not safe for concurrent use, and the Fractional returned
 // by ReSolve is a buffer owned by the Relaxation, valid until the next
@@ -366,14 +394,15 @@ type Relaxation struct {
 	// (extended) model; the rebuild is deferred to the next ReSolve so a
 	// re-solve whose bracket closes without LP work never pays it. pending,
 	// when non-nil, is a basis already remapped to the grown standard form,
-	// transplanted into the fresh backend during that rebuild. lastT is the
-	// RHS the retained basis was last optimal at, replayed before the
-	// transplant repairs.
+	// transplanted into the fresh backend during that rebuild.
 	dead     []int
 	deadRows []int
 	stale    bool
 	pending  *lp.Basis
-	lastT    float64
+
+	// tau and witness report the latest ReSolve (see Threshold).
+	tau     float64
+	witness bool
 
 	frac      *Fractional
 	iters     int
@@ -441,7 +470,6 @@ func (rel *Relaxation) Clone() *Relaxation {
 		avail:    append([]int(nil), rel.avail...),
 		dead:     append([]int(nil), rel.dead...),
 		deadRows: append([]int(nil), rel.deadRows...),
-		lastT:    rel.lastT,
 		frac:     makeFractional(rel.in.M, rel.in.N, rel.in.K, false),
 	}
 	if rel.be != nil {
@@ -476,6 +504,14 @@ func (rel *Relaxation) Iterations() int { return rel.iters }
 // ReSolve calls so far — the count behind Detail.LPRefactors.
 func (rel *Relaxation) Refactors() int { return rel.refactors }
 
+// Threshold reports the latest ReSolve's optimal makespan τ* and whether
+// the optimum is a witness for it: no x_ij above a tiny tolerance has
+// p_ij > τ*·(1+tol), so the relaxation at T = τ* (with its clamps) is itself
+// feasible. τ* is +Inf, with the witness vacuously true, when some job had
+// no unclamped variable at the guess. Every guess below min(τ*, T) is
+// infeasible, because clamps only shrink the feasible region.
+func (rel *Relaxation) Threshold() (tau float64, witness bool) { return rel.tau, rel.witness }
+
 // Presolve reports what the LP presolve pipeline did for this relaxation's
 // backend — the stats from the most recent solve that ran through it, or
 // nil when presolve is disabled or no solve has completed yet.
@@ -483,8 +519,9 @@ func (rel *Relaxation) Presolve() *lp.PresolveInfo { return rel.presolve }
 
 // ReSolve solves the relaxation for guess T, reusing the built problem and
 // warm-starting from the previous guess's basis. Like SolveLP it returns
-// (nil, nil) when the relaxation is infeasible at T. The returned
-// Fractional is owned by the Relaxation and valid until the next ReSolve.
+// (nil, nil) when the relaxation is infeasible at T, i.e. when its minimum
+// makespan τ*(T) exceeds T·(1+tol). The returned Fractional is owned by
+// the Relaxation and valid until the next ReSolve.
 //
 // Verdicts are exact for T ≤ the build envelope. Above the envelope,
 // variables for p_ij ∈ (envelope, T] were never created; when the envelope
@@ -492,6 +529,7 @@ func (rel *Relaxation) Presolve() *lp.PresolveInfo { return rel.presolve }
 // is feasible there and hence for every larger T, so verdicts remain
 // correct for all T.
 func (rel *Relaxation) ReSolve(T float64) (*Fractional, error) {
+	rel.tau, rel.witness = math.Inf(1), true
 	if rel.mdl.infeasible {
 		return nil, nil // a job ran nowhere even at the envelope
 	}
@@ -523,16 +561,11 @@ func (rel *Relaxation) ReSolve(T float64) (*Fractional, error) {
 			return nil, nil // some job cannot run anywhere under T
 		}
 	}
-	for _, r := range rel.mdl.loadRow {
-		if r >= 0 {
-			rel.be.SetRHS(r, T)
-		}
-	}
 	sol, err := rel.be.Solve()
 	if err != nil {
 		// The warm basis went numerically bad: rebuild the backend cold
 		// (same problem, same workspace memory) and retry once.
-		if rerr := rel.rebuild(T); rerr != nil {
+		if rerr := rel.rebuild(); rerr != nil {
 			return nil, fmt.Errorf("rounding: LP rebuild for T=%g after %v: %w", T, err, rerr)
 		}
 		if sol, err = rel.be.Solve(); err != nil {
@@ -544,13 +577,20 @@ func (rel *Relaxation) ReSolve(T float64) (*Fractional, error) {
 	if sol.Presolve != nil {
 		rel.presolve = sol.Presolve
 	}
-	rel.lastT = T
-	switch sol.Status {
-	case lp.Optimal:
-	case lp.Infeasible:
-		return nil, nil
-	default:
+	if sol.Status != lp.Optimal {
+		// τ is unbounded above and every job has a variable, so the
+		// relaxation always has an optimum.
 		return nil, fmt.Errorf("rounding: LP re-solve for T=%g: unexpected status %v", T, sol.Status)
+	}
+	rel.tau = sol.X[rel.mdl.tau]
+	for t, xv := range rel.mdl.xv {
+		if !rel.banned[t] && sol.X[xv.v] > witnessTol && xv.p > rel.tau*(1+tauTol) {
+			rel.witness = false
+			break
+		}
+	}
+	if rel.tau > T*(1+tauTol) {
+		return nil, nil
 	}
 	for i := range rel.frac.xFlat {
 		rel.frac.xFlat[i] = 0
@@ -564,22 +604,20 @@ func (rel *Relaxation) ReSolve(T float64) (*Fractional, error) {
 }
 
 // rebuild replaces the backend with a cold one and replays the current
-// mutation state (clamped variables, permanently dead columns and rows,
-// load RHS at T).
-func (rel *Relaxation) rebuild(T float64) error {
+// mutation state (clamped variables, permanently dead columns and rows).
+func (rel *Relaxation) rebuild() error {
 	be, err := lp.NewBackend(rel.kind, rel.mdl.prob, rel.ws, lp.WithPresolve(!rel.noPresolve))
 	if err != nil {
 		return err
 	}
-	rel.replay(be, T)
+	rel.replay(be)
 	rel.be = be
 	return nil
 }
 
 // replay pushes the relaxation's current mutation state into a freshly
-// built backend: permanent deletions first, then the per-guess clamps and
-// the load RHS.
-func (rel *Relaxation) replay(be lp.Backend, T float64) {
+// built backend: permanent deletions first, then the per-guess clamps.
+func (rel *Relaxation) replay(be lp.Backend) {
 	for _, v := range rel.dead {
 		be.SetVarUpper(v, 0)
 	}
@@ -591,16 +629,11 @@ func (rel *Relaxation) replay(be lp.Backend, T float64) {
 			be.SetVarUpper(rel.mdl.xv[t].v, 0)
 		}
 	}
-	for _, r := range rel.mdl.loadRow {
-		if r >= 0 {
-			be.SetRHS(r, T)
-		}
-	}
 }
 
 // materialize completes a deferred ApplyDelta backend rebuild: it builds a
-// backend over the grown problem, replays the retained mutation state at
-// the basis's last optimal guess, and transplants the remapped basis so the
+// backend over the grown problem, replays the retained mutation state, and
+// transplants the remapped basis so the
 // next Solve repairs primal feasibility with dual-simplex pivots instead of
 // a cold phase-1 run. A failed transplant (singular or rejected basis)
 // degrades to the cold backend — correctness never depends on the warm
@@ -613,11 +646,7 @@ func (rel *Relaxation) materialize() {
 		rel.be = nil // surfaced by ReSolve as an error
 		return
 	}
-	T := rel.lastT
-	if T <= 0 {
-		T = rel.envelope
-	}
-	rel.replay(be, T)
+	rel.replay(be)
 	if ext != nil {
 		_ = be.Warm(ext) // cold continue on failure
 	}
@@ -793,8 +822,19 @@ type Detail struct {
 	// every guess was LP-infeasible, which cannot happen for guesses at or
 	// above the greedy makespan).
 	PureSchedule *core.Schedule
-	// Guesses is the number of LP feasibility tests performed.
+	// Guesses is the number of LP feasibility tests the binary search
+	// performed; the seed solve at the top of the bracket is not counted.
 	Guesses int
+	// LPThreshold is τ0, the relaxation's minimum makespan at the top of
+	// the bracket, capped at the bracket's top: every guess below it is
+	// LP-infeasible, so τ0·(1−tol) is a certified lower bound on Opt. Zero
+	// when the seed solve did not run (zero makespan, cancelled, LP error).
+	LPThreshold float64
+	// SearchClosed reports that the seed solve's optimum was a witness for
+	// τ0 (it put no weight on an x_ij with p_ij > τ0), so the relaxation is
+	// feasible at τ0, the bracket closed there and the binary search
+	// evaluated no guesses. False means the search bisected [τ0, ub].
+	SearchClosed bool
 	// LPIterations is the total number of LP iterations across every LP
 	// solved (the build at T=ub plus each warm re-solve): simplex pivots,
 	// plus interior-point iterations on the ipm/auto cold path — the
@@ -824,11 +864,13 @@ type Detail struct {
 	Relaxation *Relaxation
 }
 
-// Schedule runs the full algorithm: binary search on the makespan guess T
-// with LP feasibility as the rejection certificate and randomized rounding
-// as the construction. The returned Result carries the best schedule seen
-// (rounded or the greedy bootstrap) and the largest LP-infeasible guess as
-// a certified lower bound on Opt. The context is checked between guesses
+// Schedule runs the full algorithm: one LP solve at the top of the bracket
+// for the threshold τ0, then, unless that solve already closed the bracket,
+// binary search on the makespan guess T with LP feasibility as the
+// rejection certificate, and randomized rounding as the construction. The
+// returned Result carries the best schedule seen (rounded or the greedy
+// bootstrap) and the strongest certified lower bound on Opt (τ0 or the
+// largest LP-infeasible guess). The context is checked between guesses
 // and between rounding iterations; a cancelled run returns the best
 // schedule seen so far with Result.Note explaining the early stop.
 func Schedule(ctx context.Context, in *core.Instance, opt Options) (core.Result, error) {
@@ -873,14 +915,14 @@ func ScheduleDetailed(ctx context.Context, in *core.Instance, opt Options) (core
 		lb = vol
 	}
 	if opt.Bounds != nil {
-		opt.Bounds.PublishUpper(ub) // the fallback schedule is feasible
+		opt.Bounds.PublishUpper(fallback.Makespan(in)) // the fallback schedule is feasible
 		opt.Bounds.PublishLower(lb)
 	}
 	// Build the LP relaxation once at the envelope T = ub — unless the warm
 	// start already carries one patched onto this instance, whose retained
-	// basis then warm-starts the first guess directly. Every guess of the
-	// binary search below re-solves it in place (mutated bounds and RHS,
-	// warm-started basis) instead of rebuilding problem and tableau.
+	// basis then warm-starts the seed solve directly. Every guess of the
+	// binary search below re-solves it in place (clamped bounds, warm-started
+	// basis) instead of rebuilding problem and tableau.
 	if rel == nil {
 		var err error
 		rel, err = NewRelaxation(in, RelaxationConfig{Envelope: ub, Backend: lp.BackendKind(opt.LPBackend), NoPresolve: opt.LPNoPresolve})
@@ -889,18 +931,35 @@ func ScheduleDetailed(ctx context.Context, in *core.Instance, opt Options) (core
 		}
 	}
 	det.LPBackend = rel.ResolvedBackend()
-	// Seed the pure-rounding record at T = ub, where the LP is feasible by
-	// construction (the greedy schedule is an integral witness); the binary
-	// search may otherwise reject every interior guess and leave no
-	// rounded schedule at all. The warm path skips this seed solve — its
-	// fallback witness already bounds the bracket, and paying an LP solve
-	// at the bracket's top edge would erase the latency win.
-	if warm == nil && ub > 0 && ctx.Err() == nil {
-		if f, err := rel.ReSolve(ub); err == nil && f != nil {
-			sched, _ := Round(ctx, in, f, opt.C, opt.Rng)
-			det.PureMakespan, det.PureSchedule = sched.Makespan(in), sched
+	// Seed solve at T = ub. Its optimum τ0 is the LP threshold: every guess
+	// below it is infeasible, so it raises the lower edge. When the optimum
+	// is also feasible at τ0 (the witness), it closes the bracket there —
+	// Theorem 3.3 applies to its rounding at T = τ0 ≤ Opt — and the search
+	// below evaluates nothing. The seed rounding becomes the fallback when it
+	// beats the bootstrap witness, so the result is never worse than it.
+	hi := ub
+	if ub > 0 && ctx.Err() == nil {
+		if f, err := rel.ReSolve(ub); err == nil {
+			tau, witness := rel.Threshold()
+			det.LPThreshold = math.Min(tau, ub)
+			if l := det.LPThreshold * (1 - tauTol); l > lb {
+				lb = l
+			}
+			if witness {
+				hi, det.SearchClosed = det.LPThreshold, true
+			}
+			if f != nil {
+				sched, _ := Round(ctx, in, f, opt.C, opt.Rng)
+				det.PureMakespan, det.PureSchedule = sched.Makespan(in), sched
+				if det.PureMakespan < fallback.Makespan(in) {
+					fallback = sched
+				}
+				if opt.Bounds != nil {
+					opt.Bounds.PublishUpper(det.PureMakespan)
+				}
+			}
 			if opt.Bounds != nil {
-				opt.Bounds.PublishUpper(det.PureMakespan)
+				opt.Bounds.PublishLower(lb)
 			}
 		}
 	}
@@ -911,10 +970,9 @@ func ScheduleDetailed(ctx context.Context, in *core.Instance, opt Options) (core
 	// The shared diagnostics (guess count, pure-rounding record) and the
 	// abort-on-error channel are the only cross-worker state, guarded by mu.
 	workers := dual.PlanParallelism(opt.SearchWorkers, opt.Budget)
-	if ub <= 0 {
-		// A zero-makespan instance: the search below returns without
-		// evaluating a guess, so per-worker relaxation clones would be
-		// pure waste.
+	if ub <= 0 || det.SearchClosed {
+		// The search below returns without evaluating a guess, so
+		// per-worker relaxation clones would be pure waste.
 		workers = 1
 	}
 	var mu sync.Mutex
@@ -958,7 +1016,7 @@ func ScheduleDetailed(ctx context.Context, in *core.Instance, opt Options) (core
 	out := dual.Run(ctx, dual.Config{
 		Instance:  in,
 		Lower:     lb,
-		Upper:     ub,
+		Upper:     hi,
 		Precision: opt.Precision,
 		Fallback:  fallback,
 		Bus:       opt.Bounds,

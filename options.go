@@ -198,7 +198,7 @@ func WithRoundingC(c0 int) SolveOption {
 }
 
 // WithLPBackend selects the LP solver backend for solvers that run LPs
-// (the randomized rounding's per-guess feasibility tests): "sparse" — the
+// (the randomized rounding's relaxation LPs): "sparse" — the
 // warm-started sparse revised simplex, the default — "dense", the
 // reference dense solver, "ipm" — interior-point (Mehrotra
 // predictor-corrector over a sparse Cholesky of the normal equations) for

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/gen"
 )
 
@@ -179,6 +180,52 @@ func TestResolveMatchesColdSolve(t *testing.T) {
 					h = warm
 				}
 			})
+		}
+	}
+}
+
+// TestResolveLowerBoundSound checks the rounding solver's certified lower
+// bound against the branch-and-bound optimum along Open→Resolve chains of
+// small unrelated and restricted-assignment instances (n ≤ 10), where the
+// seed solve on the retained relaxation sets the bound on every warm step.
+func TestResolveLowerBoundSound(t *testing.T) {
+	makers := map[string]func(*rand.Rand) *Instance{
+		"unrelated":  func(rng *rand.Rand) *Instance { return gen.Unrelated(rng, gen.Params{N: 8, M: 3, K: 3}) },
+		"restricted": func(rng *rand.Rand) *Instance { return gen.Restricted(rng, gen.Params{N: 8, M: 3, K: 3}) },
+	}
+	for name, mk := range makers {
+		for seed := int64(0); seed < 4; seed++ {
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(seed))
+			eng, err := New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := []SolveOption{WithAlgorithm(AlgoRounding), WithSeed(seed)}
+			h, err := eng.Open(ctx, mk(rng), opts...)
+			if err != nil {
+				t.Fatalf("%s/%d: Open: %v", name, seed, err)
+			}
+			for step := 0; ; step++ {
+				in := h.Instance()
+				_, opt, st := exact.BranchAndBound(ctx, in, exact.Options{})
+				if !st.Proven {
+					t.Fatalf("%s/%d step %d: branch-and-bound did not prove optimality (%v)", name, seed, step, st.Reason)
+				}
+				if lb := h.Result().LowerBound; lb > opt+1e-9 {
+					t.Fatalf("%s/%d step %d: LowerBound %v exceeds the optimum %v", name, seed, step, lb, opt)
+				}
+				if step == 5 {
+					break
+				}
+				d := randDeltaSched(rng, in)
+				for next, err := d.Apply(in); err != nil || next.N > 10; next, err = d.Apply(in) {
+					d = randDeltaSched(rng, in)
+				}
+				if h, err = eng.Resolve(ctx, h, d, opts...); err != nil {
+					t.Fatalf("%s/%d step %d: Resolve(%v): %v", name, seed, step, d, err)
+				}
+			}
 		}
 	}
 }
