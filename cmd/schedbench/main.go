@@ -77,7 +77,7 @@ func main() {
 		m       = flag.Int("m", 4, "engine mode: number of machines")
 		k       = flag.Int("k", 3, "engine mode: number of setup classes")
 		lpKind  = flag.String("lp", "", "engine mode: LP backend for the randomized rounding's feasibility LPs (dense|sparse|ipm|auto; default sparse)")
-	noPre   = flag.Bool("no-presolve", false, "disable the LP presolve/equilibration pipeline ahead of cold LP builds (baseline measurement)")
+		noPre   = flag.Bool("no-presolve", false, "disable the LP presolve/equilibration pipeline ahead of cold LP builds (baseline measurement)")
 		sworker = flag.Int("search-workers", 0, "engine mode: speculative parallelism of dual-approximation searches (guesses evaluated concurrently; <2 = sequential bisection)")
 		oversub = flag.Bool("oversub", false, "oversubscription scenario: governed vs ungoverned engine under batch × portfolio × speculative-search load")
 		batch   = flag.Int("batch", 8, "oversub mode: instances per SolveBatch")

@@ -66,8 +66,10 @@ func (g *Governor) Acquire(ctx context.Context) error {
 	g.waits++
 	ch := make(chan struct{})
 	g.waiters = append(g.waiters, ch)
-	g.mu.Unlock()
+	// The wait clock starts under the lock, as the waiter registers: anyone
+	// who observes the wait in Stats then reads a clock that already runs.
 	start := time.Now()
+	g.mu.Unlock()
 	record := func() {
 		wait := time.Since(start)
 		g.mu.Lock()

@@ -48,12 +48,19 @@ func TestGovernorAcquireBlocksAndHandsOff(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() { got <- g.Acquire(context.Background()) }()
+	// Wait until the waiter has registered; its wait clock runs from then,
+	// so every wait measured from t0 on is a lower bound on its WaitTime.
+	for g.Stats().Waits != 1 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	t0 := time.Now()
 	// The waiter must be blocked, not granted.
 	select {
 	case err := <-got:
 		t.Fatalf("second Acquire returned early: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
+	blocked := time.Since(t0)
 	g.Release(1)
 	select {
 	case err := <-got:
@@ -70,13 +77,14 @@ func TestGovernorAcquireBlocksAndHandsOff(t *testing.T) {
 	if st.Waits != 1 {
 		t.Fatalf("waits = %d, want 1", st.Waits)
 	}
-	// The waiter blocked for at least the 20ms probe above, and that wait
-	// must be visible in both the cumulative and the max counters.
-	if st.WaitTime < 20*time.Millisecond {
-		t.Fatalf("WaitTime = %v, want >= 20ms", st.WaitTime)
+	// The waiter blocked at least from t0 until Release (≥ the 20ms probe
+	// above), and that wait must be visible in both the cumulative and the
+	// max counters.
+	if blocked < 20*time.Millisecond || st.WaitTime < blocked {
+		t.Fatalf("WaitTime = %v, want >= %v (t0 to Release, >= 20ms)", st.WaitTime, blocked)
 	}
-	if st.MaxWait < 20*time.Millisecond || st.MaxWait > st.WaitTime {
-		t.Fatalf("MaxWait = %v, want in [20ms, WaitTime=%v]", st.MaxWait, st.WaitTime)
+	if st.MaxWait < blocked || st.MaxWait > st.WaitTime {
+		t.Fatalf("MaxWait = %v, want in [%v, WaitTime=%v]", st.MaxWait, blocked, st.WaitTime)
 	}
 	g.Release(1)
 }

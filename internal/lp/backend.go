@@ -206,9 +206,13 @@ func NewBackend(kind BackendKind, p *Problem, ws *Workspace, opts ...BackendOpti
 		}
 	}
 	if cfg.presolve && len(p.rows) > 0 && len(p.obj) > 0 {
-		return newPresolveBackend(kind, p, ws), nil
+		return newPresolveBackend(kind, p, ws, cfg.start), nil
 	}
-	return newResolvedBackend(kind, p, ws)
+	be, err := newResolvedBackend(kind, p, ws)
+	if sim, ok := be.(*solverState); ok && cfg.start != nil {
+		sim.installStart(cfg.start)
+	}
+	return be, err
 }
 
 // newResolvedBackend constructs a concrete (unwrapped) backend of an

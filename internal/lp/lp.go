@@ -183,6 +183,12 @@ type Solution struct {
 	// Presolve reports what the reduction pipeline did for this backend,
 	// when the solve ran through one (nil otherwise). See WithPresolve.
 	Presolve *PresolveInfo
+	// FromStart reports that this solve began at the start basis given to
+	// NewBackend (WithStart) rather than at the all-slack basis. It is
+	// false when no start was given, when the start could not be used
+	// (presolve reduced the problem, or the basis was rejected or
+	// singular), and on every later solve.
+	FromStart bool
 }
 
 // Value returns the value of variable v in the solution.

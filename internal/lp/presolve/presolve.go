@@ -256,12 +256,12 @@ func newReducer(in *Input, tol float64) *reducer {
 	nv, m := in.NumCols, in.NumRows
 	rd := &reducer{
 		nv: nv, m: m, tol: tol,
-		obj:    in.Obj,
-		ub:     append([]float64(nil), in.UB...),
-		rhs:    append([]float64(nil), in.RHS...),
-		sense:  in.Sense,
-		fix:    make([]FixKind, nv),
-		fixVal: make([]float64, nv),
+		obj:     in.Obj,
+		ub:      append([]float64(nil), in.UB...),
+		rhs:     append([]float64(nil), in.RHS...),
+		sense:   in.Sense,
+		fix:     make([]FixKind, nv),
+		fixVal:  make([]float64, nv),
 		rowGone: make([]bool, m),
 		shift:   make([]float64, m),
 		ubFold:  make([]float64, nv),

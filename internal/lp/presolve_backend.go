@@ -14,6 +14,7 @@ type BackendOption func(*backendConfig)
 
 type backendConfig struct {
 	presolve bool
+	start    *Basis
 }
 
 // WithPresolve toggles the presolve+scaling pipeline in front of the
@@ -25,6 +26,19 @@ type backendConfig struct {
 // transplanting the postsolved basis, so verdicts are always exact.
 func WithPresolve(on bool) BackendOption {
 	return func(c *backendConfig) { c.presolve = on }
+}
+
+// WithStart hands the backend a start basis for its first Solve, in the
+// full standard form of the Problem (the shape Basis and Warm use). The
+// first cold Solve begins at it instead of at the all-slack basis: a
+// primal-feasible start skips phase 1. Behind presolve the start is used
+// only when the reductions removed no row and no column (it then maps onto
+// the scaled problem unchanged); otherwise, or when the basis is rejected
+// or singular, that solve runs cold; the ipm backend always starts cold.
+// Later solves never see it. Whether a solve used it is reported by
+// Solution.FromStart.
+func WithStart(b *Basis) BackendOption {
+	return func(c *backendConfig) { c.start = b }
 }
 
 // PresolveInfo reports what the presolve pipeline did for one backend
@@ -72,10 +86,10 @@ type PresolveTotalsSnapshot struct {
 }
 
 var presolveAgg struct {
-	runs, bypasses, infeasible                atomic.Int64
-	rowsBefore, rowsAfter                     atomic.Int64
-	colsBefore, colsAfter                     atomic.Int64
-	nnzBefore, nnzAfter, scalePasses          atomic.Int64
+	runs, bypasses, infeasible       atomic.Int64
+	rowsBefore, rowsAfter            atomic.Int64
+	colsBefore, colsAfter            atomic.Int64
+	nnzBefore, nnzAfter, scalePasses atomic.Int64
 }
 
 // PresolveTotals snapshots the process-wide presolve aggregates.
@@ -143,15 +157,17 @@ type presolveBackend struct {
 	inner Backend          // nil ⇒ pending
 	red   *presolve.Result // nil with inner ⇒ bypass
 	info  *PresolveInfo    // stats of the last presolve/bypass (may be nil)
+	start *Basis           // WithStart basis, consumed by the first Solve
 
 	xFull  []float64
 	solBuf Solution
 }
 
-func newPresolveBackend(kind BackendKind, p *Problem, ws *Workspace) *presolveBackend {
+func newPresolveBackend(kind BackendKind, p *Problem, ws *Workspace, start *Basis) *presolveBackend {
 	s := &presolveBackend{
 		kind:  kind,
 		ws:    ws,
+		start: start,
 		nv:    len(p.obj),
 		m:     len(p.rows),
 		obj:   append([]float64(nil), p.obj...),
@@ -242,6 +258,8 @@ func reducedProblem(res *presolve.Result) *Problem {
 
 func (s *presolveBackend) Solve() (*Solution, error) {
 	if s.inner == nil {
+		start := s.start
+		s.start = nil
 		res := s.runPresolve()
 		if res.Infeasible {
 			// Stay pending: later mutations can restore feasibility, and
@@ -254,6 +272,12 @@ func (s *presolveBackend) Solve() (*Solution, error) {
 		inner, err := newResolvedBackend(s.kind, reducedProblem(res), s.ws)
 		if err != nil {
 			return nil, err
+		}
+		if sim, ok := inner.(*solverState); ok && start != nil && !res.HasReductions() {
+			// Nothing was removed, so the reduced problem has the original
+			// rows and columns in order: the start applies as it is, and
+			// scaling moves no column between its bounds.
+			sim.installStart(start)
 		}
 		s.inner = inner
 		s.red = res
@@ -272,6 +296,7 @@ func (s *presolveBackend) Solve() (*Solution, error) {
 	out.Status = innerSol.Status
 	out.Iterations = innerSol.Iterations
 	out.Refactors = innerSol.Refactors
+	out.FromStart = innerSol.FromStart
 	out.Presolve = s.info
 	out.X = growF(&s.xFull, s.nv)
 	out.Objective = 0
@@ -293,6 +318,7 @@ func (s *presolveBackend) verdictSolution(st Status, obj float64) *Solution {
 	out.Status = st
 	out.Iterations = 0
 	out.Refactors = 0
+	out.FromStart = false
 	out.Objective = obj
 	out.Presolve = s.info
 	out.X = growF(&s.xFull, s.nv)
@@ -524,6 +550,7 @@ func (s *presolveBackend) Clone() Backend {
 		rhs:   append([]float64(nil), s.rhs...),
 		red:   s.red, // immutable after Reduce: shared
 		info:  s.info,
+		start: s.start, // read-only: shared
 	}
 	if s.inner != nil {
 		c.inner = s.inner.Clone()

@@ -16,10 +16,24 @@ import (
 //     variables: the all-slack basis is always factorizable and basics are
 //     simply allowed to start outside their bounds) followed by a primal
 //     phase 2;
+//   - a cold Solve may instead begin at a start basis handed over at
+//     construction (WithStart; the rounding relaxation passes the greedy
+//     schedule's vertex). A primal-feasible start leaves phase 1 nothing
+//     to do; a singular one is dropped and the solve runs from the slacks;
 //   - a warm Solve after mutations re-prices the unchanged reduced costs,
 //     and when the previous optimal basis is still dual feasible repairs
 //     primal feasibility with the dual simplex — typically a handful of
 //     pivots instead of a full two-phase solve.
+//
+// Phase 2 and the dual simplex keep the reduced costs d current across
+// pivots instead of re-pricing every column from fresh duals: at a basis
+// change with entering column q in row r, d_j −= θ·α_rj with θ = d_q/α_rq
+// and α_r = (e_rᵀB⁻¹)·[A I] the pivot row. The pivot row is accumulated from
+// a row-wise (CSR) copy of the standard form over the rows where e_rᵀB⁻¹ is
+// nonzero only, a small fraction of them on the scheduling LPs. d is
+// recomputed from scratch after every refactorization, every 256 pivots,
+// and once more before Optimal is returned; phase 1 prices from fresh
+// duals, because its costs change whenever a basic variable turns feasible.
 //
 // Dantzig pricing switches to Bland's rule after a stall, as in the legacy
 // tableau solver, so degenerate instances cannot cycle forever.
@@ -32,10 +46,21 @@ type solverState struct {
 	status []varStatus // per column
 	xB     []float64   // values of the basic variables (ws-backed)
 
+	// d holds the phase-2 reduced costs (ws-backed, 0 on basic columns)
+	// and dAge the pivots since they were last recomputed; −1 means d is
+	// not current for the basis (phase 1 uses the buffer for its own
+	// costs). alpha and mark are the pivot row's scratch: zero/false
+	// outside a pivotRow call.
+	d     []float64
+	dAge  int
+	alpha []float64
+	mark  []bool
+
 	sol       Solution
 	iters     int  // pivots in the current Solve call
 	refactors int  // refactorizations since the previous Solve returned
 	dualOK    bool // the current basis is known dual feasible (prior optimum)
+	fromStart bool // the basis is the construction-time start, not yet solved from
 
 	kind BackendKind // resolved implementation kind (Dense or Sparse)
 }
@@ -51,8 +76,9 @@ const (
 )
 
 func newSolverState(p *Problem, ws *Workspace) *solverState {
-	s := &solverState{ws: ws}
+	s := &solverState{ws: ws, dAge: -1}
 	s.sf.build(p, ws)
+	s.d = growF(&ws.d, s.sf.n)
 	s.basis = make([]int, s.sf.m)
 	s.status = make([]varStatus, s.sf.n)
 	for r := 0; r < s.sf.m; r++ {
@@ -91,8 +117,10 @@ func (s *solverState) SetVarUpper(v int, upper float64) {
 func (s *solverState) Kind() BackendKind { return s.kind }
 
 func (s *solverState) Clone() Backend {
-	c := &solverState{ws: NewWorkspace(), dualOK: s.dualOK, kind: s.kind}
+	c := &solverState{ws: NewWorkspace(), dualOK: s.dualOK, fromStart: s.fromStart, dAge: s.dAge, kind: s.kind}
 	c.sf.copyFrom(&s.sf, c.ws)
+	c.d = growF(&c.ws.d, c.sf.n)
+	copy(c.d, s.d)
 	c.basis = append([]int(nil), s.basis...)
 	c.status = append([]varStatus(nil), s.status...)
 	c.inv = s.inv.clone()
@@ -146,6 +174,7 @@ func (s *solverState) Warm(b *Basis) error {
 	for j, st := range b.Status {
 		s.status[j] = varStatus(st)
 	}
+	s.dAge = -1
 	if err := s.refactor(); err != nil {
 		s.coldReset()
 		return fmt.Errorf("lp: Warm basis is singular: %w", err)
@@ -154,6 +183,18 @@ func (s *solverState) Warm(b *Basis) error {
 	// next Solve: the dual-feasibility check gates the warm path.
 	s.dualOK = true
 	return nil
+}
+
+// installStart installs the construction-time start basis (WithStart). A
+// start is a feasible point, not a prior optimum, so the next Solve goes
+// straight to the primal phases instead of testing dual feasibility. A
+// rejected or singular basis leaves the all-slack basis in place, and the
+// solve runs cold.
+func (s *solverState) installStart(b *Basis) {
+	if s.Warm(b) == nil {
+		s.dualOK = false
+		s.fromStart = true
+	}
 }
 
 // Solve optimizes from the current state. See the Backend docs for the
@@ -169,6 +210,7 @@ func (s *solverState) Solve() (*Solution, error) {
 // phase, crossover and simplex cleanup — in one enter/exit, so delegating
 // here must not count a second concurrent solve).
 func (s *solverState) solve() (*Solution, error) {
+	defer func() { s.fromStart = false }() // a start serves one solve only
 	s.iters = 0
 	s.xB = growF(&s.ws.xB, s.sf.m)
 	s.computeXB()
@@ -234,6 +276,8 @@ func (s *solverState) coldReset() {
 	}
 	s.inv.reset(s.sf.m)
 	s.dualOK = false
+	s.fromStart = false
+	s.dAge = -1
 }
 
 // computeXB recomputes the basic values from the current rhs, bounds and
@@ -522,31 +566,44 @@ func (s *solverState) dualsFor(phase2 bool) ([]float64, bool) {
 	return y, zero
 }
 
-// reducedCost returns d_j for the given phase ('cost' is 0 for every
-// column in phase 1, whose objective is pure bound violation).
-func (s *solverState) reducedCost(j int, y []float64, yZero, phase2 bool) float64 {
-	c := 0.0
+// price fills d with the reduced costs of the given phase from fresh duals
+// ('cost' is 0 for every column in phase 1, whose objective is pure bound
+// violation); basic columns get 0. The phase-2 fill makes d current.
+func (s *solverState) price(phase2 bool) {
+	y, yZero := s.dualsFor(phase2)
+	d := s.d
+	for j := range d {
+		if s.status[j] == basic {
+			d[j] = 0
+			continue
+		}
+		c := 0.0
+		if phase2 {
+			c = s.sf.objAt(j)
+		}
+		if !yZero {
+			c -= s.sf.dotColumn(j, y)
+		}
+		d[j] = c
+	}
 	if phase2 {
-		c = s.sf.objAt(j)
+		s.dAge = 0
+	} else {
+		s.dAge = -1
 	}
-	if yZero {
-		return c
-	}
-	return c - s.sf.dotColumn(j, y)
 }
 
 // dualFeasible reports whether the current basis is dual feasible for the
-// real (phase 2) objective within dualTol.
+// real (phase 2) objective within dualTol. It leaves d current.
 func (s *solverState) dualFeasible() bool {
+	s.price(true)
 	if s.sf.objZero {
 		return true // all reduced costs are identically zero
 	}
-	y, yZero := s.dualsFor(true)
-	for j := 0; j < s.sf.n; j++ {
+	for j, d := range s.d {
 		if s.status[j] == basic || s.sf.ub[j] == 0 {
 			continue // fixed columns cannot move: sign irrelevant
 		}
-		d := s.reducedCost(j, y, yZero, true)
 		if s.status[j] == atLower && d < -dualTol {
 			return false
 		}
@@ -555,6 +612,76 @@ func (s *solverState) dualFeasible() bool {
 		}
 	}
 	return true
+}
+
+// pivotRow computes the pivot row α = ρᵀ·[A I] for ρ = e_rᵀB⁻¹ from the
+// row-wise copy of A, visiting only the rows where ρ is nonzero. It returns
+// the columns whose entry was touched (each once); their values are in
+// s.alpha until updateDuals or clearRow resets the scratch.
+func (s *solverState) pivotRow(rho []float64) []int32 {
+	sf := &s.sf
+	if sf.rowPtr == nil {
+		sf.buildRows(s.ws)
+	}
+	if s.alpha == nil {
+		s.alpha = growF(&s.ws.alpha, sf.n)
+		for j := range s.alpha {
+			s.alpha[j] = 0
+		}
+		s.mark = growBool(&s.ws.mark, sf.nv)
+		for j := range s.mark {
+			s.mark[j] = false
+		}
+	}
+	alpha, mark := s.alpha, s.mark
+	touched := s.ws.touched[:0]
+	for i, ri := range rho {
+		if ri == 0 {
+			continue
+		}
+		alpha[sf.nv+i] = ri // the slack column of row i
+		touched = append(touched, int32(sf.nv+i))
+		cols := sf.rowCol[sf.rowPtr[i]:sf.rowPtr[i+1]]
+		vals := sf.rowVal[sf.rowPtr[i]:sf.rowPtr[i+1]]
+		vals = vals[:len(cols)]
+		for k, c := range cols {
+			if !mark[c] {
+				mark[c] = true
+				touched = append(touched, c)
+			}
+			alpha[c] += ri * vals[k]
+		}
+	}
+	s.ws.touched = touched
+	return touched
+}
+
+// clearRow resets the pivot-row scratch pivotRow filled.
+func (s *solverState) clearRow(touched []int32) {
+	for _, j := range touched {
+		s.alpha[j] = 0
+		if int(j) < s.sf.nv {
+			s.mark[j] = false
+		}
+	}
+}
+
+// updateDuals moves the reduced costs across the basis change in which
+// column q enters in row r with pivot element arq = α_rq: d_j −= θ·α_rj
+// with θ = d_q/α_rq over the pivot row's support, d_q = 0, and the leaving
+// column (α_rp = 1) gets −θ. It consumes the pivot row (clearRow) and must
+// run before the basis change is applied.
+func (s *solverState) updateDuals(touched []int32, q, r int, arq float64) {
+	theta := s.d[q] / arq
+	for _, j := range touched {
+		if s.status[j] != basic {
+			s.d[j] -= theta * s.alpha[j]
+		}
+	}
+	s.clearRow(touched)
+	s.d[q] = 0
+	s.d[s.basis[r]] = -theta
+	s.dAge++
 }
 
 // violation returns the total and maximum bound violation of the basics.
@@ -585,9 +712,16 @@ func (s *solverState) violation() (sum, max float64) {
 // block the ratio test only when they reach the bound they violate, from
 // outside. Returns Optimal when feasible/optimal, Infeasible when the
 // phase-1 optimum has positive violation, Unbounded for a phase-2 ray.
+//
+// Phase 2 prices from the maintained reduced costs d (recomputed on entry
+// when they are not current); phase 1 re-prices from fresh duals every
+// iteration.
 func (s *solverState) primal(phase2 bool, maxIters int) (Status, error) {
 	stall, bland := 0, false
 	sinceRecompute := 0
+	if phase2 && s.dAge < 0 {
+		s.price(true)
+	}
 	for {
 		if s.iters > maxIters {
 			return 0, fmt.Errorf("lp: simplex iteration limit reached (%d pivots)", s.iters)
@@ -597,15 +731,25 @@ func (s *solverState) primal(phase2 bool, maxIters int) (Status, error) {
 				return 0, err
 			}
 			s.computeXB()
+			if phase2 {
+				s.price(true)
+			}
 		}
-		vSum, vMax := s.violation()
-		if !phase2 && vMax <= feasTol {
-			return Optimal, nil
+		var vSum float64
+		if !phase2 {
+			var vMax float64
+			if vSum, vMax = s.violation(); vMax <= feasTol {
+				return Optimal, nil
+			}
+			s.price(false)
 		}
-		y, yZero := s.dualsFor(phase2)
-		j, dir, dj := s.chooseEntering(y, yZero, phase2, bland)
+		j, dir, dj := s.chooseEntering(bland)
 		if j < 0 {
 			if phase2 {
+				if s.dAge > 0 {
+					s.price(true) // confirm on fresh reduced costs
+					continue
+				}
 				return Optimal, nil
 			}
 			if vSum > infeasTol {
@@ -625,6 +769,11 @@ func (s *solverState) primal(phase2 bool, maxIters int) (Status, error) {
 		if flip {
 			s.applyFlip(j, dir, w)
 		} else {
+			if phase2 && !s.sf.objZero {
+				rho := growF(&s.ws.rho, s.sf.m)
+				s.inv.btranUnit(leave, rho)
+				s.updateDuals(s.pivotRow(rho), j, leave, w[leave])
+			}
 			s.applyPivot(j, dir, w, leave, leaveAt, t)
 		}
 		// Stall detection: |d_j|·t is the objective improvement.
@@ -635,24 +784,26 @@ func (s *solverState) primal(phase2 bool, maxIters int) (Status, error) {
 		}
 		if sinceRecompute++; sinceRecompute >= 256 {
 			s.computeXB() // shed accumulated floating-point drift
+			if phase2 {
+				s.price(true)
+			}
 			sinceRecompute = 0
 		}
 	}
 }
 
 // chooseEntering picks a nonbasic column whose move improves the phase
-// objective: at lower bound with d < −tol, or at upper bound with d > tol.
-// Dantzig (largest |d|) normally, first eligible index under Bland's rule.
-// Fixed columns (upper bound 0) never enter. Returns (-1,0,0) at phase
-// optimality.
-func (s *solverState) chooseEntering(y []float64, yZero, phase2, bland bool) (j int, dir, dj float64) {
+// objective, by the reduced costs in d: at lower bound with d < −tol, or at
+// upper bound with d > tol. Dantzig (largest |d|) normally, first eligible
+// index under Bland's rule. Fixed columns (upper bound 0) never enter.
+// Returns (-1,0,0) at phase optimality.
+func (s *solverState) chooseEntering(bland bool) (j int, dir, dj float64) {
 	best, bestScore, bestDir, bestD := -1, tol, 1.0, 0.0
-	for c := 0; c < s.sf.n; c++ {
+	for c, d := range s.d {
 		st := s.status[c]
 		if st == basic || s.sf.ub[c] == 0 {
 			continue
 		}
-		d := s.reducedCost(c, y, yZero, phase2)
 		var score float64
 		var dr float64
 		if st == atLower {
@@ -800,6 +951,7 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 				return 0, err
 			}
 			s.computeXB()
+			s.price(true)
 		}
 		// Leaving variable: the basic with the largest bound violation.
 		r, below := -1, false
@@ -829,25 +981,23 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 			// every reduced cost ties at zero, as in pure feasibility LPs).
 			return 0, fmt.Errorf("lp: dual simplex stalled (violation %g)", vSum)
 		}
-		// Row r of B⁻¹, then the dual ratio test over nonbasic columns.
-		// A feasibility LP (all costs zero) keeps every reduced cost at
-		// exactly zero, so the duals and per-column pricing are skipped:
-		// every sign-eligible column ties at ratio 0 and the stability
-		// tie-break picks among them.
+		// Row r of B⁻¹, the pivot row over its support, then the dual
+		// ratio test over its nonbasic columns (a column outside the
+		// support has α = 0 and cannot repair row r). A feasibility LP (all
+		// costs zero) keeps every reduced cost at exactly zero: every
+		// sign-eligible column ties at ratio 0 and the stability tie-break
+		// picks among them.
 		s.inv.btranUnit(r, rho)
-		var y []float64
-		yZero := true
-		if !s.sf.objZero {
-			y, yZero = s.dualsFor(true)
-		}
+		touched := s.pivotRow(rho)
 		e, dirE := -1, 1.0
 		bestRatio, bestAbs := math.Inf(1), 0.0
-		for c := 0; c < s.sf.n; c++ {
+		for _, c32 := range touched {
+			c := int(c32)
 			st := s.status[c]
 			if st == basic || s.sf.ub[c] == 0 {
 				continue
 			}
-			alpha := s.sf.dotColumn(c, rho)
+			alpha := s.alpha[c]
 			if alpha > -pivTol && alpha < pivTol {
 				continue
 			}
@@ -865,11 +1015,7 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 			} else if eff <= 0 {
 				continue
 			}
-			ratio := 0.0
-			if !s.sf.objZero {
-				d := s.reducedCost(c, y, yZero, true)
-				ratio = math.Abs(d) / math.Abs(alpha)
-			}
+			ratio := math.Abs(s.d[c]) / math.Abs(alpha)
 			take := ratio < bestRatio-dualTol
 			if !take && ratio < bestRatio+dualTol {
 				take = math.Abs(alpha) > bestAbs // stability tie-break
@@ -881,10 +1027,12 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 		if e < 0 {
 			// No column can push row r back inside its bounds while keeping
 			// dual feasibility: the LP is infeasible (dual unbounded).
+			s.clearRow(touched)
 			return Infeasible, nil
 		}
 		w := s.ftranColumn(e)
 		if math.Abs(w[r]) < pivTol {
+			s.clearRow(touched)
 			return 0, fmt.Errorf("lp: dual pivot element vanished (row %d, col %d)", r, e)
 		}
 		target, leaveAt := 0.0, atLower
@@ -894,6 +1042,7 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 		t := (s.xB[r] - target) / (w[r] * dirE)
 		if t < 0 {
 			if t < -feasTol {
+				s.clearRow(touched)
 				return 0, fmt.Errorf("lp: negative dual step %g", t)
 			}
 			t = 0
@@ -906,6 +1055,7 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 		// iteration to absorb only |alpha|·u of violation), and a search
 		// that churns anyway is best abandoned to the stall guard above —
 		// the caller's cold re-solve is cheaper than grinding out flips.
+		s.updateDuals(touched, e, r, w[r])
 		s.applyPivot(e, dirE, w, r, leaveAt, t)
 	}
 }
@@ -913,7 +1063,7 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 // --- solution extraction -----------------------------------------------------
 
 func (s *solverState) finish(st Status) *Solution {
-	s.sol = Solution{Status: st, Iterations: s.iters, Refactors: s.refactors}
+	s.sol = Solution{Status: st, Iterations: s.iters, Refactors: s.refactors, FromStart: s.fromStart}
 	s.refactors = 0
 	if st != Optimal {
 		return &s.sol

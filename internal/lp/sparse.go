@@ -21,6 +21,13 @@ type standardForm struct {
 	colRow []int32
 	colVal []float64
 
+	// Row-wise (CSR) copy of the structural columns, built on first use by
+	// buildRows: the pivot row ρᵀA is accumulated over the rows where ρ is
+	// nonzero only. nil until built.
+	rowPtr []int32 // m+1 offsets into rowCol/rowVal
+	rowCol []int32
+	rowVal []float64
+
 	obj     []float64 // length nv (slack cost is 0)
 	ub      []float64 // length n: structural bounds then slack bounds
 	rhs     []float64 // length m, current (sign-adjusted) right-hand sides
@@ -111,6 +118,44 @@ func (sf *standardForm) copyFrom(src *standardForm, ws *Workspace) {
 	copy(sf.colRow, src.colRow)
 	sf.colVal = growF(&ws.sfVal, len(src.colVal))
 	copy(sf.colVal, src.colVal)
+	sf.rowPtr, sf.rowCol, sf.rowVal = nil, nil, nil
+	if src.rowPtr != nil {
+		sf.rowPtr = growI32(&ws.sfRowPtr, len(src.rowPtr))
+		copy(sf.rowPtr, src.rowPtr)
+		sf.rowCol = growI32(&ws.sfRowCol, len(src.rowCol))
+		copy(sf.rowCol, src.rowCol)
+		sf.rowVal = growF(&ws.sfRowVal, len(src.rowVal))
+		copy(sf.rowVal, src.rowVal)
+	}
+}
+
+// buildRows builds the row-wise copy of the structural columns into
+// ws-backed storage (a transpose of the CSC arrays, O(nnz)).
+func (sf *standardForm) buildRows(ws *Workspace) {
+	ptr := growI32(&ws.sfRowPtr, sf.m+1)
+	for r := range ptr {
+		ptr[r] = 0
+	}
+	for _, r := range sf.colRow {
+		ptr[r+1]++
+	}
+	for r := 0; r < sf.m; r++ {
+		ptr[r+1] += ptr[r]
+	}
+	nnz := len(sf.colRow)
+	col := growI32(&ws.sfRowCol, nnz)
+	val := growF(&ws.sfRowVal, nnz)
+	next := growI32(&ws.sfNext, sf.m)
+	copy(next, ptr[:sf.m])
+	for j := 0; j < sf.nv; j++ {
+		for k := sf.colPtr[j]; k < sf.colPtr[j+1]; k++ {
+			r := sf.colRow[k]
+			col[next[r]] = int32(j)
+			val[next[r]] = sf.colVal[k]
+			next[r]++
+		}
+	}
+	sf.rowPtr, sf.rowCol, sf.rowVal = ptr, col, val
 }
 
 // scatterColumn adds scale·(column j) into the dense vector v.
@@ -213,25 +258,32 @@ func (e *etaFile) reset(m int) {
 	e.baseEtas = 0
 }
 
+// ftran and btran re-slice each eta's idx/val to the same length, so the
+// inner loops index them without bounds checks.
 func (e *etaFile) ftran(v []float64) {
-	for k := 0; k < len(e.pivRow); k++ {
-		r := e.pivRow[k]
+	for k, r := range e.pivRow {
 		t := v[r]
 		if t == 0 {
 			continue
 		}
 		v[r] = 0
-		for q := e.start[k]; q < e.start[k+1]; q++ {
-			v[e.idx[q]] += e.val[q] * t
+		idx := e.idx[e.start[k]:e.start[k+1]]
+		val := e.val[e.start[k]:e.start[k+1]]
+		val = val[:len(idx)]
+		for q, i := range idx {
+			v[i] += val[q] * t
 		}
 	}
 }
 
 func (e *etaFile) btran(y []float64) {
 	for k := len(e.pivRow) - 1; k >= 0; k-- {
+		idx := e.idx[e.start[k]:e.start[k+1]]
+		val := e.val[e.start[k]:e.start[k+1]]
+		val = val[:len(idx)]
 		s := 0.0
-		for q := e.start[k]; q < e.start[k+1]; q++ {
-			s += y[e.idx[q]] * e.val[q]
+		for q, i := range idx {
+			s += y[i] * val[q]
 		}
 		y[e.pivRow[k]] = s
 	}

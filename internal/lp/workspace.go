@@ -11,9 +11,17 @@ package lp
 // A Workspace must not be shared by two backends that are alive at the
 // same time, and is not safe for concurrent use.
 type Workspace struct {
-	// standard-form storage
+	// standard-form storage, and its row-wise (CSR) copy
 	sfObj, sfUB, sfRHS, sfSign, sfVal []float64
 	sfCnt, sfPtr, sfRow, sfNext       []int32
+	sfRowPtr, sfRowCol                []int32
+	sfRowVal                          []float64
+
+	// maintained reduced costs (n), and the pivot row's dense values (n)
+	// with its structural support marks (nv) and support list
+	d, alpha []float64
+	mark     []bool
+	touched  []int32
 
 	// dense m-vectors
 	xB, w, y, rho, rhsEff, cB []float64
@@ -45,6 +53,14 @@ func growF(s *[]float64, n int) []float64 {
 func growI32(s *[]int32, n int) []int32 {
 	if cap(*s) < n {
 		*s = make([]int32, n)
+	}
+	*s = (*s)[:n]
+	return *s
+}
+
+func growBool(s *[]bool, n int) []bool {
+	if cap(*s) < n {
+		*s = make([]bool, n)
 	}
 	*s = (*s)[:n]
 	return *s

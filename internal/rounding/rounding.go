@@ -408,21 +408,27 @@ type Relaxation struct {
 	iters     int
 	refactors int
 	presolve  *lp.PresolveInfo // latest reduction stats (nil when bypassed off)
+	fromStart bool             // the latest ReSolve began at the greedy start
 }
 
 // NewRelaxation builds the relaxation once at cfg.Envelope (via the same
 // buildILPModel that SolveLP solves cold). The zero config uses the
 // greedy bound as envelope and the default LP backend.
+//
+// The first solve starts at the greedy schedule's vertex of the LP (see
+// startBasis) whenever the greedy makespan is within the envelope, so it
+// skips the phase-1 search for a feasible point the bootstrap already
+// holds. Relaxation.FromStart reports whether a solve used it.
 func NewRelaxation(in *core.Instance, cfg RelaxationConfig) (*Relaxation, error) {
 	kind, err := lp.ParseBackend(string(cfg.Backend))
 	if err != nil {
 		return nil, fmt.Errorf("rounding: %w", err)
 	}
+	g, gerr := baseline.Greedy(in)
 	ub := cfg.Envelope
 	if ub <= 0 {
-		g, err := baseline.Greedy(in)
-		if err != nil {
-			return nil, fmt.Errorf("rounding: greedy envelope: %w", err)
+		if gerr != nil {
+			return nil, fmt.Errorf("rounding: greedy envelope: %w", gerr)
 		}
 		ub = g.Makespan(in)
 	}
@@ -440,11 +446,65 @@ func NewRelaxation(in *core.Instance, cfg RelaxationConfig) (*Relaxation, error)
 	if rel.mdl.infeasible {
 		return rel, nil // every ReSolve reports infeasible without solving
 	}
-	rel.be, err = lp.NewBackend(kind, rel.mdl.prob, rel.ws, lp.WithPresolve(!cfg.NoPresolve))
+	opts := []lp.BackendOption{lp.WithPresolve(!cfg.NoPresolve)}
+	if gerr == nil && g.Makespan(in) <= ub {
+		if b := rel.mdl.startBasis(in, g); b != nil {
+			opts = append(opts, lp.WithStart(b))
+		}
+	}
+	rel.be, err = lp.NewBackend(kind, rel.mdl.prob, rel.ws, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("rounding: %w", err)
 	}
 	return rel, nil
+}
+
+// startBasis returns the LP vertex of the complete schedule g, in the
+// problem's standard form (slack of row r is column NumVars()+r):
+//
+//   - x_ij of each assigned pair is basic in job j's assignment row;
+//   - each opened y_ik (machine i runs a job of class k) is nonbasic at its
+//     upper bound 1, every other structural column at 0;
+//   - τ is basic in the load row of a most loaded machine;
+//   - every other row is basic in its own slack.
+//
+// The basis is triangular once the slack rows are set aside — assignment
+// rows hold one basic x each, and the max-load row adds τ — so it is
+// nonsingular. Its point is x = g, τ = makespan(g), every slack at its
+// true value: primal feasible. It returns nil when g uses a pair the model
+// has no variable for, or no machine has a load row to carry τ.
+func (mdl *ilpModel) startBasis(in *core.Instance, g *core.Schedule) *lp.Basis {
+	nv, m := mdl.prob.NumVars(), mdl.prob.NumRows()
+	b := &lp.Basis{Cols: make([]int, m), Status: make([]lp.VarStatus, nv+m)}
+	for r := 0; r < m; r++ {
+		b.Cols[r] = nv + r
+		b.Status[nv+r] = lp.BasicVar
+	}
+	loads := g.Loads(in)
+	top := -1
+	for i, r := range mdl.loadRow {
+		if r >= 0 && (top < 0 || loads[i] > loads[top]) {
+			top = i
+		}
+	}
+	if top < 0 {
+		return nil
+	}
+	for j, i := range g.Assign {
+		if i < 0 || mdl.xIdx[i][j] < 0 || mdl.yIdx[i][in.Class[j]] < 0 {
+			return nil
+		}
+		r := mdl.asgRow[j]
+		b.Cols[r] = mdl.xIdx[i][j]
+		b.Status[nv+r] = lp.NonbasicLower
+		b.Status[mdl.xIdx[i][j]] = lp.BasicVar
+		b.Status[mdl.yIdx[i][in.Class[j]]] = lp.NonbasicUpper
+	}
+	r := mdl.loadRow[top]
+	b.Cols[r] = mdl.tau
+	b.Status[nv+r] = lp.NonbasicLower
+	b.Status[mdl.tau] = lp.BasicVar
+	return b
 }
 
 // Clone returns an independent Relaxation for speculative parallel dual
@@ -517,6 +577,11 @@ func (rel *Relaxation) Threshold() (tau float64, witness bool) { return rel.tau,
 // nil when presolve is disabled or no solve has completed yet.
 func (rel *Relaxation) Presolve() *lp.PresolveInfo { return rel.presolve }
 
+// FromStart reports whether the latest ReSolve began at the greedy
+// schedule's vertex (lp.Solution.FromStart of its solve). Only the first
+// solve of a relaxation built by NewRelaxation can.
+func (rel *Relaxation) FromStart() bool { return rel.fromStart }
+
 // ReSolve solves the relaxation for guess T, reusing the built problem and
 // warm-starting from the previous guess's basis. Like SolveLP it returns
 // (nil, nil) when the relaxation is infeasible at T, i.e. when its minimum
@@ -529,7 +594,7 @@ func (rel *Relaxation) Presolve() *lp.PresolveInfo { return rel.presolve }
 // is feasible there and hence for every larger T, so verdicts remain
 // correct for all T.
 func (rel *Relaxation) ReSolve(T float64) (*Fractional, error) {
-	rel.tau, rel.witness = math.Inf(1), true
+	rel.tau, rel.witness, rel.fromStart = math.Inf(1), true, false
 	if rel.mdl.infeasible {
 		return nil, nil // a job ran nowhere even at the envelope
 	}
@@ -574,6 +639,7 @@ func (rel *Relaxation) ReSolve(T float64) (*Fractional, error) {
 	}
 	rel.iters += sol.Iterations
 	rel.refactors += sol.Refactors
+	rel.fromStart = sol.FromStart
 	if sol.Presolve != nil {
 		rel.presolve = sol.Presolve
 	}
@@ -830,6 +896,11 @@ type Detail struct {
 	// LP-infeasible, so τ0·(1−tol) is a certified lower bound on Opt. Zero
 	// when the seed solve did not run (zero makespan, cancelled, LP error).
 	LPThreshold float64
+	// LPStarted reports that the seed solve began at the greedy bootstrap's
+	// vertex of the LP (Relaxation.FromStart) rather than at the all-slack
+	// basis. False on the warm Resolve path, which starts from its
+	// retained basis instead.
+	LPStarted bool
 	// SearchClosed reports that the seed solve's optimum was a witness for
 	// τ0 (it put no weight on an x_ij with p_ij > τ0), so the relaxation is
 	// feasible at τ0, the bracket closed there and the binary search
@@ -940,6 +1011,7 @@ func ScheduleDetailed(ctx context.Context, in *core.Instance, opt Options) (core
 	hi := ub
 	if ub > 0 && ctx.Err() == nil {
 		if f, err := rel.ReSolve(ub); err == nil {
+			det.LPStarted = rel.FromStart()
 			tau, witness := rel.Threshold()
 			det.LPThreshold = math.Min(tau, ub)
 			if l := det.LPThreshold * (1 - tauTol); l > lb {
