@@ -396,6 +396,36 @@ func TestEngineWithCustomRegistry(t *testing.T) {
 	}
 }
 
+// TestSolverPanicBecomesError: a solver that panics fails its solve with an
+// error naming it instead of crashing the process, and the engine keeps
+// serving afterwards.
+func TestSolverPanicBecomesError(t *testing.T) {
+	reg := NewDefaultRegistry()
+	err := reg.Register(NewSolver("explodes", SolverCaps{
+		Kinds:     []Kind{Identical, Uniform, RestrictedAssignment, Unrelated},
+		Guarantee: "test stub",
+		Priority:  1000,
+	}, func(ctx context.Context, in *Instance, opt SolveOptions) (Result, error) {
+		panic("boom")
+	}))
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	eng, err := New(WithRegistry(reg))
+	if err != nil {
+		t.Fatalf("New(WithRegistry): %v", err)
+	}
+	rng := rand.New(rand.NewSource(10))
+	in := gen.Identical(rng, gen.Params{N: 8, M: 2, K: 2})
+	_, err = eng.Solve(context.Background(), in)
+	if err == nil || !strings.Contains(err.Error(), "engine: solver explodes panicked: boom") {
+		t.Fatalf("Solve with a panicking solver: err = %v, want the panic as an error", err)
+	}
+	if _, err := eng.Solve(context.Background(), in, WithAlgorithm("greedy")); err != nil {
+		t.Fatalf("Solve after the panic: %v", err)
+	}
+}
+
 func TestPortfolioWarmStartMonotone(t *testing.T) {
 	eng, err := New()
 	if err != nil {

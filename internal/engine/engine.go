@@ -287,8 +287,17 @@ func (r *Registry) SolveNamed(ctx context.Context, name string, in *core.Instanc
 	return r.run(ctx, s, in, opt)
 }
 
-func (r *Registry) run(ctx context.Context, s Solver, in *core.Instance, opt Options) (core.Result, error) {
-	res, err := s.Solve(ctx, in, opt)
+// run solves with s and applies the post-pass. A panic in the solver (or
+// in the post-pass on its result) is returned as an error, as a portfolio
+// race does for its members, so one faulty solver cannot take the process
+// down with it.
+func (r *Registry) run(ctx context.Context, s Solver, in *core.Instance, opt Options) (res core.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = core.Result{}, fmt.Errorf("engine: solver %s panicked: %v", s.Name(), p)
+		}
+	}()
+	res, err = s.Solve(ctx, in, opt)
 	if err != nil {
 		return core.Result{}, fmt.Errorf("engine: %s: %w", s.Name(), err)
 	}

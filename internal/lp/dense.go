@@ -51,6 +51,19 @@ func (d *denseInverse) ftran(v []float64) {
 	copy(v, z)
 }
 
+// ftranSparse runs the dense ftran and then collects the rows it made
+// nonzero; the Θ(m²) product dwarfs the O(m) scan.
+func (d *denseInverse) ftranSparse(v []float64, mark []bool, pat []int32) []int32 {
+	d.ftran(v)
+	for i, vi := range v {
+		if vi != 0 && !mark[i] {
+			mark[i] = true
+			pat = append(pat, int32(i))
+		}
+	}
+	return pat
+}
+
 func (d *denseInverse) btran(y []float64) {
 	m := d.m
 	z := d.tmp[:m]
@@ -74,7 +87,9 @@ func (d *denseInverse) btranUnit(r int, y []float64) {
 	copy(y, d.binv[r*d.m:r*d.m+d.m])
 }
 
-func (d *denseInverse) update(r int, w []float64) {
+// update applies the eta transform to every row of the explicit inverse;
+// it reads w densely and ignores the pattern.
+func (d *denseInverse) update(r int, w []float64, _ []int32) {
 	m := d.m
 	inv := 1 / w[r]
 	prow := d.binv[r*m : r*m+m]

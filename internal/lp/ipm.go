@@ -627,6 +627,7 @@ func crossoverBasis(sf *standardForm, x []float64) *Basis {
 	}
 	placed := 0
 	w := make([]float64, m)
+	var pat []int32
 
 	place := func(j int) bool {
 		for i := range w {
@@ -635,7 +636,11 @@ func crossoverBasis(sf *standardForm, x []float64) *Basis {
 		sf.scatterColumn(j, 1, w)
 		eta.ftran(w)
 		best, bestAbs, maxAbs := -1, 0.0, 0.0
+		pat = pat[:0]
 		for r := 0; r < m; r++ {
+			if w[r] != 0 {
+				pat = append(pat, int32(r))
+			}
 			a := math.Abs(w[r])
 			if a > maxAbs {
 				maxAbs = a
@@ -650,7 +655,7 @@ func crossoverBasis(sf *standardForm, x []float64) *Basis {
 		cols[best] = j
 		unpiv[best] = false
 		isBasic[j] = true
-		eta.update(best, w)
+		eta.update(best, w, pat)
 		placed++
 		return true
 	}

@@ -224,8 +224,8 @@ type dualsCheck struct {
 func (c *dualsCheck) reset(m int)     { c.refactoring = true; c.basisRep.reset(m) }
 func (c *dualsCheck) markRefactored() { c.refactoring = false; c.basisRep.markRefactored() }
 
-func (c *dualsCheck) update(r int, w []float64) {
-	c.basisRep.update(r, w)
+func (c *dualsCheck) update(r int, w []float64, pat []int32) {
+	c.basisRep.update(r, w, pat)
 	s := c.s
 	if c.refactoring || s.dAge < 0 {
 		return

@@ -33,7 +33,11 @@ func refactorStaticOrder(s *solverState) error {
 		s.sf.scatterColumn(j, 1, w)
 		s.inv.ftran(w)
 		best, bestAbs := -1, 1e-10
+		var pat []int32
 		for r := 0; r < m; r++ {
+			if w[r] != 0 {
+				pat = append(pat, int32(r))
+			}
 			if !marks[r] {
 				if a := math.Abs(w[r]); a > bestAbs {
 					best, bestAbs = r, a
@@ -45,7 +49,7 @@ func refactorStaticOrder(s *solverState) error {
 		}
 		marks[best] = true
 		s.basis[best] = j
-		s.inv.update(best, w)
+		s.inv.update(best, w, pat)
 	}
 	s.inv.markRefactored()
 	return nil
@@ -331,7 +335,7 @@ func slackRowHitByStructural(s *solverState) bool {
 func checkUnitFtran(t *testing.T, s *solverState, name string) {
 	t.Helper()
 	for r, j := range s.basis {
-		w := s.ftranColumn(j)
+		w, _ := s.ftranColumn(j)
 		for i, v := range w {
 			want := 0.0
 			if i == r {

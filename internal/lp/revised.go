@@ -35,6 +35,13 @@ import (
 // and once more before Optimal is returned; phase 1 prices from fresh
 // duals, because its costs change whenever a basic variable turns feasible.
 //
+// Each pivot and each refactorization placement works on the entering
+// column w = B⁻¹a through its pattern: ftranColumn returns the rows w may be
+// nonzero on, and the ratio test, the xB update, the eta update and the
+// refactorization's pivot search loop over that list instead of all m
+// rows. ftranColumn sets and clears the Workspace marks that build the
+// pattern itself, so no caller ever sees a set mark.
+//
 // Dantzig pricing switches to Bland's rule after a stall, as in the legacy
 // tableau solver, so degenerate instances cannot cycle forever.
 type solverState struct {
@@ -79,6 +86,7 @@ func newSolverState(p *Problem, ws *Workspace) *solverState {
 	s := &solverState{ws: ws, dAge: -1}
 	s.sf.build(p, ws)
 	s.d = growF(&ws.d, s.sf.n)
+	s.initColumn()
 	s.basis = make([]int, s.sf.m)
 	s.status = make([]varStatus, s.sf.n)
 	for r := 0; r < s.sf.m; r++ {
@@ -119,6 +127,7 @@ func (s *solverState) Kind() BackendKind { return s.kind }
 func (s *solverState) Clone() Backend {
 	c := &solverState{ws: NewWorkspace(), dualOK: s.dualOK, fromStart: s.fromStart, dAge: s.dAge, kind: s.kind}
 	c.sf.copyFrom(&s.sf, c.ws)
+	c.initColumn()
 	c.d = growF(&c.ws.d, c.sf.n)
 	copy(c.d, s.d)
 	c.basis = append([]int(nil), s.basis...)
@@ -327,10 +336,11 @@ const refactorPivRel = 0.1
 //     pivoting), minimizing the hits the retirement mints.
 //
 // Row counts update in O(1) per retired pattern entry through a row→column
-// CSR of the bump pattern, and the numeric scan walks only the shrinking
-// unpivoted-row set. The basic column set must be duplicate-free (Warm
-// rejects a Basis that repeats a column): a repeated slack would retire
-// its row twice.
+// CSR of the bump pattern, and each placement costs O(nonzeros of the
+// FTRAN'd column): ftranColumn zeroes only the previous column's pattern,
+// and the numeric scan walks the new pattern's live rows. The basic column
+// set must be duplicate-free (Warm rejects a Basis that repeats a column):
+// a repeated slack would retire its row twice.
 func (s *solverState) refactor() error {
 	m, nv := s.sf.m, s.sf.nv
 	s.refactors++
@@ -391,13 +401,10 @@ func (s *solverState) refactor() error {
 		}
 	}
 	// Live-column count per live row; rows whose count drops to 1 are
-	// singleton candidates (re-checked at pop: counts keep moving). The
-	// unpivoted-row set for the numeric pivot scan (swap-remove) holds the
-	// live rows only. Slack rows take their slack here, once and for all.
+	// singleton candidates (re-checked at pop: counts keep moving). A row
+	// stays live (rc ≥ 0) until a placement pivots on it. Slack rows take
+	// their slack here, once and for all.
 	stack := s.ws.rowStack[:0]
-	unrows := growInt(&s.ws.unrows, m)
-	rowIdx := growInt(&s.ws.rowIdx, m)
-	nun := 0
 	for r := 0; r < m; r++ {
 		if rc[r] < 0 {
 			s.basis[r] = nv + r
@@ -407,9 +414,6 @@ func (s *solverState) refactor() error {
 		if rc[r] == 1 {
 			stack = append(stack, r)
 		}
-		unrows[nun] = r
-		rowIdx[r] = nun
-		nun++
 	}
 
 	// Sparsest-first fallback order: a counting sort of the columns by
@@ -427,7 +431,6 @@ func (s *solverState) refactor() error {
 		bhead[c] = i
 	}
 
-	w := growF(&s.ws.w, m)
 	s.inv.reset(m)
 	cur := 0
 	for placed := 0; placed < nb; placed++ {
@@ -474,19 +477,16 @@ func (s *solverState) refactor() error {
 			}
 		}
 		cnt[i] = -1
-		for k := range w {
-			w[k] = 0
-		}
-		s.sf.scatterColumn(j, 1, w)
-		s.inv.ftran(w)
+		w, pat := s.ftranColumn(j)
 		// Numerically largest live pivot first; then, among live rows
 		// within refactorPivRel of it, the row hit by the fewest live
-		// columns (larger magnitude breaks ties) — the retirement then
-		// mints the fewest future hits. A singleton-selected column finds
-		// its rc=1 row here without special-casing, numerics permitting.
+		// columns (larger magnitude, then the lower row, breaks ties) — the
+		// retirement then mints the fewest future hits. A singleton-selected
+		// column finds its rc=1 row here without special-casing, numerics
+		// permitting. Rows off the pattern hold w = 0 and cannot pivot.
 		maxAbs := 0.0
-		for t := 0; t < nun; t++ {
-			if a := math.Abs(w[unrows[t]]); a > maxAbs {
+		for _, r := range pat {
+			if a := math.Abs(w[r]); a > maxAbs && rc[r] >= 0 {
 				maxAbs = a
 			}
 		}
@@ -498,42 +498,82 @@ func (s *solverState) refactor() error {
 			floor = 1e-10
 		}
 		best, bestAbs, bestRC := -1, 0.0, 0
-		for t := 0; t < nun; t++ {
-			r := unrows[t]
+		for _, r32 := range pat {
+			r := int(r32)
+			c := rc[r]
 			a := math.Abs(w[r])
-			if a < floor {
+			if c < 0 || a < floor {
 				continue
 			}
 			// rc can be 0 here: eta fill made w[r] nonzero in a row no live
 			// column's static pattern touches — the ideal pivot.
-			if c := rc[r]; best < 0 || c < bestRC || (c == bestRC && a > bestAbs) {
+			if best < 0 || c < bestRC || (c == bestRC && (a > bestAbs || (a == bestAbs && r < best))) {
 				best, bestAbs, bestRC = r, a, c
 			}
 		}
 		s.basis[best] = j
-		s.inv.update(best, w)
-		// Retire row best from the scan set and the live counts.
-		nun--
-		pos := rowIdx[best]
-		last := unrows[nun]
-		unrows[pos] = last
-		rowIdx[last] = pos
-		rc[best] = -1
+		s.inv.update(best, w, pat)
+		rc[best] = -1 // retire the pivot row
 	}
 	s.ws.rowStack = stack[:0]
 	s.inv.markRefactored()
 	return nil
 }
 
-// ftranColumn loads column j in current basis coordinates into ws.w.
-func (s *solverState) ftranColumn(j int) []float64 {
-	w := growF(&s.ws.w, s.sf.m)
+// initColumn sizes the FTRAN column scratch (ws.w, ws.colMark) for the m
+// rows, all zero and unmarked, with an empty pattern: the state
+// ftranColumn expects between calls.
+func (s *solverState) initColumn() {
+	m := s.sf.m
+	w := growF(&s.ws.w, m)
 	for i := range w {
 		w[i] = 0
 	}
-	s.sf.scatterColumn(j, 1, w)
-	s.inv.ftran(w)
-	return w
+	mark := growBool(&s.ws.colMark, m)
+	for i := range mark {
+		mark[i] = false
+	}
+	s.ws.colPat = s.ws.colPat[:0]
+}
+
+// ftranColumn loads column j in current basis coordinates into ws.w and
+// returns it with its pattern: the rows that the column or an eta's fill
+// touched, each once, in order of first touch. Every nonzero of w lies on
+// the pattern (a row can be on it and hold 0 after cancellation or an
+// eta's pivot). The values are bit-identical to a dense scatter + ftran.
+//
+// The returned slices stay valid until the next call, which zeroes w over
+// the old pattern only: w is zero off the pattern and no caller writes it.
+// The marks are clear again whenever ftranColumn is not running, so an
+// early return by the caller (a singular refactor) leaves nothing stale.
+func (s *solverState) ftranColumn(j int) ([]float64, []int32) {
+	w, mark := s.ws.w, s.ws.colMark
+	for _, i := range s.ws.colPat {
+		w[i] = 0
+	}
+	pat := s.ws.colPat[:0]
+	sf := &s.sf
+	if j >= sf.nv {
+		r := int32(j - sf.nv)
+		w[r] = 1
+		mark[r] = true
+		pat = append(pat, r)
+	} else {
+		for k := sf.colPtr[j]; k < sf.colPtr[j+1]; k++ {
+			r := sf.colRow[k]
+			w[r] += sf.colVal[k]
+			if !mark[r] {
+				mark[r] = true
+				pat = append(pat, r)
+			}
+		}
+	}
+	pat = s.inv.ftranSparse(w, mark, pat)
+	for _, i := range pat {
+		mark[i] = false
+	}
+	s.ws.colPat = pat
+	return w, pat
 }
 
 // dualsFor computes y = c_Bᵀ·B⁻¹ for the given phase into ws.y. The
@@ -757,8 +797,8 @@ func (s *solverState) primal(phase2 bool, maxIters int) (Status, error) {
 			}
 			return Optimal, nil // violation within noise: accept as feasible
 		}
-		w := s.ftranColumn(j)
-		leave, leaveAt, t, flip := s.ratioTest(j, dir, w, !phase2, bland)
+		w, pat := s.ftranColumn(j)
+		leave, leaveAt, t, flip := s.ratioTest(j, dir, w, pat, !phase2, bland)
 		if leave < 0 && !flip {
 			if phase2 {
 				return Unbounded, nil
@@ -767,14 +807,14 @@ func (s *solverState) primal(phase2 bool, maxIters int) (Status, error) {
 			return 0, fmt.Errorf("lp: phase 1 found an unblocked ray (violation %g)", vSum)
 		}
 		if flip {
-			s.applyFlip(j, dir, w)
+			s.applyFlip(j, dir, w, pat)
 		} else {
 			if phase2 && !s.sf.objZero {
 				rho := growF(&s.ws.rho, s.sf.m)
 				s.inv.btranUnit(leave, rho)
 				s.updateDuals(s.pivotRow(rho), j, leave, w[leave])
 			}
-			s.applyPivot(j, dir, w, leave, leaveAt, t)
+			s.applyPivot(j, dir, w, pat, leave, leaveAt, t)
 		}
 		// Stall detection: |d_j|·t is the objective improvement.
 		if math.Abs(dj)*t > tol {
@@ -823,18 +863,19 @@ func (s *solverState) chooseEntering(bland bool) (j int, dir, dj float64) {
 
 // ratioTest finds the maximum step t for entering column j moving in
 // direction dir (+1 from lower bound, −1 from upper), with column w =
-// B⁻¹a_j. allowViolated enables the phase-1 rules: an out-of-bounds basic
-// does not block until it reaches the bound it violates (from outside),
-// and blocks there. Returns the leaving row and the bound it leaves at, or
+// B⁻¹a_j and its pattern pat (the only rows it visits). allowViolated
+// enables the phase-1 rules: an out-of-bounds basic does not block until
+// it reaches the bound it violates (from outside), and blocks there. Returns the leaving row and the bound it leaves at, or
 // flip=true when the entering column's own opposite bound is the binding
 // limit. leave<0 && !flip means unblocked (unbounded ray).
-func (s *solverState) ratioTest(j int, dir float64, w []float64, allowViolated, bland bool) (leave int, leaveAt varStatus, t float64, flip bool) {
+func (s *solverState) ratioTest(j int, dir float64, w []float64, pat []int32, allowViolated, bland bool) (leave int, leaveAt varStatus, t float64, flip bool) {
 	limit := math.Inf(1)
 	if u := s.sf.ub[j]; !math.IsInf(u, 1) {
 		limit, flip = u, true
 	}
 	leave = -1
-	for i := 0; i < s.sf.m; i++ {
+	for _, i32 := range pat {
+		i := int(i32)
 		wi := w[i]
 		if wi > -pivTol && wi < pivTol {
 			continue
@@ -870,11 +911,13 @@ func (s *solverState) ratioTest(j int, dir float64, w []float64, allowViolated, 
 		take := ti < limit-tol
 		if !take && ti < limit+tol && leave >= 0 {
 			// Near-tie between rows: Bland prefers the smallest basic
-			// index (anti-cycling); otherwise take the larger pivot.
+			// index (anti-cycling); otherwise take the larger pivot, and on
+			// an exact tie the lower row, whatever the pattern's order.
 			if bland {
 				take = s.basis[i] < s.basis[leave]
 			} else {
-				take = math.Abs(wi) > math.Abs(w[leave])
+				a, b := math.Abs(wi), math.Abs(w[leave])
+				take = a > b || (a == b && i < leave)
 			}
 		}
 		if take {
@@ -885,11 +928,11 @@ func (s *solverState) ratioTest(j int, dir float64, w []float64, allowViolated, 
 }
 
 // applyFlip moves entering column j across to its opposite bound without a
-// basis change.
-func (s *solverState) applyFlip(j int, dir float64, w []float64) {
+// basis change; w is nonzero on pat only.
+func (s *solverState) applyFlip(j int, dir float64, w []float64, pat []int32) {
 	if u := s.sf.ub[j]; u != 0 {
-		for i, wi := range w {
-			if wi != 0 {
+		for _, i := range pat {
+			if wi := w[i]; wi != 0 {
 				s.xB[i] -= wi * dir * u
 			}
 		}
@@ -903,11 +946,12 @@ func (s *solverState) applyFlip(j int, dir float64, w []float64) {
 }
 
 // applyPivot performs the basis exchange: entering j (moving dir·t) for
-// the basic variable of row leave, which exits at leaveAt.
-func (s *solverState) applyPivot(j int, dir float64, w []float64, leave int, leaveAt varStatus, t float64) {
+// the basic variable of row leave, which exits at leaveAt. w is the
+// entering column, nonzero on pat only.
+func (s *solverState) applyPivot(j int, dir float64, w []float64, pat []int32, leave int, leaveAt varStatus, t float64) {
 	if t != 0 {
-		for i, wi := range w {
-			if wi != 0 {
+		for _, i := range pat {
+			if wi := w[i]; wi != 0 {
 				s.xB[i] -= wi * dir * t
 			}
 		}
@@ -921,7 +965,7 @@ func (s *solverState) applyPivot(j int, dir float64, w []float64, leave int, lea
 	s.basis[leave] = j
 	s.status[j] = basic
 	s.xB[leave] = enterVal
-	s.inv.update(leave, w)
+	s.inv.update(leave, w, pat)
 	s.iters++
 }
 
@@ -1030,7 +1074,7 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 			s.clearRow(touched)
 			return Infeasible, nil
 		}
-		w := s.ftranColumn(e)
+		w, pat := s.ftranColumn(e)
 		if math.Abs(w[r]) < pivTol {
 			s.clearRow(touched)
 			return 0, fmt.Errorf("lp: dual pivot element vanished (row %d, col %d)", r, e)
@@ -1056,7 +1100,7 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 		// that churns anyway is best abandoned to the stall guard above —
 		// the caller's cold re-solve is cheaper than grinding out flips.
 		s.updateDuals(touched, e, r, w[r])
-		s.applyPivot(e, dirE, w, r, leaveAt, t)
+		s.applyPivot(e, dirE, w, pat, r, leaveAt, t)
 	}
 }
 

@@ -205,13 +205,20 @@ type basisRep interface {
 	reset(m int)
 	// ftran overwrites v with B⁻¹·v.
 	ftran(v []float64)
+	// ftranSparse is ftran for a v whose nonzeros lie in the rows of pat,
+	// each listed once and set in mark. It appends every row that fills to
+	// pat, setting its mark, and returns the extended pattern; v comes out
+	// bit-identical to ftran's. The caller clears the marks.
+	ftranSparse(v []float64, mark []bool, pat []int32) []int32
 	// btran overwrites y with yᵀ·B⁻¹ (y is treated as a row vector).
 	btran(y []float64)
 	// btranUnit overwrites y with row r of B⁻¹ (eᵣᵀ·B⁻¹).
 	btranUnit(r int, y []float64)
 	// update records a basis change at row r whose entering column, in
-	// current basis coordinates, is w (so w[r] is the pivot element).
-	update(r int, w []float64)
+	// current basis coordinates, is w (so w[r] is the pivot element). pat
+	// lists, once each, rows that cover every nonzero of w (r among them);
+	// the eta file reads w over pat only.
+	update(r int, w []float64, pat []int32)
 	// shouldRefactor reports that the representation has grown stale
 	// (e.g. the eta file is long) and a refactorization would pay off.
 	shouldRefactor() bool
@@ -231,6 +238,11 @@ const etaDropTol = 1e-13
 // etaFile is the product-form inverse: B⁻¹ = E_K···E_1 where each eta
 // matrix E is the identity with column pivRow replaced by the stored
 // entries. ftran applies etas oldest→newest, btran newest→oldest.
+//
+// No per-column operation scans all m rows: ftranSparse grows the column's
+// pattern as etas fill it, and update stores an eta from that pattern
+// alone, in pattern order. The marks ftranSparse sets belong to the caller
+// (solverState.ftranColumn clears them before it returns).
 type etaFile struct {
 	m      int
 	pivRow []int32
@@ -276,6 +288,29 @@ func (e *etaFile) ftran(v []float64) {
 	}
 }
 
+func (e *etaFile) ftranSparse(v []float64, mark []bool, pat []int32) []int32 {
+	for k, r := range e.pivRow {
+		t := v[r]
+		if t == 0 {
+			continue
+		}
+		v[r] = 0
+		idx := e.idx[e.start[k]:e.start[k+1]]
+		val := e.val[e.start[k]:e.start[k+1]]
+		val = val[:len(idx)]
+		for q, i := range idx {
+			// Only a row still at zero can be new to the pattern.
+			vi := v[i]
+			if vi == 0 && !mark[i] {
+				mark[i] = true
+				pat = append(pat, i)
+			}
+			v[i] = vi + val[q]*t
+		}
+	}
+	return pat
+}
+
 func (e *etaFile) btran(y []float64) {
 	for k := len(e.pivRow) - 1; k >= 0; k-- {
 		idx := e.idx[e.start[k]:e.start[k+1]]
@@ -297,12 +332,13 @@ func (e *etaFile) btranUnit(r int, y []float64) {
 	e.btran(y)
 }
 
-func (e *etaFile) update(r int, w []float64) {
+func (e *etaFile) update(r int, w []float64, pat []int32) {
 	inv := 1 / w[r]
 	e.pivRow = append(e.pivRow, int32(r))
-	for i, wi := range w {
+	for _, i := range pat {
+		wi := w[i]
 		var v float64
-		if i == r {
+		if int(i) == r {
 			v = inv
 		} else if wi != 0 {
 			v = -wi * inv
@@ -312,7 +348,7 @@ func (e *etaFile) update(r int, w []float64) {
 		if math.Abs(v) < etaDropTol {
 			continue
 		}
-		e.idx = append(e.idx, int32(i))
+		e.idx = append(e.idx, i)
 		e.val = append(e.val, v)
 		e.nnz++
 	}

@@ -24,15 +24,18 @@ type Workspace struct {
 	touched  []int32
 
 	// dense m-vectors
-	xB, w, y, rho, rhsEff, cB []float64
+	xB, w, y, rho, rhsEff []float64
+	// the FTRAN'd column's pattern (the rows w may be nonzero on) and the
+	// row marks that build it, clear between ftranColumn calls
+	colPat  []int32
+	colMark []bool
 	// solution output (nv)
 	x []float64
 	// refactorization scratch: the structural basic columns (the bump),
-	// their pattern counts and count-bucket links, the unpivoted-row scan
-	// set, and the row→column CSR of the bump pattern.
+	// their pattern counts and count-bucket links, the live-row counts,
+	// and the row→column CSR of the bump pattern.
 	newBasis                []int
 	cnt, bhead, bnext       []int
-	unrows, rowIdx          []int
 	rc, rowStack            []int
 	rowPtr, rowCol, rowFill []int32
 }

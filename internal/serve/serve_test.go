@@ -586,3 +586,37 @@ func TestBadRequests(t *testing.T) {
 		t.Error("expired-deadline shed without Retry-After")
 	}
 }
+
+// TestSolverPanicAnswersError: a request whose solver panics gets a JSON
+// error response naming the panic, and the server keeps answering.
+func TestSolverPanicAnswersError(t *testing.T) {
+	reg := sched.NewRegistry()
+	err := reg.Register(sched.NewSolver("explodes",
+		sched.SolverCaps{Kinds: []sched.Kind{sched.Identical}, Guarantee: "none", Priority: 1},
+		func(ctx context.Context, in *sched.Instance, opt sched.SolveOptions) (sched.Result, error) {
+			panic("boom")
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sched.New(sched.WithRegistry(reg), sched.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(serve.New(eng, serve.Config{Queue: 4}).Handler())
+	t.Cleanup(ts.Close)
+
+	resp, data := postSolve(t, ts.URL, instanceBody(t, 4, serve.SolveOptions{}, false))
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(data), "engine: solver explodes panicked: boom") {
+		t.Fatalf("solve answered %d (%s), want 500 with the panic as the error", resp.StatusCode, data)
+	}
+	hResp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hData, _ := io.ReadAll(hResp.Body)
+	hResp.Body.Close()
+	if hResp.StatusCode != 200 || !strings.Contains(string(hData), "ok") {
+		t.Fatalf("healthz after the panic: %d %s", hResp.StatusCode, hData)
+	}
+}
