@@ -255,25 +255,12 @@ func BenchmarkLPBackend(b *testing.B) {
 			})
 		})
 	}
-	// The interior-point cold path on the same instance: Mehrotra iterations
-	// over the sparse Cholesky of the normal equations, crossover, and the
-	// simplex re-certification pivots — the whole hybrid solve.
-	b.Run("ipm-cold", func(b *testing.B) {
-		run(b, func() error {
-			rel, err := rounding.NewRelaxation(in, rounding.RelaxationConfig{Envelope: ub, Backend: lp.IPM})
-			if err != nil {
-				return err
-			}
-			_, err = rel.ReSolve(ub)
-			return err
-		})
-	})
 }
 
 // BenchmarkColdBuildLarge is the anchor shape of the LP-backend acceptance
 // run (M=20, N=200, K=12 — 4220 rows): one relaxation build plus the cold
-// solve at T=ub, per backend. This is the regime the auto trigger targets;
-// auto must track ipm here, and ipm must beat the pure sparse simplex.
+// solve at T=ub, with presolve on and off. It tracks how the sparse
+// simplex scales past the M=10/N=100/K=8 anchor.
 func BenchmarkColdBuildLarge(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	in := gen.Unrelated(rng, gen.Params{N: 200, M: 20, K: 12})
@@ -284,22 +271,18 @@ func BenchmarkColdBuildLarge(b *testing.B) {
 	ub := g.Makespan(in)
 	for _, tc := range []struct {
 		name       string
-		kind       lp.BackendKind
 		noPresolve bool
 	}{
-		{"simplex", lp.Sparse, false},
-		{"ipm", lp.IPM, false},
-		{"auto", lp.Auto, false},
-		// The unpresolved baselines: what the same backends cost without
+		{"simplex", false},
+		// The unpresolved baseline: what the same backend costs without
 		// the reduction + equilibration pipeline in front.
-		{"simplex-nopresolve", lp.Sparse, true},
-		{"ipm-nopresolve", lp.IPM, true},
+		{"simplex-nopresolve", true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rel, err := rounding.NewRelaxation(in, rounding.RelaxationConfig{Envelope: ub, Backend: tc.kind, NoPresolve: tc.noPresolve})
+				rel, err := rounding.NewRelaxation(in, rounding.RelaxationConfig{Envelope: ub, Backend: lp.Sparse, NoPresolve: tc.noPresolve})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -76,7 +76,7 @@ func main() {
 		n       = flag.Int("n", 24, "engine mode: number of jobs")
 		m       = flag.Int("m", 4, "engine mode: number of machines")
 		k       = flag.Int("k", 3, "engine mode: number of setup classes")
-		lpKind  = flag.String("lp", "", "engine mode: LP backend for the randomized rounding's feasibility LPs (dense|sparse|ipm|auto; default sparse)")
+		lpKind  = flag.String("lp", "", "engine mode: LP backend for the randomized rounding's feasibility LPs (dense|sparse; default sparse)")
 		noPre   = flag.Bool("no-presolve", false, "disable the LP presolve/equilibration pipeline ahead of cold LP builds (baseline measurement)")
 		sworker = flag.Int("search-workers", 0, "engine mode: speculative parallelism of dual-approximation searches (guesses evaluated concurrently; <2 = sequential bisection)")
 		oversub = flag.Bool("oversub", false, "oversubscription scenario: governed vs ungoverned engine under batch × portfolio × speculative-search load")
@@ -93,6 +93,10 @@ func main() {
 		reqTimeout = flag.Duration("req-timeout", 2*time.Second, "serve-load mode: per-request deadline sent with each solve")
 	)
 	flag.Parse()
+	if _, err := lp.ParseBackend(*lpKind); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(2)
+	}
 
 	cfg := experiments.Config{Seed: *seed, Quick: *quick}
 	switch {

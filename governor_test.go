@@ -134,40 +134,3 @@ func TestGovernorDegradationEquivalence(t *testing.T) {
 			g.Makespan, u.Makespan, g.LPIters, u.LPIters)
 	}
 }
-
-// TestGovernorBoundsIPMBackend repeats the oversubscription stress on the
-// interior-point backend: the hybrid solve (IPM + crossover + simplex
-// cleanup) holds exactly one gauge slot, so the governor's LP-peak ≤
-// budget invariant must survive swapping the cold solver. Run under -race
-// this also stresses the chol workspace pooling across solver goroutines.
-func TestGovernorBoundsIPMBackend(t *testing.T) {
-	testutil.ForceParallel(t)
-	const budget = 2
-	eng, err := New(WithWorkers(budget), WithBoundCache(0))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	rng := rand.New(rand.NewSource(53))
-	ins := make([]*Instance, 6)
-	for i := range ins {
-		ins[i] = gen.Unrelated(rng, gen.Params{N: 14, M: 3, K: 2})
-	}
-	lp.SolveGauge.Reset()
-	res := eng.SolveBatch(context.Background(), ins,
-		WithAlgorithm(AlgoRounding), WithLPBackend("ipm"),
-		WithSearchWorkers(4), WithSeed(5), WithoutWarmStart())
-	for i, br := range res {
-		if br.Err != nil {
-			t.Fatalf("instance %d: %v", i, br.Err)
-		}
-		if err := br.Result.Schedule.Validate(ins[i]); err != nil {
-			t.Errorf("instance %d: invalid schedule: %v", i, err)
-		}
-		if br.Result.LPIters <= 0 {
-			t.Errorf("instance %d: no LP effort recorded on ipm backend", i)
-		}
-	}
-	if peak := lp.SolveGauge.Peak(); peak > budget {
-		t.Errorf("peak concurrent LP solves %d exceeds governor budget %d on ipm backend", peak, budget)
-	}
-}

@@ -16,43 +16,20 @@ const (
 	// with periodic refactorization), so per-pivot work scales with the
 	// number of nonzeros rather than the matrix dimensions.
 	Sparse BackendKind = "sparse"
-	// IPM is the interior-point backend: a Mehrotra predictor-corrector
-	// on the normal equations A·D·Aᵀ (sparse Cholesky kernel with a dense
-	// supernode tail) for the cold first solve, followed by a crossover to
-	// a vertex basis — every subsequent Solve, and any Warm-transplanted
-	// state, runs on the embedded simplex core. The simplex is always the
-	// arbiter: a non-converged IPM falls back to a cold simplex solve, so
-	// verdicts (including infeasibility certificates) are exact.
-	IPM BackendKind = "ipm"
-	// Auto picks by size at construction: IPM when the problem crosses
-	// AutoIPMMinRows rows or AutoIPMMinNNZ structural nonzeros (cold huge
-	// sparse LPs are where interior point wins), Sparse otherwise. The
-	// resolved choice is reported by Backend.Kind.
-	Auto BackendKind = "auto"
 )
 
 // DefaultBackend is the backend used when a caller does not choose one.
 const DefaultBackend = Sparse
-
-// Auto-selection thresholds: Auto resolves to IPM when the problem has at
-// least AutoIPMMinRows constraint rows or AutoIPMMinNNZ structural
-// nonzeros. Exported as variables so tests (and unusual deployments) can
-// move the cutover; the defaults come from the scheduling-relaxation
-// corpus, where the simplex cold solve falls behind around 2k rows.
-var (
-	AutoIPMMinRows = 2000
-	AutoIPMMinNNZ  = 40000
-)
 
 // ParseBackend validates a backend name ("" means DefaultBackend).
 func ParseBackend(s string) (BackendKind, error) {
 	switch BackendKind(s) {
 	case "":
 		return DefaultBackend, nil
-	case Dense, Sparse, IPM, Auto:
+	case Dense, Sparse:
 		return BackendKind(s), nil
 	default:
-		return "", fmt.Errorf("lp: unknown backend %q (want %q, %q, %q or %q)", s, Dense, Sparse, IPM, Auto)
+		return "", fmt.Errorf("lp: unknown backend %q (want %q or %q)", s, Dense, Sparse)
 	}
 }
 
@@ -159,8 +136,7 @@ type Backend interface {
 	// from it. A snapshot of the wrong shape, or one naming a column in two
 	// rows, is rejected with an error before any factorization.
 	Warm(*Basis) error
-	// Kind reports the resolved implementation kind (never Auto: an
-	// auto-constructed backend reports what the size trigger picked).
+	// Kind reports the implementation kind.
 	Kind() BackendKind
 	// Clone returns an independent backend with the same problem data,
 	// mutation state (RHS, variable bounds) and basis/factorization, backed
@@ -183,9 +159,7 @@ type Backend interface {
 //
 // By default the backend runs behind the presolve+scaling pipeline (see
 // WithPresolve): the first cold Solve reduces the mutated problem to a
-// fixed point and equilibrates it before the inner solver sees it. Auto is
-// resolved against the original (unreduced) dimensions, so the size
-// trigger's meaning is unchanged.
+// fixed point and equilibrates it before the inner solver sees it.
 func NewBackend(kind BackendKind, p *Problem, ws *Workspace, opts ...BackendOption) (Backend, error) {
 	kind, err := ParseBackend(string(kind))
 	if err != nil {
@@ -198,13 +172,6 @@ func NewBackend(kind BackendKind, p *Problem, ws *Workspace, opts ...BackendOpti
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	if kind == Auto {
-		if len(p.rows) >= AutoIPMMinRows || len(p.tRow) >= AutoIPMMinNNZ {
-			kind = IPM
-		} else {
-			kind = Sparse
-		}
-	}
 	if cfg.presolve && len(p.rows) > 0 && len(p.obj) > 0 {
 		return newPresolveBackend(kind, p, ws, cfg.start), nil
 	}
@@ -216,13 +183,10 @@ func NewBackend(kind BackendKind, p *Problem, ws *Workspace, opts ...BackendOpti
 }
 
 // newResolvedBackend constructs a concrete (unwrapped) backend of an
-// already-resolved kind. This is the build path the presolve wrapper uses
+// already-parsed kind. This is the build path the presolve wrapper uses
 // for its inner solver, on both the reduced problem and the full-problem
 // bypass.
 func newResolvedBackend(kind BackendKind, p *Problem, ws *Workspace) (Backend, error) {
-	if kind == IPM {
-		return newIPMState(p, ws), nil
-	}
 	s := newSolverState(p, ws)
 	s.kind = kind
 	switch kind {

@@ -247,7 +247,7 @@ func TestBackendsDetectInfeasible(t *testing.T) {
 // after an optimal solve and checks the warm re-solve against a cold solve
 // of the mutated problem by all three solvers.
 func TestBackendWarmResolveMatchesCold(t *testing.T) {
-	for _, kind := range []BackendKind{Dense, Sparse, IPM} {
+	for _, kind := range []BackendKind{Dense, Sparse} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			f := func(seed int64) bool {
@@ -464,14 +464,21 @@ func TestParseBackend(t *testing.T) {
 	if k, err := ParseBackend("dense"); err != nil || k != Dense {
 		t.Errorf("ParseBackend(dense) = %v, %v", k, err)
 	}
-	if k, err := ParseBackend("ipm"); err != nil || k != IPM {
-		t.Errorf("ParseBackend(ipm) = %v, %v", k, err)
+	if k, err := ParseBackend("sparse"); err != nil || k != Sparse {
+		t.Errorf("ParseBackend(sparse) = %v, %v", k, err)
 	}
-	if k, err := ParseBackend("auto"); err != nil || k != Auto {
-		t.Errorf("ParseBackend(auto) = %v, %v", k, err)
-	}
-	if _, err := ParseBackend("nope"); err == nil {
-		t.Error("ParseBackend(nope) accepted")
+	// The removed interior-point names are rejected like any unknown
+	// name, and the error lists only the surviving backends.
+	for _, name := range []string{"ipm", "auto", "nope"} {
+		_, err := ParseBackend(name)
+		if err == nil {
+			t.Errorf("ParseBackend(%s) accepted", name)
+			continue
+		}
+		want := fmt.Sprintf(`lp: unknown backend %q (want "dense" or "sparse")`, name)
+		if err.Error() != want {
+			t.Errorf("ParseBackend(%s) error = %q, want %q", name, err, want)
+		}
 	}
 }
 
@@ -479,7 +486,7 @@ func TestParseBackend(t *testing.T) {
 // mutation state and warm basis, but mutating and solving either side never
 // perturbs the other. Verified against cold solves of the mutated specs.
 func TestBackendCloneIndependence(t *testing.T) {
-	for _, kind := range []BackendKind{Dense, Sparse, IPM} {
+	for _, kind := range []BackendKind{Dense, Sparse} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			f := func(seed int64) bool {
@@ -556,7 +563,7 @@ func TestBackendCloneIndependence(t *testing.T) {
 // checks every verdict against a cold solve — the speculative dual search's
 // exact usage pattern.
 func TestBackendCloneConcurrentSolves(t *testing.T) {
-	for _, kind := range []BackendKind{Dense, Sparse, IPM} {
+	for _, kind := range []BackendKind{Dense, Sparse} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))

@@ -23,9 +23,8 @@
 //     infeasibility certificate
 //
 // plus Ruiz-style iterative row/column equilibration scaling of the
-// surviving matrix, which conditions the normal equations the IPM backend
-// factors (iteration counts on ill-scaled instances drop sharply) and
-// stabilizes simplex pricing.
+// surviving matrix, which stabilizes simplex pricing (iteration counts on
+// ill-scaled instances drop sharply).
 //
 // Every reduction is recorded so the Result can postsolve: reconstruct the
 // original-space primal vector, report which fixed column sits at which

@@ -34,7 +34,7 @@ func WithPresolve(on bool) BackendOption {
 // primal-feasible start skips phase 1. Behind presolve the start is used
 // only when the reductions removed no row and no column (it then maps onto
 // the scaled problem unchanged); otherwise, or when the basis is rejected
-// or singular, that solve runs cold; the ipm backend always starts cold.
+// or singular, that solve runs cold.
 // Later solves never see it. Whether a solve used it is reported by
 // Solution.FromStart.
 func WithStart(b *Basis) BackendOption {
@@ -141,7 +141,7 @@ func ResetPresolveTotals() {
 // The wrapper snapshots the Problem at construction (same contract as the
 // concrete backends: later Problem mutations are not observed).
 type presolveBackend struct {
-	kind BackendKind // resolved inner kind (never Auto)
+	kind BackendKind // inner kind
 	ws   *Workspace
 
 	// Full-space problem snapshot; rhs/ub are the mutable mutation state.

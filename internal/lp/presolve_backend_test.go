@@ -67,7 +67,7 @@ func TestPresolveDifferentialCorpus(t *testing.T) {
 	for name, gen := range gens {
 		gen := gen
 		t.Run(name, func(t *testing.T) {
-			for _, kind := range []BackendKind{Dense, Sparse, IPM} {
+			for _, kind := range []BackendKind{Dense, Sparse} {
 				kind := kind
 				t.Run(string(kind), func(t *testing.T) {
 					f := func(seed int64) bool {
@@ -132,6 +132,58 @@ func TestPresolveDifferentialCorpus(t *testing.T) {
 	}
 }
 
+// schedSpec builds an ILP-UM-shaped feasibility LP: load rows, assignment
+// rows and x≤y link rows.
+func schedSpec(rng *rand.Rand, m, n, K int, T float64) *problemSpec {
+	ps := &problemSpec{}
+	class := make([]int, n)
+	for j := range class {
+		class[j] = rng.Intn(K)
+	}
+	x := make([][]int, m)
+	y := make([][]int, m)
+	id := 0
+	for i := 0; i < m; i++ {
+		x[i] = make([]int, n)
+		y[i] = make([]int, K)
+		for j := 0; j < n; j++ {
+			ps.obj = append(ps.obj, 0)
+			ps.ub = append(ps.ub, 1)
+			x[i][j] = id
+			id++
+		}
+		for k := 0; k < K; k++ {
+			ps.obj = append(ps.obj, 0)
+			ps.ub = append(ps.ub, 1)
+			y[i][k] = id
+			id++
+		}
+	}
+	for i := 0; i < m; i++ {
+		var terms []Term
+		for j := 0; j < n; j++ {
+			terms = append(terms, Term{x[i][j], 1 + rng.Float64()})
+		}
+		for k := 0; k < K; k++ {
+			terms = append(terms, Term{y[i][k], 1 + rng.Float64()})
+		}
+		ps.rows = append(ps.rows, specRow{LE, T, terms})
+	}
+	for j := 0; j < n; j++ {
+		var terms []Term
+		for i := 0; i < m; i++ {
+			terms = append(terms, Term{x[i][j], 1})
+		}
+		ps.rows = append(ps.rows, specRow{EQ, 1, terms})
+	}
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			ps.rows = append(ps.rows, specRow{LE, 0, []Term{{x[i][j], 1}, {y[i][class[j]], -1}}})
+		}
+	}
+	return ps
+}
+
 // TestPresolveWarmTrajectoryEquivalence drives the rounding search's exact
 // access pattern — clamp x_ij with p_ij > T to 0, restore on upward moves,
 // shrink the load RHS — for 9 steps on a scheduling-shaped LP, with
@@ -144,7 +196,7 @@ func TestPresolveWarmTrajectoryEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ub := 16.0
 		ps := schedSpec(rng, 3, 18, 3, ub)
-		for _, kind := range []BackendKind{Dense, Sparse, IPM} {
+		for _, kind := range []BackendKind{Dense, Sparse} {
 			on, err := NewBackend(kind, ps.build(), nil)
 			if err != nil {
 				t.Fatal(err)

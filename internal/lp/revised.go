@@ -211,14 +211,6 @@ func (s *solverState) installStart(b *Basis) {
 func (s *solverState) Solve() (*Solution, error) {
 	SolveGauge.enter()
 	defer SolveGauge.exit()
-	return s.solve()
-}
-
-// solve is Solve without the gauge accounting, for callers that already
-// hold a gauge slot (the IPM backend wraps its whole hybrid solve — IPM
-// phase, crossover and simplex cleanup — in one enter/exit, so delegating
-// here must not count a second concurrent solve).
-func (s *solverState) solve() (*Solution, error) {
 	defer func() { s.fromStart = false }() // a start serves one solve only
 	s.iters = 0
 	s.xB = growF(&s.ws.xB, s.sf.m)

@@ -29,7 +29,7 @@ func TestPresolveTrajectoryMatchesNoPresolve(t *testing.T) {
 			return gen.Restricted(rng, gen.Params{N: 12 + rng.Intn(8), M: 3, K: 2})
 		}},
 	}
-	for _, be := range []lp.BackendKind{lp.Dense, lp.Sparse, lp.IPM} {
+	for _, be := range []lp.BackendKind{lp.Dense, lp.Sparse} {
 		for _, tc := range kinds {
 			t.Run(string(be)+"/"+tc.name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(31))

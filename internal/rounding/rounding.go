@@ -61,10 +61,9 @@ type Options struct {
 	// and the binary search skips guesses at or above the live incumbent.
 	Bounds core.BoundBus
 	// LPBackend names the lp.Backend the relaxation LPs run on:
-	// "sparse" (revised simplex, the default), "dense", "ipm"
-	// (interior-point cold solve with crossover to warm simplex), "auto"
-	// (size-triggered: IPM on large cold builds, sparse otherwise), or ""
-	// for the default. Unknown names are a configuration error.
+	// "sparse" (revised simplex, the default), "dense" (the reference
+	// dense simplex), or "" for the default. Unknown names are a
+	// configuration error.
 	LPBackend string
 	// LPNoPresolve disables the LP presolve/scaling pipeline that
 	// otherwise runs ahead of every cold backend build (lp.WithPresolve).
@@ -353,8 +352,7 @@ type RelaxationConfig struct {
 	// greedy bound internally.
 	Envelope float64
 	// Backend selects the lp.Backend implementation ("" =
-	// lp.DefaultBackend). lp.Auto resolves by problem size at build time;
-	// rebuilds after ApplyDelta re-resolve it against the grown problem.
+	// lp.DefaultBackend).
 	Backend lp.BackendKind
 	// NoPresolve opts the relaxation's backends out of the LP presolve and
 	// equilibration-scaling pipeline (lp.WithPresolve(false)).
@@ -538,23 +536,8 @@ func (rel *Relaxation) Clone() *Relaxation {
 	return c
 }
 
-// Backend reports the lp backend kind the relaxation was requested with
-// (possibly lp.Auto); ResolvedBackend reports what actually runs.
+// Backend reports the lp backend kind the relaxation solves on.
 func (rel *Relaxation) Backend() lp.BackendKind { return rel.kind }
-
-// ResolvedBackend reports the backend implementation the relaxation
-// actually solves on, as "kind" when the request resolved to itself or
-// "requested(resolved)" when it differed — "auto(ipm)" says the size
-// trigger picked the interior-point path for this instance.
-func (rel *Relaxation) ResolvedBackend() string {
-	if rel.be == nil {
-		return string(rel.kind)
-	}
-	if k := rel.be.Kind(); k != rel.kind {
-		return fmt.Sprintf("%s(%s)", rel.kind, k)
-	}
-	return string(rel.kind)
-}
 
 // Iterations returns the cumulative simplex pivots across all ReSolve
 // calls so far — the per-backend effort metric behind Detail.LPIterations.
@@ -908,17 +891,15 @@ type Detail struct {
 	SearchClosed bool
 	// LPIterations is the total number of LP iterations across every LP
 	// solved (the build at T=ub plus each warm re-solve): simplex pivots,
-	// plus interior-point iterations on the ipm/auto cold path — the
-	// effort metric that makes LP-backend wins visible per run, not only
+	// the effort metric that makes LP-backend wins visible per run, not only
 	// in microbenchmarks.
 	LPIterations int
 	// LPRefactors is the total number of basis refactorizations across the
 	// same LP solves (lp.Solution.Refactors summed per relaxation): the
 	// count that shows how often the sparse backend rebuilt its eta file.
 	LPRefactors int
-	// LPBackend is the lp backend the run solved on ("dense", "sparse",
-	// "ipm"), with an auto request reporting its size-triggered
-	// resolution as e.g. "auto(ipm)".
+	// LPBackend is the lp backend the run solved on ("dense" or
+	// "sparse").
 	LPBackend string
 	// LPPresolve is the presolve pipeline's reduction report for the
 	// primary relaxation (rows/columns/nonzeros before and after, scaling
@@ -1001,7 +982,7 @@ func ScheduleDetailed(ctx context.Context, in *core.Instance, opt Options) (core
 			return core.Result{}, det, err
 		}
 	}
-	det.LPBackend = rel.ResolvedBackend()
+	det.LPBackend = string(rel.Backend())
 	// Seed solve at T = ub. Its optimum τ0 is the LP threshold: every guess
 	// below it is infeasible, so it raises the lower edge. When the optimum
 	// is also feasible at τ0 (the witness), it closes the bracket there —

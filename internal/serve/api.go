@@ -50,10 +50,11 @@ type SolveOptions struct {
 	// LocalSearch post-optimizes with best-improvement descent.
 	LocalSearch bool `json:"localSearch,omitempty"`
 	// LPBackend selects the LP backend for solvers that run feasibility
-	// LPs: "dense", "sparse", "ipm", or "auto" (size-triggered
-	// interior-point). Empty inherits the server's -lp default, then the
-	// engine default. Participates in the coalescing key: solves on
-	// different backends never share a computation.
+	// LPs: "sparse" (the default) or "dense" (the reference). Empty
+	// inherits the server's -lp default, then the engine default. Any
+	// other name is rejected with 400 before admission. Participates in
+	// the coalescing key: solves on different backends never share a
+	// computation.
 	LPBackend string `json:"lpBackend,omitempty"`
 	// Timeout is the request deadline as a Go duration string ("500ms",
 	// "2s"); it covers queueing, engine admission and solving. The

@@ -79,11 +79,22 @@ type Config struct {
 	// cached) result. 0 disables (strictly concurrent coalescing only).
 	Linger time.Duration
 	// LPBackend is the server-wide default for SolveOptions.LPBackend
-	// ("dense", "sparse", "ipm", "auto"); requests that name a backend
+	// ("dense" or "sparse"); requests that name a backend
 	// override it. Applied before the coalescing key is formed, so a
 	// request inheriting the default and one naming the same backend
 	// explicitly coalesce. Empty defers to the engine default.
 	LPBackend string
+}
+
+// defaultLPBackend fills an empty o.LPBackend from the server default and
+// validates the result, so an unknown backend name is a client error
+// before the request takes a queue slot rather than a failed solve.
+func (s *Server) defaultLPBackend(o *SolveOptions) error {
+	if o.LPBackend == "" {
+		o.LPBackend = s.cfg.LPBackend
+	}
+	_, err := lp.ParseBackend(o.LPBackend)
+	return err
 }
 
 // withDefaults fills unset Config fields.
@@ -380,8 +391,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeShed(w, &shedError{status: http.StatusServiceUnavailable, retryAfter: time.Second, reason: "request deadline already expired"})
 		return
 	}
-	if req.Options.LPBackend == "" {
-		req.Options.LPBackend = s.cfg.LPBackend
+	if err := s.defaultLPBackend(&req.Options); err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error(), "")
+		return
 	}
 
 	key := in.Fingerprint() + "|" + req.Options.digest()
@@ -547,12 +559,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeShed(w, &shedError{status: http.StatusServiceUnavailable, retryAfter: time.Second, reason: "request deadline already expired"})
 		return
 	}
+	if err := s.defaultLPBackend(&req.Options); err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error(), "")
+		return
+	}
 	if shed := s.admitBatch(len(ins), timeout); shed != nil {
 		s.writeShed(w, shed)
 		return
-	}
-	if req.Options.LPBackend == "" {
-		req.Options.LPBackend = s.cfg.LPBackend
 	}
 	s.wg.Add(1)
 	defer s.wg.Done()

@@ -199,15 +199,10 @@ func WithRoundingC(c0 int) SolveOption {
 
 // WithLPBackend selects the LP solver backend for solvers that run LPs
 // (the randomized rounding's relaxation LPs): "sparse" — the
-// warm-started sparse revised simplex, the default — "dense", the
-// reference dense solver, "ipm" — interior-point (Mehrotra
-// predictor-corrector over a sparse Cholesky of the normal equations) for
-// the cold solve, crossing over to a simplex basis so warm re-solves stay
-// on the dual-simplex path — or "auto", which picks IPM on instances
-// large enough to amortize the factorization and sparse otherwise.
-// Unknown names are reported as a solve error. Result.LPIters exposes the
-// per-run LP effort (pivots plus interior-point iterations) for
-// comparisons, and `schedbench -engine -lp=dense|sparse|ipm|auto` prints
+// warm-started sparse revised simplex, the default — or "dense", the
+// reference dense solver. Unknown names are reported as a solve error.
+// Result.LPIters exposes the per-run LP effort (simplex pivots) for
+// comparisons, and `schedbench -engine -lp=dense|sparse` prints
 // comparison rows.
 func WithLPBackend(kind string) SolveOption {
 	return func(c *solveConfig) { c.opt.LPBackend = kind }
@@ -217,7 +212,7 @@ func WithLPBackend(kind string) SolveOption {
 // that runs ahead of every cold LP backend build (on by default): fixed
 // and implied-fixed variables are eliminated, redundant and singleton rows
 // removed, and the reduced matrix Ruiz-scaled before it reaches the
-// simplex or interior-point solver. Solutions, bases and infeasibility
+// simplex solver. Solutions, bases and infeasibility
 // certificates are mapped back to the original problem, so verdicts are
 // identical either way; pass false to measure the unpresolved baseline
 // (`schedbench -no-presolve` does the same).
