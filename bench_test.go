@@ -259,7 +259,7 @@ func BenchmarkLPBackend(b *testing.B) {
 
 // BenchmarkColdBuildLarge is the anchor shape of the LP-backend acceptance
 // run (M=20, N=200, K=12 — 4220 rows): one relaxation build plus the cold
-// solve at T=ub, with presolve on and off. It tracks how the sparse
+// solve at T=ub, with equilibration scaling on and off. It tracks how the sparse
 // simplex scales past the M=10/N=100/K=8 anchor.
 func BenchmarkColdBuildLarge(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -274,8 +274,8 @@ func BenchmarkColdBuildLarge(b *testing.B) {
 		noPresolve bool
 	}{
 		{"simplex", false},
-		// The unpresolved baseline: what the same backend costs without
-		// the reduction + equilibration pipeline in front.
+		// The raw baseline: what the same backend costs without
+		// equilibration scaling.
 		{"simplex-nopresolve", true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

@@ -77,7 +77,7 @@ func main() {
 		m       = flag.Int("m", 4, "engine mode: number of machines")
 		k       = flag.Int("k", 3, "engine mode: number of setup classes")
 		lpKind  = flag.String("lp", "", "engine mode: LP backend for the randomized rounding's feasibility LPs (dense|sparse; default sparse)")
-		noPre   = flag.Bool("no-presolve", false, "disable the LP presolve/equilibration pipeline ahead of cold LP builds (baseline measurement)")
+		noPre   = flag.Bool("no-presolve", false, "build the LPs without equilibration scaling (baseline measurement)")
 		sworker = flag.Int("search-workers", 0, "engine mode: speculative parallelism of dual-approximation searches (guesses evaluated concurrently; <2 = sequential bisection)")
 		oversub = flag.Bool("oversub", false, "oversubscription scenario: governed vs ungoverned engine under batch × portfolio × speculative-search load")
 		batch   = flag.Int("batch", 8, "oversub mode: instances per SolveBatch")
@@ -204,7 +204,7 @@ func engineBench(seed int64, n, m, k int, timeout time.Duration, gap float64, lp
 		if noPresolve {
 			title += " [no-presolve]"
 		}
-		tab := table.New(title, "solver", "makespan", "ratio", "time", "lp-iters", "presolve", "sw", "tti")
+		tab := table.New(title, "solver", "makespan", "ratio", "time", "lp-iters", "scale", "sw", "tti")
 		for _, name := range eng.Applicable(in) {
 			ctx, cancel := withTimeout(timeout)
 			before := lp.PresolveTotals()
@@ -467,29 +467,15 @@ func fmtIters(n int64) string {
 	return fmt.Sprintf("%d", n)
 }
 
-// presolveCell renders the presolve pipeline's aggregate work between two
-// lp.PresolveTotals snapshots: percentage of rows and nonzeros removed
-// across every presolve run the row triggered, plus the mean number of
-// Ruiz scaling passes per run. "-" when no presolve ran (solver without
-// LPs, or -no-presolve).
+// presolveCell renders the mean number of Ruiz equilibration passes per
+// scaled LP build between two lp.PresolveTotals snapshots. "-" when no
+// scaled build ran (solver without LPs, or -no-presolve).
 func presolveCell(before, after lp.PresolveTotalsSnapshot) string {
 	runs := after.Runs - before.Runs
 	if runs <= 0 {
 		return "-"
 	}
-	rb := after.RowsBefore - before.RowsBefore
-	ra := after.RowsAfter - before.RowsAfter
-	nb := after.NNZBefore - before.NNZBefore
-	na := after.NNZAfter - before.NNZAfter
-	sp := after.ScalePasses - before.ScalePasses
-	rowPct, nnzPct := 0.0, 0.0
-	if rb > 0 {
-		rowPct = 100 * float64(rb-ra) / float64(rb)
-	}
-	if nb > 0 {
-		nnzPct = 100 * float64(nb-na) / float64(nb)
-	}
-	return fmt.Sprintf("r-%.0f%% z-%.0f%% s%.1f", rowPct, nnzPct, float64(sp)/float64(runs))
+	return fmt.Sprintf("s%.1f", float64(after.ScalePasses-before.ScalePasses)/float64(runs))
 }
 
 // dualSearchSolvers names the registry solvers that run a dual-approximation

@@ -51,8 +51,7 @@ type Options struct {
 	// "sparse" (warm-started revised simplex, the default), or "dense"
 	// (the reference dense solver). Unknown names are a solve-time error.
 	LPBackend string
-	// LPNoPresolve disables the LP presolve + equilibration-scaling
-	// pipeline that otherwise runs ahead of cold LP backend builds.
+	// LPNoPresolve builds the LP backends without equilibration scaling.
 	LPNoPresolve bool
 	// SearchWorkers is the speculative parallelism of dual-approximation
 	// binary searches (dual.Speculate): solvers that search over a

@@ -1,6 +1,9 @@
 package lp
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // BackendKind selects one of the LP backend implementations behind the
 // Backend interface.
@@ -157,9 +160,8 @@ type Backend interface {
 // building and solving allocates from the workspace's grow-only buffers;
 // nil allocates a private workspace.
 //
-// By default the backend runs behind the presolve+scaling pipeline (see
-// WithPresolve): the first cold Solve reduces the mutated problem to a
-// fixed point and equilibrates it before the inner solver sees it.
+// By default the standard form is built with equilibration scaling (see
+// WithPresolve); every solve then reports Solution.Presolve.
 func NewBackend(kind BackendKind, p *Problem, ws *Workspace, opts ...BackendOption) (Backend, error) {
 	kind, err := ParseBackend(string(kind))
 	if err != nil {
@@ -172,29 +174,74 @@ func NewBackend(kind BackendKind, p *Problem, ws *Workspace, opts ...BackendOpti
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	if cfg.presolve && len(p.rows) > 0 && len(p.obj) > 0 {
-		return newPresolveBackend(kind, p, ws, cfg.start), nil
+	s := newSolverState(kind, p, ws, cfg.presolve)
+	if cfg.start != nil {
+		s.installStart(cfg.start)
 	}
-	be, err := newResolvedBackend(kind, p, ws)
-	if sim, ok := be.(*solverState); ok && cfg.start != nil {
-		sim.installStart(cfg.start)
-	}
-	return be, err
+	return s, nil
 }
 
-// newResolvedBackend constructs a concrete (unwrapped) backend of an
-// already-parsed kind. This is the build path the presolve wrapper uses
-// for its inner solver, on both the reduced problem and the full-problem
-// bypass.
-func newResolvedBackend(kind BackendKind, p *Problem, ws *Workspace) (Backend, error) {
-	s := newSolverState(p, ws)
-	s.kind = kind
-	switch kind {
-	case Dense:
-		s.inv = &denseInverse{}
-	default:
-		s.inv = &etaFile{}
+// BackendOption configures NewBackend beyond the kind/problem/workspace
+// triple. Options are additive so existing call sites keep compiling.
+type BackendOption func(*backendConfig)
+
+type backendConfig struct {
+	presolve bool
+	start    *Basis
+}
+
+// WithPresolve toggles equilibration scaling of the backend's standard
+// form (default: on). On, the build runs Ruiz passes over the matrix and
+// the solver works in scaled coordinates; SetRHS, SetVarUpper and the
+// reported X stay in the Problem's. Off builds with unit scales: the raw
+// reference the scaled solves are tested against.
+func WithPresolve(on bool) BackendOption {
+	return func(c *backendConfig) { c.presolve = on }
+}
+
+// WithStart hands the backend a start basis for its first Solve, in the
+// full standard form of the Problem (the shape Basis and Warm use). The
+// first cold Solve begins at it instead of at the all-slack basis: a
+// primal-feasible start skips phase 1. Equilibration scaling moves no
+// column between its bounds, so the start applies with or without it. A
+// rejected or singular basis leaves that solve cold. Later solves never
+// see it. Whether a solve used it is reported by Solution.FromStart.
+func WithStart(b *Basis) BackendOption {
+	return func(c *backendConfig) { c.start = b }
+}
+
+// PresolveInfo reports the equilibration scaling of one backend build. It
+// is attached to every Solution of a scaled backend (Solution.Presolve).
+type PresolveInfo struct {
+	// ScalePasses is the number of Ruiz passes the build ran (0 when the
+	// matrix was already equilibrated).
+	ScalePasses int
+}
+
+// PresolveTotalsSnapshot is a process-wide aggregate of equilibration
+// scaling, for /statsz and schedbench reporting.
+type PresolveTotalsSnapshot struct {
+	// Runs counts scaled backend builds.
+	Runs int64 `json:"runs"`
+	// RowsBefore and RowsAfter sum the rows of those builds. Scaling
+	// removes no row, so the two are equal; they stay for readers of the
+	// row-cut figure.
+	RowsBefore  int64 `json:"rowsBefore"`
+	RowsAfter   int64 `json:"rowsAfter"`
+	ScalePasses int64 `json:"scalePasses"`
+}
+
+var presolveAgg struct {
+	runs, rows, scalePasses atomic.Int64
+}
+
+// PresolveTotals snapshots the process-wide scaling aggregates.
+func PresolveTotals() PresolveTotalsSnapshot {
+	rows := presolveAgg.rows.Load()
+	return PresolveTotalsSnapshot{
+		Runs:        presolveAgg.runs.Load(),
+		RowsBefore:  rows,
+		RowsAfter:   rows,
+		ScalePasses: presolveAgg.scalePasses.Load(),
 	}
-	s.inv.reset(s.sf.m)
-	return s, nil
 }

@@ -316,9 +316,9 @@ func TestBackendWarmResolveMatchesCold(t *testing.T) {
 // TestBackendWarmTransplant moves an optimal basis from one backend into
 // the other; the receiving backend must confirm optimality essentially for
 // free (no more pivots than a cold solve, same objective). The ≤2-pivot
-// budget is a property of the concrete backends, so presolve is off here;
-// postsolved-basis transplants (which may legitimately need a repair pivot
-// per folded bound) are covered by the presolve differential tests.
+// budget is a property of the concrete backends, so scaling is off here;
+// transplants of a scaled solve's basis are covered by the scaling
+// differential tests.
 func TestBackendWarmTransplant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {

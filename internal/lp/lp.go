@@ -180,14 +180,14 @@ type Solution struct {
 	// rebuilds during the solve plus a Warm transplant's). The dense
 	// inverse never refactorizes mid-solve, so only Warm counts there.
 	Refactors int
-	// Presolve reports what the reduction pipeline did for this backend,
-	// when the solve ran through one (nil otherwise). See WithPresolve.
+	// Presolve reports the equilibration scaling of the backend's build
+	// (nil when it was built unscaled). See WithPresolve.
 	Presolve *PresolveInfo
 	// FromStart reports that this solve began at the start basis given to
 	// NewBackend (WithStart) rather than at the all-slack basis. It is
-	// false when no start was given, when the start could not be used
-	// (presolve reduced the problem, or the basis was rejected or
-	// singular), and on every later solve.
+	// false when no start was given, when the start could not be used (the
+	// basis was rejected or singular), and on every later solve. Scaling
+	// never keeps a start out.
 	FromStart bool
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // solvedTauBackend returns the solver core of a cold-solved min-τ
-// scheduling LP (no presolve, so the core is the backend itself), with an
+// scheduling LP (unscaled, so it is the raw matrix), with an
 // eta file that holds a refactorization plus the pivots since.
 func solvedTauBackend(t *testing.T, kind BackendKind, seed int64) (*solverState, []int) {
 	t.Helper()

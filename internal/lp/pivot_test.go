@@ -253,20 +253,15 @@ func (c *dualsCheck) update(r int, w []float64, pat []int32) {
 
 // TestReducedCostsMaintained compares the maintained reduced costs with a
 // fresh recompute after every pivot of a cold solve of the M=10/N=100/K=8
-// anchor LP (presolved and scaled, as the rounding solver runs it) and of
-// the dual-simplex re-solves that follow clamping assignments it uses.
+// anchor LP (scaled, as the rounding solver runs it) and of the
+// dual-simplex re-solves that follow clamping assignments it uses.
 func TestReducedCostsMaintained(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ps, xs, _ := tauShapeSpec(rng, 10, 100, 8, 1)
-	res := newPresolveBackend(Sparse, ps.build(), nil, nil).runPresolve()
-	if res.Infeasible || res.HasReductions() {
-		t.Fatalf("anchor LP: presolve infeasible=%v reductions=%v, want neither", res.Infeasible, res.HasReductions())
+	s := newSolverState(Sparse, ps.build(), NewWorkspace(), true)
+	if s.info.ScalePasses == 0 {
+		t.Fatal("anchor LP: scaling did not engage")
 	}
-	be, err := newResolvedBackend(Sparse, reducedProblem(res), NewWorkspace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := be.(*solverState)
 	chk := &dualsCheck{basisRep: s.inv, t: t, s: s}
 	s.inv = chk
 	sol, err := s.Solve()
@@ -286,8 +281,8 @@ func TestReducedCostsMaintained(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		clamped := 0
 		for _, v := range xs {
-			if j2 := res.ColMap[v]; sol.X[j2] > 1e-9 && clamped < 15 {
-				s.SetVarUpper(int(j2), 0)
+			if sol.X[v] > 1e-9 && clamped < 15 {
+				s.SetVarUpper(v, 0)
 				clamped++
 			}
 		}
@@ -306,8 +301,8 @@ func TestReducedCostsMaintained(t *testing.T) {
 }
 
 // TestStartBasis covers WithStart: a usable start is taken by the first
-// solve only (Solution.FromStart), and a singular start or a presolve
-// reduction leaves that solve cold — same verdict either way.
+// solve only (Solution.FromStart), scaled or not, also with a singleton
+// row; a singular start leaves that solve cold — same verdict either way.
 func TestStartBasis(t *testing.T) {
 	// max x0 + 2·x1 + x2 over x0 + x1 + x2 ≤ 2, x0 + x1 − x2 ≥ 0, x ≤ 1.
 	ps := &problemSpec{
@@ -322,7 +317,8 @@ func TestStartBasis(t *testing.T) {
 	good := &Basis{Cols: []int{1, 2}, Status: []VarStatus{NonbasicUpper, BasicVar, BasicVar, NonbasicLower, NonbasicLower}}
 	// x0 and x1 share their column: singular.
 	singular := &Basis{Cols: []int{0, 1}, Status: []VarStatus{BasicVar, BasicVar, NonbasicLower, NonbasicLower, NonbasicLower}}
-	// A third row x2 ≤ 0.5 is a singleton that presolve folds into a bound.
+	// A third row x2 ≤ 0.5 is a singleton, the row a bound-folding
+	// presolve would remove; scaling keeps it, so the start applies.
 	reduced := ps.clone()
 	reduced.rows = append(reduced.rows, specRow{LE, 0.5, []Term{{2, 1}}})
 	goodReduced := &Basis{Cols: []int{1, 2, 5}, Status: []VarStatus{NonbasicUpper, BasicVar, BasicVar, NonbasicLower, NonbasicLower, BasicVar}}
@@ -338,7 +334,7 @@ func TestStartBasis(t *testing.T) {
 		{"good-nopresolve", ps, good, false, true},
 		{"singular", ps, singular, true, false},
 		{"singular-nopresolve", ps, singular, false, false},
-		{"presolve-reduction", reduced, goodReduced, true, false},
+		{"presolve-reduction", reduced, goodReduced, true, true},
 		{"presolve-reduction-off", reduced, goodReduced, false, true},
 	} {
 		for _, kind := range []BackendKind{Dense, Sparse} {
@@ -359,8 +355,8 @@ func TestStartBasis(t *testing.T) {
 			if sol.FromStart != tc.fromStart {
 				t.Errorf("%s: FromStart = %v, want %v", name, sol.FromStart, tc.fromStart)
 			}
-			if tc.presolve && sol.Presolve.RowsAfter == sol.Presolve.RowsBefore && tc.ps == reduced {
-				t.Errorf("%s: presolve removed no row; the case tests nothing", name)
+			if (sol.Presolve != nil) != tc.presolve {
+				t.Errorf("%s: Solution.Presolve = %+v with scaling %v", name, sol.Presolve, tc.presolve)
 			}
 			be.SetVarUpper(0, 0.5)
 			if sol, err = be.Solve(); err != nil || sol.FromStart {

@@ -137,7 +137,7 @@ func TestRefactorMarkowitzDifferential(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		ps := randomSchedShapeSpec(rng)
 		// White-box: the clones are downcast to solverState to compare eta
-		// fill, so the presolve wrapper is off.
+		// fill on the raw matrix, so scaling is off.
 		be, err := NewBackend(Sparse, ps.build(), nil, WithPresolve(false))
 		if err != nil {
 			t.Fatalf("trial %d: NewBackend: %v", trial, err)

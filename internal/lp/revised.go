@@ -69,7 +69,8 @@ type solverState struct {
 	dualOK    bool // the current basis is known dual feasible (prior optimum)
 	fromStart bool // the basis is the construction-time start, not yet solved from
 
-	kind BackendKind // resolved implementation kind (Dense or Sparse)
+	kind BackendKind   // resolved implementation kind (Dense or Sparse)
+	info *PresolveInfo // scaled builds only: reported on every Solution
 }
 
 const (
@@ -82,9 +83,23 @@ const (
 	infeasTol = 1e-6
 )
 
-func newSolverState(p *Problem, ws *Workspace) *solverState {
-	s := &solverState{ws: ws, dAge: -1}
-	s.sf.build(p, ws)
+// newSolverState builds the backend of an already-parsed kind bound to p,
+// equilibrating the standard form when scale is set.
+func newSolverState(kind BackendKind, p *Problem, ws *Workspace, scale bool) *solverState {
+	s := &solverState{ws: ws, dAge: -1, kind: kind}
+	passes := s.sf.build(p, ws, scale)
+	if scale {
+		s.info = &PresolveInfo{ScalePasses: passes}
+		presolveAgg.runs.Add(1)
+		presolveAgg.rows.Add(int64(s.sf.m))
+		presolveAgg.scalePasses.Add(int64(passes))
+	}
+	if kind == Dense {
+		s.inv = &denseInverse{}
+	} else {
+		s.inv = &etaFile{}
+	}
+	s.inv.reset(s.sf.m)
 	s.d = growF(&ws.d, s.sf.n)
 	s.initColumn()
 	s.basis = make([]int, s.sf.m)
@@ -105,7 +120,7 @@ func (s *solverState) SetRHS(r int, rhs float64) {
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
 		panic(fmt.Sprintf("lp: invalid rhs %v", rhs))
 	}
-	s.sf.rhs[r] = s.sf.rowSign[r] * rhs
+	s.sf.rhs[r] = s.sf.rowMul[r] * rhs
 }
 
 func (s *solverState) SetVarUpper(v int, upper float64) {
@@ -114,6 +129,9 @@ func (s *solverState) SetVarUpper(v int, upper float64) {
 	}
 	if upper < 0 || math.IsNaN(upper) {
 		panic(fmt.Sprintf("lp: invalid upper bound %v", upper))
+	}
+	if s.sf.colScale != nil {
+		upper /= s.sf.colScale[v]
 	}
 	s.sf.ub[v] = upper
 	if s.status[v] == atUpper && math.IsInf(upper, 1) {
@@ -125,7 +143,7 @@ func (s *solverState) SetVarUpper(v int, upper float64) {
 func (s *solverState) Kind() BackendKind { return s.kind }
 
 func (s *solverState) Clone() Backend {
-	c := &solverState{ws: NewWorkspace(), dualOK: s.dualOK, fromStart: s.fromStart, dAge: s.dAge, kind: s.kind}
+	c := &solverState{ws: NewWorkspace(), dualOK: s.dualOK, fromStart: s.fromStart, dAge: s.dAge, kind: s.kind, info: s.info}
 	c.sf.copyFrom(&s.sf, c.ws)
 	c.initColumn()
 	c.d = growF(&c.ws.d, c.sf.n)
@@ -1099,7 +1117,7 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 // --- solution extraction -----------------------------------------------------
 
 func (s *solverState) finish(st Status) *Solution {
-	s.sol = Solution{Status: st, Iterations: s.iters, Refactors: s.refactors, FromStart: s.fromStart}
+	s.sol = Solution{Status: st, Iterations: s.iters, Refactors: s.refactors, FromStart: s.fromStart, Presolve: s.info}
 	s.refactors = 0
 	if st != Optimal {
 		return &s.sol
@@ -1124,6 +1142,12 @@ func (s *solverState) finish(st Status) *Solution {
 	obj := 0.0
 	for j, c := range s.sf.obj {
 		obj += c * x[j]
+	}
+	if C := s.sf.colScale; C != nil {
+		for j := range x {
+			// Unscale; round-off must not leak a negative value.
+			x[j] = max(x[j]*C[j], 0)
+		}
 	}
 	s.sol.X = x
 	s.sol.Objective = obj

@@ -12,6 +12,14 @@ import "math"
 // (slack ub 0); b may therefore be negative, which the bound-violation
 // phase 1 handles without artificial variables. Structural columns are
 // stored sparse (CSC); slack columns are implicit unit vectors.
+//
+// A scaled build also equilibrates the matrix (Ruiz, "A scaling algorithm
+// to equilibrate both rows and columns norms in matrices", RAL-TR-2001-034):
+// with row factors R and column factors C it stores A' = R·A·C, b' = R·b,
+// c' = C·c and u' = u/C, so the solver works on x' = x/C. Scaling changes
+// neither the shape nor which column sits at which bound, so a Basis means
+// the same in both coordinates; only values cross the boundary (SetRHS,
+// SetVarUpper, and the X that finish reports).
 type standardForm struct {
 	m  int // rows
 	nv int // structural variables
@@ -28,16 +36,21 @@ type standardForm struct {
 	rowCol []int32
 	rowVal []float64
 
-	obj     []float64 // length nv (slack cost is 0)
-	ub      []float64 // length n: structural bounds then slack bounds
-	rhs     []float64 // length m, current (sign-adjusted) right-hand sides
-	rowSign []float64 // +1/-1 per row, applied to SetRHS updates
+	obj    []float64 // length nv (slack cost is 0)
+	ub     []float64 // length n: structural bounds then slack bounds
+	rhs    []float64 // length m, current (sign-adjusted, scaled) right-hand sides
+	rowMul []float64 // per row: sign·R_r (−1 negates a GE row), applied to SetRHS updates
+	// colScale holds the column factors C_j of a scaled build (nil when
+	// unscaled): SetVarUpper divides by it, finish multiplies X by it.
+	colScale []float64
 
 	objZero bool // every objective coefficient is 0 (a feasibility LP)
 }
 
 // build populates the standard form from a Problem, reusing ws buffers.
-func (sf *standardForm) build(p *Problem, ws *Workspace) {
+// When scale is set it equilibrates the matrix and returns the number of
+// Ruiz passes that ran.
+func (sf *standardForm) build(p *Problem, ws *Workspace, scale bool) int {
 	m, nv := len(p.rows), len(p.obj)
 	n := nv + m
 	sf.m, sf.nv, sf.n = m, nv, n
@@ -54,7 +67,7 @@ func (sf *standardForm) build(p *Problem, ws *Workspace) {
 	sf.ub = growF(&ws.sfUB, n)
 	copy(sf.ub, p.ub)
 	sf.rhs = growF(&ws.sfRHS, m)
-	sf.rowSign = growF(&ws.sfSign, m)
+	sf.rowMul = growF(&ws.sfRowMul, m)
 
 	// Column counts first, then prefix sums, then fill. The problem stores
 	// coefficients as append-only triplets; a variable repeated within one
@@ -82,8 +95,7 @@ func (sf *standardForm) build(p *Problem, ws *Workspace) {
 		if row.sense == GE {
 			sign = -1 // a·x ≥ b  ⇔  −a·x ≤ −b
 		}
-		sf.rowSign[r] = sign
-		sf.rhs[r] = sign * row.rhs
+		sf.rowMul[r] = sign
 		switch row.sense {
 		case EQ:
 			sf.ub[nv+r] = 0 // slack pinned: equality
@@ -95,9 +107,97 @@ func (sf *standardForm) build(p *Problem, ws *Workspace) {
 		v := p.tVar[t]
 		k := next[v]
 		sf.colRow[k] = r
-		sf.colVal[k] = sf.rowSign[r] * p.tCoef[t]
+		sf.colVal[k] = sf.rowMul[r] * p.tCoef[t]
 		next[v] = k + 1
 	}
+	sf.colScale = nil
+	passes := 0
+	if scale {
+		passes = sf.equilibrate(ws)
+	}
+	for r, row := range p.rows {
+		sf.rhs[r] = sf.rowMul[r] * row.rhs
+	}
+	return passes
+}
+
+// ruizMaxPasses caps the equilibration passes of a scaled build.
+const ruizMaxPasses = 8
+
+// equilibrate runs Ruiz iterations on the stored matrix: each pass divides
+// every row and every column by the square root of its largest |a|, until
+// all of them lie in [0.9, 1.1] or ruizMaxPasses have run. It then applies
+// the accumulated factors to the matrix, the costs and the structural
+// bounds, folds the row factors into rowMul (so build scales b with it),
+// and leaves the column factors in colScale. Duplicate (row, col) entries
+// count separately toward the maxima; any positive factors keep the LP
+// equivalent.
+func (sf *standardForm) equilibrate(ws *Workspace) int {
+	R := growF(&ws.sfRowScale, sf.m)
+	C := growF(&ws.sfColScale, sf.nv)
+	for r := range R {
+		R[r] = 1
+	}
+	for j := range C {
+		C[j] = 1
+	}
+	rmax := growF(&ws.sfRowMax, sf.m)
+	cmax := growF(&ws.sfColMax, sf.nv)
+	passes := 0
+	for passes < ruizMaxPasses && len(sf.colVal) > 0 {
+		for r := range rmax {
+			rmax[r] = 0
+		}
+		for j := 0; j < sf.nv; j++ {
+			cmax[j] = 0
+			for k := sf.colPtr[j]; k < sf.colPtr[j+1]; k++ {
+				r := sf.colRow[k]
+				av := math.Abs(sf.colVal[k]) * R[r] * C[j]
+				if av > rmax[r] {
+					rmax[r] = av
+				}
+				if av > cmax[j] {
+					cmax[j] = av
+				}
+			}
+		}
+		if equilibrated(rmax) && equilibrated(cmax) {
+			break
+		}
+		passes++
+		for r, v := range rmax {
+			if v > 0 {
+				R[r] /= math.Sqrt(v)
+			}
+		}
+		for j, v := range cmax {
+			if v > 0 {
+				C[j] /= math.Sqrt(v)
+			}
+		}
+	}
+	for j := 0; j < sf.nv; j++ {
+		for k := sf.colPtr[j]; k < sf.colPtr[j+1]; k++ {
+			sf.colVal[k] *= R[sf.colRow[k]] * C[j]
+		}
+		sf.ub[j] /= C[j] // +Inf stays +Inf
+		sf.obj[j] *= C[j]
+	}
+	for r := range sf.rowMul {
+		sf.rowMul[r] *= R[r]
+	}
+	sf.colScale = C
+	return passes
+}
+
+// equilibrated reports that every nonzero maximum lies in [0.9, 1.1].
+func equilibrated(maxes []float64) bool {
+	for _, v := range maxes {
+		if v != 0 && (v < 0.9 || v > 1.1) {
+			return false
+		}
+	}
+	return true
 }
 
 // copyFrom deep-copies src into sf using ws-backed storage, so the copy
@@ -110,8 +210,13 @@ func (sf *standardForm) copyFrom(src *standardForm, ws *Workspace) {
 	copy(sf.ub, src.ub)
 	sf.rhs = growF(&ws.sfRHS, len(src.rhs))
 	copy(sf.rhs, src.rhs)
-	sf.rowSign = growF(&ws.sfSign, len(src.rowSign))
-	copy(sf.rowSign, src.rowSign)
+	sf.rowMul = growF(&ws.sfRowMul, len(src.rowMul))
+	copy(sf.rowMul, src.rowMul)
+	sf.colScale = nil
+	if src.colScale != nil {
+		sf.colScale = growF(&ws.sfColScale, len(src.colScale))
+		copy(sf.colScale, src.colScale)
+	}
 	sf.colPtr = growI32(&ws.sfPtr, len(src.colPtr))
 	copy(sf.colPtr, src.colPtr)
 	sf.colRow = growI32(&ws.sfRow, len(src.colRow))

@@ -12,10 +12,12 @@ package lp
 // same time, and is not safe for concurrent use.
 type Workspace struct {
 	// standard-form storage, and its row-wise (CSR) copy
-	sfObj, sfUB, sfRHS, sfSign, sfVal []float64
-	sfCnt, sfPtr, sfRow, sfNext       []int32
-	sfRowPtr, sfRowCol                []int32
-	sfRowVal                          []float64
+	sfObj, sfUB, sfRHS, sfRowMul, sfVal []float64
+	sfCnt, sfPtr, sfRow, sfNext         []int32
+	sfRowPtr, sfRowCol                  []int32
+	sfRowVal                            []float64
+	// equilibration factors and their per-pass maxima
+	sfRowScale, sfColScale, sfRowMax, sfColMax []float64
 
 	// maintained reduced costs (n), and the pivot row's dense values (n)
 	// with its structural support marks (nv) and support list

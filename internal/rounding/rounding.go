@@ -65,9 +65,8 @@ type Options struct {
 	// dense simplex), or "" for the default. Unknown names are a
 	// configuration error.
 	LPBackend string
-	// LPNoPresolve disables the LP presolve/scaling pipeline that
-	// otherwise runs ahead of every cold backend build (lp.WithPresolve).
-	// Off by default: presolve on.
+	// LPNoPresolve builds the relaxation LPs without equilibration
+	// scaling (lp.WithPresolve(false)). Off by default: scaling on.
 	LPNoPresolve bool
 	// SearchWorkers is the speculative parallelism of the binary search on
 	// T (dual.Speculate): that many makespan guesses are evaluated
@@ -354,8 +353,8 @@ type RelaxationConfig struct {
 	// Backend selects the lp.Backend implementation ("" =
 	// lp.DefaultBackend).
 	Backend lp.BackendKind
-	// NoPresolve opts the relaxation's backends out of the LP presolve and
-	// equilibration-scaling pipeline (lp.WithPresolve(false)).
+	// NoPresolve builds the relaxation's backends without equilibration
+	// scaling (lp.WithPresolve(false)).
 	NoPresolve bool
 }
 
@@ -405,7 +404,7 @@ type Relaxation struct {
 	frac      *Fractional
 	iters     int
 	refactors int
-	presolve  *lp.PresolveInfo // latest reduction stats (nil when bypassed off)
+	presolve  *lp.PresolveInfo // latest solve's scaling (nil when unscaled)
 	fromStart bool             // the latest ReSolve began at the greedy start
 }
 
@@ -555,9 +554,9 @@ func (rel *Relaxation) Refactors() int { return rel.refactors }
 // infeasible, because clamps only shrink the feasible region.
 func (rel *Relaxation) Threshold() (tau float64, witness bool) { return rel.tau, rel.witness }
 
-// Presolve reports what the LP presolve pipeline did for this relaxation's
-// backend — the stats from the most recent solve that ran through it, or
-// nil when presolve is disabled or no solve has completed yet.
+// Presolve reports the equilibration scaling of the backend the most
+// recent LP solve ran on, or nil when that solve ran unscaled or no solve
+// has completed yet.
 func (rel *Relaxation) Presolve() *lp.PresolveInfo { return rel.presolve }
 
 // FromStart reports whether the latest ReSolve began at the greedy
@@ -623,9 +622,7 @@ func (rel *Relaxation) ReSolve(T float64) (*Fractional, error) {
 	rel.iters += sol.Iterations
 	rel.refactors += sol.Refactors
 	rel.fromStart = sol.FromStart
-	if sol.Presolve != nil {
-		rel.presolve = sol.Presolve
-	}
+	rel.presolve = sol.Presolve
 	if sol.Status != lp.Optimal {
 		// τ is unbounded above and every job has a variable, so the
 		// relaxation always has an optimum.
@@ -901,9 +898,9 @@ type Detail struct {
 	// LPBackend is the lp backend the run solved on ("dense" or
 	// "sparse").
 	LPBackend string
-	// LPPresolve is the presolve pipeline's reduction report for the
-	// primary relaxation (rows/columns/nonzeros before and after, scaling
-	// passes), nil when presolve was disabled or never engaged.
+	// LPPresolve is the equilibration scaling of the primary relaxation's
+	// latest LP solve (Ruiz passes), nil when scaling was off or no LP
+	// was solved.
 	LPPresolve *lp.PresolveInfo
 	// Accepted is the search's final accept-backed upper bracket edge
 	// (dual.Outcome.Accepted). The re-solve pipeline retains it and lifts

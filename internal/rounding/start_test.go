@@ -57,10 +57,10 @@ func startCorpus() []*core.Instance {
 
 // TestStartMatchesLegacyThreshold checks the seed solve that starts at the
 // greedy vertex against the legacy tableau: the same τ0 within 1e-7
-// relative, on both simplex backends. The start must be taken exactly when
-// presolve removed nothing, the one case the LP layer maps it.
+// relative, on both simplex backends. Every instance of the corpus has a
+// greedy schedule within its envelope, so every seed solve must take the
+// start.
 func TestStartMatchesLegacyThreshold(t *testing.T) {
-	started := 0
 	for n, in := range startCorpus() {
 		g, err := baseline.Greedy(in)
 		if err != nil {
@@ -80,26 +80,17 @@ func TestStartMatchesLegacyThreshold(t *testing.T) {
 			if math.Abs(tau-want) > 1e-7*math.Max(1, want) {
 				t.Errorf("instance %d (%s): τ0 = %v, legacy %v", n, kind, tau, want)
 			}
-			pi := rel.Presolve()
-			untouched := pi.RowsAfter == pi.RowsBefore && pi.ColsAfter == pi.ColsBefore
-			if rel.FromStart() != untouched {
-				t.Errorf("instance %d (%s): FromStart = %v with presolve rows %d→%d, cols %d→%d",
-					n, kind, rel.FromStart(), pi.RowsBefore, pi.RowsAfter, pi.ColsBefore, pi.ColsAfter)
-			}
-			if rel.FromStart() {
-				started++
+			if !rel.FromStart() {
+				t.Errorf("instance %d (%s): the seed solve did not begin at the greedy vertex", n, kind)
 			}
 		}
 	}
-	if started == 0 {
-		t.Error("no seed solve began at the greedy vertex")
-	}
 }
 
-// TestUnusableStartSolvesCold covers the two ways a start is dropped, each
-// of which must leave the seed solve cold with the legacy verdict: a
-// presolve reduction (a job eligible on one machine only makes its
-// assignment row a singleton), and a singular basis.
+// TestUnusableStartSolvesCold covers the start's two edge cases, each with
+// the legacy verdict: a job eligible on one machine only, whose assignment
+// row is a singleton (scaling keeps that row, so the start is taken, scaled
+// or not), and a singular basis, which leaves the seed solve cold.
 func TestUnusableStartSolvesCold(t *testing.T) {
 	inf := math.Inf(1)
 	in, err := core.NewUnrelated(
@@ -129,22 +120,20 @@ func TestUnusableStartSolvesCold(t *testing.T) {
 			if math.Abs(tau-want) > 1e-7*math.Max(1, want) {
 				t.Errorf("noPresolve=%v: τ0 = %v, legacy %v", noPresolve, tau, want)
 			}
-			// Without presolve nothing stands between the start and the
-			// simplex; with it, the removed row makes the start unusable.
-			if rel.FromStart() != noPresolve {
-				t.Errorf("noPresolve=%v: FromStart = %v", noPresolve, rel.FromStart())
+			// Scaling keeps every row and column, so nothing stands
+			// between the start and the simplex either way.
+			if !rel.FromStart() {
+				t.Errorf("noPresolve=%v: FromStart = false", noPresolve)
 			}
-			if pi := rel.Presolve(); !noPresolve && pi.RowsAfter == pi.RowsBefore {
-				t.Error("presolve removed no row; the case tests nothing")
+			if (rel.Presolve() == nil) != noPresolve {
+				t.Errorf("noPresolve=%v: Presolve() = %+v", noPresolve, rel.Presolve())
 			}
 		}
 	})
 
 	t.Run("singular", func(t *testing.T) {
-		// Every job runs everywhere, so presolve keeps every row and the
-		// start reaches the simplex. All slacks are basic except the first
-		// assignment row's, replaced by a setup column: no basic column
-		// touches that row.
+		// All slacks are basic except the first assignment row's, replaced
+		// by a setup column: no basic column touches that row.
 		in := gen.Unrelated(rand.New(rand.NewSource(3)), gen.Params{N: 12, M: 3, K: 2})
 		g, err := baseline.Greedy(in)
 		if err != nil {
@@ -179,18 +168,15 @@ func TestUnusableStartSolvesCold(t *testing.T) {
 				if sol.FromStart {
 					t.Errorf("%s presolve=%v: FromStart on a singular start", kind, pre)
 				}
-				if pi := sol.Presolve; pre && pi.RowsAfter != pi.RowsBefore {
-					t.Errorf("presolve removed rows %d→%d; the start never reached the simplex", pi.RowsBefore, pi.RowsAfter)
-				}
 			}
 		}
 	})
 }
 
 // TestAnchorSeedSolveStarted checks Detail.LPStarted on the cold path of
-// the M=10/N=100/K=8 anchor, where presolve removes nothing: the seed solve
-// begins at the greedy vertex. A Resolve-style warm run, which re-solves a
-// retained relaxation from its basis, reports false.
+// the M=10/N=100/K=8 anchor: the seed solve begins at the greedy vertex.
+// A Resolve-style warm run, which re-solves a retained relaxation from its
+// basis, reports false.
 func TestAnchorSeedSolveStarted(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	in := gen.Unrelated(rng, gen.Params{N: 100, M: 10, K: 8})

@@ -208,13 +208,10 @@ func WithLPBackend(kind string) SolveOption {
 	return func(c *solveConfig) { c.opt.LPBackend = kind }
 }
 
-// WithLPPresolve toggles the LP presolve + equilibration-scaling pipeline
-// that runs ahead of every cold LP backend build (on by default): fixed
-// and implied-fixed variables are eliminated, redundant and singleton rows
-// removed, and the reduced matrix Ruiz-scaled before it reaches the
-// simplex solver. Solutions, bases and infeasibility
-// certificates are mapped back to the original problem, so verdicts are
-// identical either way; pass false to measure the unpresolved baseline
+// WithLPPresolve toggles equilibration scaling of every LP backend build
+// (on by default): the simplex solves the Ruiz-scaled matrix, and
+// solutions come back in the problem's own units, so verdicts are the same
+// either way; pass false to measure the unscaled baseline
 // (`schedbench -no-presolve` does the same).
 func WithLPPresolve(on bool) SolveOption {
 	return func(c *solveConfig) { c.opt.LPNoPresolve = !on }
