@@ -101,6 +101,8 @@ func BenchmarkPTAS(b *testing.B) {
 	}
 }
 
+// BenchmarkRoundingLPSolve times SolveLP at the greedy bound: a fresh
+// Relaxation built at T and one cold solve of it.
 func BenchmarkRoundingLPSolve(b *testing.B) {
 	for _, n := range []int{8, 16} {
 		b.Run(fmt.Sprintf("n=m=%d", n), func(b *testing.B) {
@@ -141,20 +143,19 @@ func roundingGuessSetup(b *testing.B) (in *Instance, ub float64, guesses []float
 	return in, ub, guesses
 }
 
-// BenchmarkRoundingGuessCold is the pre-relaxation dense path: every guess
-// rebuilds the whole LP (O(M·N) variables and constraints) and a fresh
-// tableau from scratch. Compare with BenchmarkRoundingGuessWarm.
+// BenchmarkRoundingGuessCold is the guess trajectory without warm starts:
+// every guess builds a fresh Relaxation at T (O(M·N) variables and
+// constraints, a new backend) and solves it cold through SolveLP. Compare
+// with BenchmarkRoundingGuessWarm.
 func BenchmarkRoundingGuessCold(b *testing.B) {
 	in, _, guesses := roundingGuessSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, T := range guesses {
-			f, err := rounding.SolveLP(in, T)
-			if err != nil {
+			if _, err := rounding.SolveLP(in, T); err != nil {
 				b.Fatal(err)
 			}
-			f.Release()
 		}
 	}
 }
@@ -211,9 +212,8 @@ func BenchmarkRoundingAnchor(b *testing.B) {
 }
 
 // BenchmarkLPBackend compares a single cold solve of the rounding
-// relaxation at T=ub across the LP solvers: the legacy tableau
-// (Problem.Solve via SolveLP), the dense backend and the sparse revised
-// backend.
+// relaxation at T=ub on the dense backend (the tests' reference) and the
+// sparse revised backend.
 func BenchmarkLPBackend(b *testing.B) {
 	run := func(b *testing.B, solve func() error) {
 		b.Helper()
@@ -233,13 +233,6 @@ func BenchmarkLPBackend(b *testing.B) {
 	b.Run("build", func(b *testing.B) {
 		run(b, func() error {
 			_, err := rounding.NewRelaxation(in, rounding.RelaxationConfig{Envelope: ub})
-			return err
-		})
-	})
-	b.Run("legacy", func(b *testing.B) {
-		run(b, func() error {
-			f, err := rounding.SolveLP(in, ub)
-			f.Release()
 			return err
 		})
 	})

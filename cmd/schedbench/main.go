@@ -10,7 +10,6 @@
 //	schedbench -seed 7 -exp E2    change the master seed
 //	schedbench -engine            race every registered solver per environment
 //	schedbench -engine -timeout 2s -n 40 -m 6
-//	schedbench -engine -lp dense  pin the LP backend (compare against -lp sparse)
 //	schedbench -engine -search-workers 4   speculative parallel dual search
 //	schedbench -oversub -batch 16 -n 40 -m 5 -k 4    governed vs ungoverned
 //	schedbench -online -events 50 -n 60 -m 6         warm Resolve vs cold re-solve
@@ -20,8 +19,8 @@
 //
 // The -engine mode generates one instance per machine environment and runs
 // every applicable registry solver plus the portfolio race on it, printing
-// per-solver makespans, runtimes and LP pivot counts (the lp-iters column;
-// see the -lp flag for backend comparison rows); -timeout bounds each run
+// per-solver makespans, runtimes and LP pivot counts (the lp-iters
+// column); -timeout bounds each run
 // with a context deadline; -search-workers evaluates that many makespan
 // guesses concurrently in every dual-approximation search (the sw column
 // shows the effective parallelism per solver).
@@ -76,8 +75,6 @@ func main() {
 		n       = flag.Int("n", 24, "engine mode: number of jobs")
 		m       = flag.Int("m", 4, "engine mode: number of machines")
 		k       = flag.Int("k", 3, "engine mode: number of setup classes")
-		lpKind  = flag.String("lp", "", "engine mode: LP backend for the randomized rounding's feasibility LPs (dense|sparse; default sparse)")
-		noPre   = flag.Bool("no-presolve", false, "build the LPs without equilibration scaling (baseline measurement)")
 		sworker = flag.Int("search-workers", 0, "engine mode: speculative parallelism of dual-approximation searches (guesses evaluated concurrently; <2 = sequential bisection)")
 		oversub = flag.Bool("oversub", false, "oversubscription scenario: governed vs ungoverned engine under batch × portfolio × speculative-search load")
 		batch   = flag.Int("batch", 8, "oversub mode: instances per SolveBatch")
@@ -93,10 +90,6 @@ func main() {
 		reqTimeout = flag.Duration("req-timeout", 2*time.Second, "serve-load mode: per-request deadline sent with each solve")
 	)
 	flag.Parse()
-	if _, err := lp.ParseBackend(*lpKind); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(2)
-	}
 
 	cfg := experiments.Config{Seed: *seed, Quick: *quick}
 	switch {
@@ -105,7 +98,7 @@ func main() {
 			fmt.Printf("%-4s %s\n     claim: %s\n", e.ID, e.Name, e.Claim)
 		}
 	case *engMode:
-		if err := engineBench(*seed, *n, *m, *k, *timeout, *gap, *lpKind, *sworker, *noPre); err != nil {
+		if err := engineBench(*seed, *n, *m, *k, *timeout, *gap, *sworker); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
@@ -115,7 +108,7 @@ func main() {
 			os.Exit(1)
 		}
 	case *online:
-		if err := onlineBench(*seed, *n, *m, *k, *events, *stream, *lpKind, *timeout); err != nil {
+		if err := onlineBench(*seed, *n, *m, *k, *events, *stream, *timeout); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
@@ -163,12 +156,10 @@ func run(e experiments.Experiment, cfg experiments.Config) error {
 // registry, reporting makespans, lower-bound ratios, runtimes and — for the
 // portfolio — the time-to-incumbent: how far into the race the winning
 // makespan was published to the shared bound bus.
-func engineBench(seed int64, n, m, k int, timeout time.Duration, gap float64, lpKind string, sworkers int, noPresolve bool) error {
+func engineBench(seed int64, n, m, k int, timeout time.Duration, gap float64, sworkers int) error {
 	// Every row solves cold (WithoutWarmStart): the rows compare the
 	// algorithms, so a warm start from an earlier row's cached bounds would
-	// contaminate the measurement. The -lp flag pins the LP backend of the
-	// randomized-rounding solver (other solvers run no backend-selectable
-	// LPs); the lp-iters column makes backend wins visible in the table
+	// contaminate the measurement. The lp-iters column shows the LP effort
 	// (pivot counts per run), not just in microbenchmarks. -search-workers
 	// turns on the speculative parallel dual search (the sw column shows
 	// the effective parallelism per solver; "-" for solvers that run no
@@ -198,12 +189,6 @@ func engineBench(seed int64, n, m, k int, timeout time.Duration, gap float64, lp
 		rng := rand.New(rand.NewSource(seed))
 		in := c.gen(rng, params)
 		title := fmt.Sprintf("engine race — %s (n=%d m=%d K=%d)", c.name, in.N, in.M, in.K)
-		if lpKind != "" {
-			title += fmt.Sprintf(" [lp=%s]", lpKind)
-		}
-		if noPresolve {
-			title += " [no-presolve]"
-		}
 		tab := table.New(title, "solver", "makespan", "ratio", "time", "lp-iters", "scale", "sw", "tti")
 		for _, name := range eng.Applicable(in) {
 			ctx, cancel := withTimeout(timeout)
@@ -211,7 +196,6 @@ func engineBench(seed int64, n, m, k int, timeout time.Duration, gap float64, lp
 			start := time.Now()
 			res, err := eng.Solve(ctx, in,
 				sched.WithAlgorithm(name), sched.WithoutWarmStart(),
-				sched.WithLPBackend(lpKind), sched.WithLPPresolve(!noPresolve),
 				sched.WithSearchWorkers(sworkers))
 			elapsed := time.Since(start)
 			cancel()
@@ -228,7 +212,6 @@ func engineBench(seed int64, n, m, k int, timeout time.Duration, gap float64, lp
 		start := time.Now()
 		pr, err := eng.Portfolio(ctx, in,
 			sched.WithGap(gap), sched.WithoutWarmStart(),
-			sched.WithLPBackend(lpKind), sched.WithLPPresolve(!noPresolve),
 			sched.WithSearchWorkers(sworkers))
 		elapsed := time.Since(start)
 		cancel()
@@ -327,7 +310,7 @@ func oversubBench(seed int64, n, m, k, batch, sworkers int, timeout time.Duratio
 // latency distribution of each mode is printed. The latency of an event is
 // the online-serving metric: how long the schedule stayed stale after the
 // event arrived.
-func onlineBench(seed int64, n, m, k, events int, streamFile, lpKind string, timeout time.Duration) error {
+func onlineBench(seed int64, n, m, k, events int, streamFile string, timeout time.Duration) error {
 	var in *core.Instance
 	var deltas []core.Delta
 	if streamFile != "" {
@@ -363,8 +346,7 @@ func onlineBench(seed int64, n, m, k, events int, streamFile, lpKind string, tim
 	}
 	ctx, cancel := withTimeout(timeout)
 	start := time.Now()
-	h, evs, err := warmEng.Stream(ctx, in, deltas,
-		sched.WithLPBackend(lpKind), sched.WithSeed(seed))
+	h, evs, err := warmEng.Stream(ctx, in, deltas, sched.WithSeed(seed))
 	wall := time.Since(start)
 	cancel()
 	if err != nil {
@@ -398,7 +380,7 @@ func onlineBench(seed int64, n, m, k, events int, streamFile, lpKind string, tim
 		}
 		evStart := time.Now()
 		res, serr := coldEng.Solve(ctx, next,
-			sched.WithoutWarmStart(), sched.WithLPBackend(lpKind), sched.WithSeed(seed))
+			sched.WithoutWarmStart(), sched.WithSeed(seed))
 		if serr != nil {
 			cancel()
 			return fmt.Errorf("cold solve: %w", serr)
@@ -469,7 +451,7 @@ func fmtIters(n int64) string {
 
 // presolveCell renders the mean number of Ruiz equilibration passes per
 // scaled LP build between two lp.PresolveTotals snapshots. "-" when no
-// scaled build ran (solver without LPs, or -no-presolve).
+// scaled build ran (a solver without LPs).
 func presolveCell(before, after lp.PresolveTotalsSnapshot) string {
 	runs := after.Runs - before.Runs
 	if runs <= 0 {

@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/lp"
 	"repro/internal/serve"
 )
 
@@ -55,14 +54,10 @@ func main() {
 		retain     = flag.Duration("retain", 60*time.Second, "how long completed solves stay fetchable by id")
 		linger     = flag.Duration("coalesce-linger", 250*time.Millisecond, "serve identical requests arriving this soon after a solve completed from its result (0 = concurrent coalescing only)")
 		drain      = flag.Duration("drain", 15*time.Second, "graceful-shutdown budget for in-flight solves")
-		lpBackend  = flag.String("lp", "", "server default LP backend for feasibility LPs (dense|sparse; requests naming lpBackend override it)")
 		cacheLoad  = flag.String("cache-load", "", "bound-cache snapshot to load at startup (monotone merge)")
 		cacheSave  = flag.String("cache-save", "", "write a bound-cache snapshot here on shutdown")
 	)
 	flag.Parse()
-	if _, err := lp.ParseBackend(*lpBackend); err != nil {
-		fatal(err)
-	}
 
 	var engOpts []sched.EngineOption
 	if *workers > 0 {
@@ -93,7 +88,6 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		Retain:         *retain,
 		Linger:         *linger,
-		LPBackend:      *lpBackend,
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

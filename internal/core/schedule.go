@@ -148,8 +148,8 @@ type Result struct {
 	Nodes int64
 	// LPIters counts the simplex pivots performed across every LP solved by
 	// this run (the randomized rounding's relaxation LPs); 0
-	// for algorithms that solve no LPs. It is the per-backend effort metric
-	// the LP-backend comparison rows of schedbench report.
+	// for algorithms that solve no LPs. It is the LP effort metric of the
+	// lp-iters column of schedbench -engine.
 	LPIters int64
 }
 

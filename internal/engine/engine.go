@@ -46,13 +46,6 @@ type Options struct {
 	// RoundingC is the iteration multiplier of the randomized rounding
 	// (0 = solver default).
 	RoundingC int
-	// LPBackend selects the LP solver backend behind solvers that solve
-	// LPs (the randomized rounding's relaxation LPs):
-	// "sparse" (warm-started revised simplex, the default), or "dense"
-	// (the reference dense solver). Unknown names are a solve-time error.
-	LPBackend string
-	// LPNoPresolve builds the LP backends without equilibration scaling.
-	LPNoPresolve bool
 	// SearchWorkers is the speculative parallelism of dual-approximation
 	// binary searches (dual.Speculate): solvers that search over a
 	// makespan guess (PTAS, randomized rounding, the two class-uniform

@@ -154,8 +154,6 @@ func newRoundingSolver() Solver {
 			Rng:           rngFor(opt),
 			Precision:     opt.Precision,
 			Bounds:        opt.Bounds,
-			LPBackend:     opt.LPBackend,
-			LPNoPresolve:  opt.LPNoPresolve,
 			SearchWorkers: opt.SearchWorkers,
 			Budget:        opt.Budget,
 			Warm:          opt.Warm,

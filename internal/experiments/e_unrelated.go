@@ -112,7 +112,6 @@ func runE10(cfg Config) (string, error) {
 				}
 				runs++
 			}
-			frac.Release()
 		}
 		s := stats.Summarize(ratios)
 		t.AddRow(c, s.Mean,

@@ -12,7 +12,7 @@ type BackendKind string
 const (
 	// Dense is the dense simplex backend: it maintains an explicit dense
 	// basis inverse, so per-pivot work is Θ(m²) regardless of sparsity.
-	// It is the reference/fallback implementation.
+	// It is the tests' reference for the sparse backend's eta file.
 	Dense BackendKind = "dense"
 	// Sparse is the sparse revised simplex backend: columns are stored
 	// sparse and the basis inverse is kept in product form (an eta file
@@ -20,21 +20,6 @@ const (
 	// number of nonzeros rather than the matrix dimensions.
 	Sparse BackendKind = "sparse"
 )
-
-// DefaultBackend is the backend used when a caller does not choose one.
-const DefaultBackend = Sparse
-
-// ParseBackend validates a backend name ("" means DefaultBackend).
-func ParseBackend(s string) (BackendKind, error) {
-	switch BackendKind(s) {
-	case "":
-		return DefaultBackend, nil
-	case Dense, Sparse:
-		return BackendKind(s), nil
-	default:
-		return "", fmt.Errorf("lp: unknown backend %q (want %q or %q)", s, Dense, Sparse)
-	}
-}
 
 // VarStatus is the state of a column in a Basis snapshot.
 type VarStatus int8
@@ -139,8 +124,6 @@ type Backend interface {
 	// from it. A snapshot of the wrong shape, or one naming a column in two
 	// rows, is rejected with an error before any factorization.
 	Warm(*Basis) error
-	// Kind reports the implementation kind.
-	Kind() BackendKind
 	// Clone returns an independent backend with the same problem data,
 	// mutation state (RHS, variable bounds) and basis/factorization, backed
 	// by its own private Workspace: mutating or solving the clone never
@@ -153,7 +136,8 @@ type Backend interface {
 	Clone() Backend
 }
 
-// NewBackend builds a backend of the given kind bound to p. The problem's
+// NewBackend builds a backend of the given kind ("" means Sparse) bound
+// to p. The problem's
 // rows and variables are copied into the backend's standard form at
 // construction; later Problem mutations are not observed (use the backend's
 // own SetRHS/SetVarUpper mutators). ws supplies reusable scratch so that
@@ -163,9 +147,12 @@ type Backend interface {
 // By default the standard form is built with equilibration scaling (see
 // WithPresolve); every solve then reports Solution.Presolve.
 func NewBackend(kind BackendKind, p *Problem, ws *Workspace, opts ...BackendOption) (Backend, error) {
-	kind, err := ParseBackend(string(kind))
-	if err != nil {
-		return nil, err
+	switch kind {
+	case "":
+		kind = Sparse
+	case Dense, Sparse:
+	default:
+		return nil, fmt.Errorf("lp: unknown backend %q (want %q or %q)", kind, Dense, Sparse)
 	}
 	cfg := backendConfig{presolve: true}
 	for _, o := range opts {

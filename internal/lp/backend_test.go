@@ -456,28 +456,21 @@ func TestBackendSchedulingShape(t *testing.T) {
 	}
 }
 
-// TestParseBackend covers the flag-parsing helper.
-func TestParseBackend(t *testing.T) {
-	if k, err := ParseBackend(""); err != nil || k != DefaultBackend {
-		t.Errorf("ParseBackend(\"\") = %v, %v", k, err)
-	}
-	if k, err := ParseBackend("dense"); err != nil || k != Dense {
-		t.Errorf("ParseBackend(dense) = %v, %v", k, err)
-	}
-	if k, err := ParseBackend("sparse"); err != nil || k != Sparse {
-		t.Errorf("ParseBackend(sparse) = %v, %v", k, err)
-	}
-	// The removed interior-point names are rejected like any unknown
-	// name, and the error lists only the surviving backends.
-	for _, name := range []string{"ipm", "auto", "nope"} {
-		_, err := ParseBackend(name)
-		if err == nil {
-			t.Errorf("ParseBackend(%s) accepted", name)
-			continue
+// TestNewBackendRejectsUnknownKind: "", Dense and Sparse build, and any
+// other kind (the removed interior-point names included) is rejected with
+// an error that lists only the two backends.
+func TestNewBackendRejectsUnknownKind(t *testing.T) {
+	ps := randomBoxSpec(rand.New(rand.NewSource(1)))
+	for _, kind := range []BackendKind{"", Dense, Sparse} {
+		if _, err := NewBackend(kind, ps.build(), nil); err != nil {
+			t.Errorf("NewBackend(%q): %v", kind, err)
 		}
-		want := fmt.Sprintf(`lp: unknown backend %q (want "dense" or "sparse")`, name)
-		if err.Error() != want {
-			t.Errorf("ParseBackend(%s) error = %q, want %q", name, err, want)
+	}
+	for _, kind := range []BackendKind{"ipm", "auto", "nope"} {
+		_, err := NewBackend(kind, ps.build(), nil)
+		want := fmt.Sprintf(`lp: unknown backend %q (want "dense" or "sparse")`, kind)
+		if err == nil || err.Error() != want {
+			t.Errorf("NewBackend(%q) error = %v, want %q", kind, err, want)
 		}
 	}
 }

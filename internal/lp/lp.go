@@ -1,5 +1,5 @@
-// Package lp implements a dense, bounded-variable, two-phase primal simplex
-// solver for linear programs in the form
+// Package lp implements a bounded-variable simplex solver for linear
+// programs in the form
 //
 //	minimize    c·x
 //	subject to  a_r·x {≤,=,≥} b_r    for every constraint r
@@ -14,8 +14,13 @@
 // polytope — exactly the property the pseudoforest rounding of Section 3.3
 // relies on.
 //
-// The implementation uses Dantzig pricing with an automatic switch to
-// Bland's rule when the objective stalls, which guarantees termination.
+// Production solves run on a Backend (NewBackend): a revised simplex over
+// an equilibrated standard form with the basis inverse kept as a sparse
+// eta file, which persists its basis between solves so RHS and bound
+// changes re-solve warm. Two independent references stay for the tests:
+// the Dense backend (the same core over an explicit dense inverse, the
+// eta file's oracle) and Problem.Solve, a dense two-phase tableau with
+// Dantzig pricing and a switch to Bland's rule when the objective stalls.
 package lp
 
 import (

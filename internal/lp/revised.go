@@ -69,7 +69,6 @@ type solverState struct {
 	dualOK    bool // the current basis is known dual feasible (prior optimum)
 	fromStart bool // the basis is the construction-time start, not yet solved from
 
-	kind BackendKind   // resolved implementation kind (Dense or Sparse)
 	info *PresolveInfo // scaled builds only: reported on every Solution
 }
 
@@ -83,10 +82,10 @@ const (
 	infeasTol = 1e-6
 )
 
-// newSolverState builds the backend of an already-parsed kind bound to p,
+// newSolverState builds the backend of a validated kind bound to p,
 // equilibrating the standard form when scale is set.
 func newSolverState(kind BackendKind, p *Problem, ws *Workspace, scale bool) *solverState {
-	s := &solverState{ws: ws, dAge: -1, kind: kind}
+	s := &solverState{ws: ws, dAge: -1}
 	passes := s.sf.build(p, ws, scale)
 	if scale {
 		s.info = &PresolveInfo{ScalePasses: passes}
@@ -140,10 +139,8 @@ func (s *solverState) SetVarUpper(v int, upper float64) {
 	}
 }
 
-func (s *solverState) Kind() BackendKind { return s.kind }
-
 func (s *solverState) Clone() Backend {
-	c := &solverState{ws: NewWorkspace(), dualOK: s.dualOK, fromStart: s.fromStart, dAge: s.dAge, kind: s.kind, info: s.info}
+	c := &solverState{ws: NewWorkspace(), dualOK: s.dualOK, fromStart: s.fromStart, dAge: s.dAge, info: s.info}
 	c.sf.copyFrom(&s.sf, c.ws)
 	c.initColumn()
 	c.d = growF(&c.ws.d, c.sf.n)
@@ -1121,6 +1118,12 @@ func (s *solverState) finish(st Status) *Solution {
 	s.refactors = 0
 	if st != Optimal {
 		return &s.sol
+	}
+	// Report the final basis' exact vertex, not the basic values as the
+	// pivots' incremental updates left them (a solve without pivots still
+	// holds the values Solve computed on entry).
+	if s.iters > 0 {
+		s.computeXB()
 	}
 	x := growF(&s.ws.x, s.sf.nv)
 	for j := 0; j < s.sf.nv; j++ {

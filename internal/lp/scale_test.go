@@ -5,6 +5,9 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -688,10 +691,7 @@ func solveRat(a [][]*big.Rat) []*big.Rat {
 // optimum, and when both are proven their optima must be equal. The raw
 // solve's own objective is not compared: its absolute 1e-7 tolerances, on
 // rows of 10^-3 coefficients or EQ chains spanning six decades, can accept
-// a basis that fails the proof, and even a proven raw basis can report a
-// vertex that its incrementally updated basic values have drifted from
-// (the testdata seed f82cea4d61d78b41: 4.7e-6 on one x over 5 pivots on
-// rows of 0.016 coefficients).
+// a basis that fails the proof.
 func checkScaledAgainstRaw(t *testing.T, step string, ps *problemSpec, scaled, raw Backend) {
 	t.Helper()
 	want, err := raw.Solve()
@@ -761,4 +761,43 @@ func FuzzScaledMatchesRaw(f *testing.F) {
 		}
 		checkScaledAgainstRaw(t, "warm", ps, scaled, raw)
 	})
+}
+
+// TestRawSolveReportsExactVertex: on the fuzz seed f82cea4d61d78b41
+// (all-EQ rows of 0.016 coefficients) the pivots' incrementally updated
+// basic values drift from the final basis' vertex by 6.5e-7 relative in
+// the objective. The reported X and objective must be those of the basis
+// the solve stops on, on both inverses, raw.
+func TestRawSolveReportsExactVertex(t *testing.T) {
+	file, err := os.ReadFile("testdata/fuzz/FuzzScaledMatchesRaw/f82cea4d61d78b41")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(file), "\n")
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, _ := decodeFuzzLP([]byte(data))
+	for _, kind := range []BackendKind{Dense, Sparse} {
+		be, err := NewBackend(kind, fl.ps.build(), nil, WithPresolve(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := be.Solve()
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if sol.Status != Optimal {
+			t.Fatalf("%s: status %v; the LP is feasible and bounded by construction", kind, sol.Status)
+		}
+		opt := exactOptimum(fl.ps, be.Basis())
+		if opt == nil {
+			t.Fatalf("%s: final basis is not proven optimal", kind)
+		}
+		o, _ := opt.Float64()
+		if d := math.Abs(sol.Objective - o); d > 1e-9*math.Max(1, math.Abs(o)) {
+			t.Errorf("%s: objective %.12g, exact optimum of the final basis %.12g (rel. err %.3g)", kind, sol.Objective, o, d/math.Max(1, math.Abs(o)))
+		}
+	}
 }

@@ -44,9 +44,11 @@ type tableau struct {
 	hitLimit bool
 }
 
-// Solve runs the two-phase simplex method and returns the solution.
-// It returns an error only for internal failures (iteration explosion),
-// which indicates a solver bug rather than a property of the input.
+// Solve runs the two-phase tableau simplex method and returns the
+// solution. It returns an error only for internal failures (iteration
+// explosion), which indicates a solver bug rather than a property of the
+// input. It shares no code with the Backend solvers and is kept as the
+// tests' independent reference; production solves use NewBackend.
 func (p *Problem) Solve() (*Solution, error) {
 	SolveGauge.enter()
 	defer SolveGauge.exit()

@@ -113,7 +113,7 @@ func (rel *Relaxation) patchDepart(d core.Delta, newIn *core.Instance) error {
 	}
 	mdl.xv, rel.banned = xv, banned
 	rel.rebuildAvail(newIn.N)
-	rel.frac = makeFractional(newIn.M, newIn.N, newIn.K, false)
+	rel.frac = makeFractional(newIn.M, newIn.N, newIn.K)
 	rel.in = newIn
 	return nil
 }
@@ -166,7 +166,7 @@ func (rel *Relaxation) patchMachineRemove(d core.Delta, newIn *core.Instance) er
 	}
 	mdl.xv, rel.banned = xv, banned
 	rel.rebuildAvail(newIn.N)
-	rel.frac = makeFractional(newIn.M, newIn.N, newIn.K, false)
+	rel.frac = makeFractional(newIn.M, newIn.N, newIn.K)
 	rel.in = newIn
 	return nil
 }
@@ -274,7 +274,7 @@ func (rel *Relaxation) patchArrive(d core.Delta, newIn *core.Instance) error {
 	}
 	rel.extend(oldVars, oldRows)
 	rel.rebuildAvail(newIn.N)
-	rel.frac = makeFractional(newIn.M, newIn.N, newIn.K, false)
+	rel.frac = makeFractional(newIn.M, newIn.N, newIn.K)
 	rel.in = newIn
 	return nil
 }
@@ -333,7 +333,7 @@ func (rel *Relaxation) patchMachineAdd(newIn *core.Instance) error {
 	mdl.yIdx = append(mdl.yIdx, yRow)
 	rel.extend(oldVars, oldRows)
 	rel.rebuildAvail(newIn.N)
-	rel.frac = makeFractional(newIn.M, newIn.N, newIn.K, false)
+	rel.frac = makeFractional(newIn.M, newIn.N, newIn.K)
 	rel.in = newIn
 	return nil
 }

@@ -60,14 +60,6 @@ type Options struct {
 	// the LP threshold and LP-infeasible guesses as certified lower bounds,
 	// and the binary search skips guesses at or above the live incumbent.
 	Bounds core.BoundBus
-	// LPBackend names the lp.Backend the relaxation LPs run on:
-	// "sparse" (revised simplex, the default), "dense" (the reference
-	// dense simplex), or "" for the default. Unknown names are a
-	// configuration error.
-	LPBackend string
-	// LPNoPresolve builds the relaxation LPs without equilibration
-	// scaling (lp.WithPresolve(false)). Off by default: scaling on.
-	LPNoPresolve bool
 	// SearchWorkers is the speculative parallelism of the binary search on
 	// T (dual.Speculate): that many makespan guesses are evaluated
 	// concurrently, each on its own Relaxation clone, shrinking the search
@@ -118,61 +110,19 @@ type Fractional struct {
 	Y [][]float64
 
 	xFlat, yFlat []float64 // backing storage for the row slices
-	pooled       bool      // eligible for fracPool recycling via Release
 }
 
-// fracPool recycles the O(M·(N+K)) matrix storage of Fractional values
-// between SolveLP calls, so the cold path stops allocating it per guess.
-var fracPool sync.Pool
-
 // makeFractional builds a Fractional with flat backing storage.
-func makeFractional(m, n, k int, pooled bool) *Fractional {
+func makeFractional(m, n, k int) *Fractional {
 	f := &Fractional{
 		X: make([][]float64, m), Y: make([][]float64, m),
 		xFlat: make([]float64, m*n), yFlat: make([]float64, m*k),
-		pooled: pooled,
 	}
 	for i := 0; i < m; i++ {
 		f.X[i] = f.xFlat[i*n : (i+1)*n]
 		f.Y[i] = f.yFlat[i*k : (i+1)*k]
 	}
 	return f
-}
-
-// newFractional returns a zeroed Fractional for the given shape, reusing
-// pooled storage when a released value of the same shape is available.
-func newFractional(m, n, k int) *Fractional {
-	if v := fracPool.Get(); v != nil {
-		f := v.(*Fractional)
-		if len(f.X) == m && len(f.xFlat) == m*n && len(f.yFlat) == m*k {
-			for i := range f.xFlat {
-				f.xFlat[i] = 0
-			}
-			for i := range f.yFlat {
-				f.yFlat[i] = 0
-			}
-			f.T = 0
-			f.pooled = true // re-arm Release (cleared when it was released)
-			return f
-		}
-		// Wrong shape (a different instance): let it be collected.
-	}
-	return makeFractional(m, n, k, true)
-}
-
-// Release returns the Fractional's matrix storage to an internal pool for
-// reuse by a later SolveLP call. Callers that are done with a fractional
-// solution (after rounding it) should release it; using f after Release is
-// a use-after-free-style bug. Release is a no-op for values that do not
-// own poolable storage (e.g. the reused buffer a Relaxation returns).
-func (f *Fractional) Release() {
-	if f == nil || !f.pooled {
-		return
-	}
-	// Disarm before pooling so a double Release cannot put the same value
-	// twice (two Gets would then share one backing array).
-	f.pooled = false
-	fracPool.Put(f)
 }
 
 // tauTol is the relative tolerance of the makespan verdict: a guess T is
@@ -184,34 +134,22 @@ const tauTol = 1e-6
 // when checking that the optimum is feasible at its own τ*.
 const witnessTol = 1e-9
 
-// SolveLP solves the LP relaxation of ILP-UM for guess T. It returns
-// (nil, nil) when the relaxation is infeasible — a certificate that no
-// schedule with makespan ≤ T exists.
+// SolveLP solves the LP relaxation of ILP-UM for guess T on a relaxation
+// built at envelope T. It returns (nil, nil) when the relaxation is
+// infeasible — a certificate that no schedule with makespan ≤ T exists.
 func SolveLP(in *core.Instance, T float64) (*Fractional, error) {
-	mdl := buildILPModel(in, T)
-	if mdl.infeasible {
-		return nil, nil // some job cannot run anywhere under T
-	}
-	sol, err := mdl.prob.Solve()
+	rel, err := NewRelaxation(in, RelaxationConfig{Envelope: T})
 	if err != nil {
-		return nil, fmt.Errorf("rounding: LP solve for T=%g: %w", T, err)
+		return nil, err
 	}
-	if sol.Status != lp.Optimal || sol.X[mdl.tau] > T*(1+tauTol) {
-		return nil, nil
-	}
-	f := newFractional(in.M, in.N, in.K)
-	f.T = T
-	fillFractional(f, in, mdl.xIdx, mdl.yIdx, sol.X)
-	return f, nil
+	return rel.ReSolve(T)
 }
 
 // ilpModel is the LP relaxation of ILP-UM — rows (1), (2), (4) —
 // materialized at an envelope T: a variable exists for every (machine,
 // job) pair assignable at T, and the makespan column τ (cost 1) bounds every
-// load row, so the load rows have RHS 0. It is the one model builder shared
-// by the cold path (SolveLP solves it as-is) and the warm path (Relaxation
-// clamps variable bounds in place for smaller guesses), so the two can
-// never drift apart.
+// load row, so the load rows have RHS 0. Relaxation builds it once and
+// clamps variable bounds in place for smaller guesses.
 type ilpModel struct {
 	prob    *lp.Problem
 	tau     int     // the makespan variable τ
@@ -350,8 +288,8 @@ type RelaxationConfig struct {
 	// greedy bound — then ReSolve is also exact above it); 0 computes the
 	// greedy bound internally.
 	Envelope float64
-	// Backend selects the lp.Backend implementation ("" =
-	// lp.DefaultBackend).
+	// Backend selects the lp.Backend implementation ("" = lp.Sparse,
+	// the production backend; lp.Dense is the tests' reference).
 	Backend lp.BackendKind
 	// NoPresolve builds the relaxation's backends without equilibration
 	// scaling (lp.WithPresolve(false)).
@@ -359,9 +297,9 @@ type RelaxationConfig struct {
 }
 
 // Relaxation is the ILP-UM LP relaxation built once at the envelope T=ub
-// and re-solved per guess. Where SolveLP rebuilds O(M·N) variables,
-// O(M·N) constraints and a fresh solver for every guess, ReSolve applies a
-// guess by clamping variable upper bounds in place (constraint (5); the
+// and re-solved per guess. Where a fresh build costs O(M·N) variables,
+// O(M·N) constraints and a cold solver, ReSolve applies a guess by
+// clamping variable upper bounds in place (constraint (5); the
 // load rows bound the makespan column τ and never change) and warm-starts
 // the backend from the previous optimal basis (dual simplex). Each solve
 // also reports τ* and whether the optimum is feasible at its own τ*
@@ -408,19 +346,14 @@ type Relaxation struct {
 	fromStart bool             // the latest ReSolve began at the greedy start
 }
 
-// NewRelaxation builds the relaxation once at cfg.Envelope (via the same
-// buildILPModel that SolveLP solves cold). The zero config uses the
-// greedy bound as envelope and the default LP backend.
+// NewRelaxation builds the relaxation once at cfg.Envelope. The zero
+// config uses the greedy bound as envelope and the sparse LP backend.
 //
 // The first solve starts at the greedy schedule's vertex of the LP (see
 // startBasis) whenever the greedy makespan is within the envelope, so it
 // skips the phase-1 search for a feasible point the bootstrap already
 // holds. Relaxation.FromStart reports whether a solve used it.
 func NewRelaxation(in *core.Instance, cfg RelaxationConfig) (*Relaxation, error) {
-	kind, err := lp.ParseBackend(string(cfg.Backend))
-	if err != nil {
-		return nil, fmt.Errorf("rounding: %w", err)
-	}
 	g, gerr := baseline.Greedy(in)
 	ub := cfg.Envelope
 	if ub <= 0 {
@@ -430,11 +363,11 @@ func NewRelaxation(in *core.Instance, cfg RelaxationConfig) (*Relaxation, error)
 		ub = g.Makespan(in)
 	}
 	rel := &Relaxation{
-		in: in, kind: kind, noPresolve: cfg.NoPresolve, ws: lp.NewWorkspace(),
+		in: in, kind: cfg.Backend, noPresolve: cfg.NoPresolve, ws: lp.NewWorkspace(),
 		mdl:      buildILPModel(in, ub),
 		envelope: ub,
 		avail:    make([]int, in.N),
-		frac:     makeFractional(in.M, in.N, in.K, false),
+		frac:     makeFractional(in.M, in.N, in.K),
 	}
 	rel.banned = make([]bool, len(rel.mdl.xv))
 	for _, xv := range rel.mdl.xv {
@@ -449,8 +382,8 @@ func NewRelaxation(in *core.Instance, cfg RelaxationConfig) (*Relaxation, error)
 			opts = append(opts, lp.WithStart(b))
 		}
 	}
-	rel.be, err = lp.NewBackend(kind, rel.mdl.prob, rel.ws, opts...)
-	if err != nil {
+	var err error
+	if rel.be, err = lp.NewBackend(rel.kind, rel.mdl.prob, rel.ws, opts...); err != nil {
 		return nil, fmt.Errorf("rounding: %w", err)
 	}
 	return rel, nil
@@ -527,16 +460,13 @@ func (rel *Relaxation) Clone() *Relaxation {
 		avail:    append([]int(nil), rel.avail...),
 		dead:     append([]int(nil), rel.dead...),
 		deadRows: append([]int(nil), rel.deadRows...),
-		frac:     makeFractional(rel.in.M, rel.in.N, rel.in.K, false),
+		frac:     makeFractional(rel.in.M, rel.in.N, rel.in.K),
 	}
 	if rel.be != nil {
 		c.be = rel.be.Clone()
 	}
 	return c
 }
-
-// Backend reports the lp backend kind the relaxation solves on.
-func (rel *Relaxation) Backend() lp.BackendKind { return rel.kind }
 
 // Iterations returns the cumulative simplex pivots across all ReSolve
 // calls so far — the per-backend effort metric behind Detail.LPIterations.
@@ -565,10 +495,10 @@ func (rel *Relaxation) Presolve() *lp.PresolveInfo { return rel.presolve }
 func (rel *Relaxation) FromStart() bool { return rel.fromStart }
 
 // ReSolve solves the relaxation for guess T, reusing the built problem and
-// warm-starting from the previous guess's basis. Like SolveLP it returns
-// (nil, nil) when the relaxation is infeasible at T, i.e. when its minimum
-// makespan τ*(T) exceeds T·(1+tol). The returned Fractional is owned by
-// the Relaxation and valid until the next ReSolve.
+// warm-starting from the previous guess's basis. It returns (nil, nil)
+// when the relaxation is infeasible at T, i.e. when its minimum makespan
+// τ*(T) exceeds T·(1+tol). The returned Fractional is owned by the
+// Relaxation and valid until the next ReSolve.
 //
 // Verdicts are exact for T ≤ the build envelope. Above the envelope,
 // variables for p_ij ∈ (envelope, T] were never created; when the envelope
@@ -888,16 +818,13 @@ type Detail struct {
 	SearchClosed bool
 	// LPIterations is the total number of LP iterations across every LP
 	// solved (the build at T=ub plus each warm re-solve): simplex pivots,
-	// the effort metric that makes LP-backend wins visible per run, not only
-	// in microbenchmarks.
+	// the effort metric that makes LP gains visible per run, not only in
+	// microbenchmarks.
 	LPIterations int
 	// LPRefactors is the total number of basis refactorizations across the
 	// same LP solves (lp.Solution.Refactors summed per relaxation): the
 	// count that shows how often the sparse backend rebuilt its eta file.
 	LPRefactors int
-	// LPBackend is the lp backend the run solved on ("dense" or
-	// "sparse").
-	LPBackend string
 	// LPPresolve is the equilibration scaling of the primary relaxation's
 	// latest LP solve (Ruiz passes), nil when scaling was off or no LP
 	// was solved.
@@ -971,15 +898,14 @@ func ScheduleDetailed(ctx context.Context, in *core.Instance, opt Options) (core
 	// start already carries one patched onto this instance, whose retained
 	// basis then warm-starts the seed solve directly. Every guess of the
 	// binary search below re-solves it in place (clamped bounds, warm-started
-	// basis) instead of rebuilding problem and tableau.
+	// basis) instead of rebuilding problem and backend.
 	if rel == nil {
 		var err error
-		rel, err = NewRelaxation(in, RelaxationConfig{Envelope: ub, Backend: lp.BackendKind(opt.LPBackend), NoPresolve: opt.LPNoPresolve})
+		rel, err = NewRelaxation(in, RelaxationConfig{Envelope: ub})
 		if err != nil {
 			return core.Result{}, det, err
 		}
 	}
-	det.LPBackend = string(rel.Backend())
 	// Seed solve at T = ub. Its optimum τ0 is the LP threshold: every guess
 	// below it is infeasible, so it raises the lower edge. When the optimum
 	// is also feasible at τ0 (the witness), it closes the bracket there —

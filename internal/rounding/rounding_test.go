@@ -309,6 +309,5 @@ func TestRoundDeterministicPerSeed(t *testing.T) {
 					trial, seed, j, a.Assign[j], b.Assign[j])
 			}
 		}
-		frac.Release()
 	}
 }

@@ -12,8 +12,9 @@ import (
 	"repro/internal/lp"
 )
 
-// legacyTau solves the relaxation at T with the legacy dense tableau (the
-// solve SolveLP runs) and returns its optimal makespan τ.
+// legacyTau solves the relaxation at T with the legacy dense tableau
+// (Problem.Solve, the tests' independent reference) and returns its
+// optimal makespan τ.
 func legacyTau(t *testing.T, in *core.Instance, T float64) float64 {
 	t.Helper()
 	mdl := buildILPModel(in, T)

@@ -61,10 +61,17 @@ func zeroIfInf(v float64) float64 {
 	return v
 }
 
-// runGuessSequence checks that a warm Relaxation and cold SolveLP agree on
-// every guess of the sequence: identical feasible/infeasible verdicts, and
-// feasible warm results satisfy the LP rows (the LP objective is zero, so
-// any two feasible basic solutions are objective-equivalent).
+// tableauFeasible is the cold reference verdict at guess T: the model
+// built at envelope T, solved by the tableau (Problem.Solve, a solver that
+// shares no code with the backends), is feasible when τ* ≤ T·(1+tauTol).
+func tableauFeasible(t *testing.T, in *core.Instance, T float64) bool {
+	t.Helper()
+	return !buildILPModel(in, T).infeasible && legacyTau(t, in, T) <= T*(1+tauTol)
+}
+
+// runGuessSequence checks that a warm Relaxation and the cold tableau
+// agree on every guess of the sequence: identical feasible/infeasible
+// verdicts, and feasible warm results satisfy the LP rows.
 func runGuessSequence(t *testing.T, in *core.Instance, kind lp.BackendKind, ub float64, guesses []float64) {
 	t.Helper()
 	rel, err := NewRelaxation(in, RelaxationConfig{Envelope: ub, Backend: kind})
@@ -76,13 +83,9 @@ func runGuessSequence(t *testing.T, in *core.Instance, kind lp.BackendKind, ub f
 		if err != nil {
 			t.Fatalf("%s ReSolve(T=%v) guess %d: %v", kind, T, gi, err)
 		}
-		cold, err := SolveLP(in, T)
-		if err != nil {
-			t.Fatalf("SolveLP(T=%v): %v", T, err)
-		}
-		if (warm == nil) != (cold == nil) {
+		if cold := tableauFeasible(t, in, T); (warm != nil) != cold {
 			t.Fatalf("%s guess %d (T=%v): warm verdict %v, cold verdict %v",
-				kind, gi, T, warm != nil, cold != nil)
+				kind, gi, T, warm != nil, cold)
 		}
 		if warm != nil {
 			if warm.T != T {
@@ -90,7 +93,6 @@ func runGuessSequence(t *testing.T, in *core.Instance, kind lp.BackendKind, ub f
 			}
 			checkFractional(t, in, warm, T)
 		}
-		cold.Release()
 	}
 	if rel.Iterations() <= 0 {
 		t.Errorf("%s: no LP iterations recorded over %d guesses", kind, len(guesses))
@@ -100,7 +102,7 @@ func runGuessSequence(t *testing.T, in *core.Instance, kind lp.BackendKind, ub f
 // TestReSolveMatchesColdMonotone drives a monotone descending guess
 // sequence T₀ > T₁ > … (the shape the acceptance criterion names) through
 // ReSolve on both backends and cross-checks every verdict against cold
-// SolveLP calls, down past the infeasibility threshold.
+// tableau solves, down past the infeasibility threshold.
 func TestReSolveMatchesColdMonotone(t *testing.T) {
 	for _, kind := range []lp.BackendKind{lp.Dense, lp.Sparse} {
 		kind := kind
@@ -161,16 +163,11 @@ func TestReSolveMatchesColdBinarySearchPattern(t *testing.T) {
 				for hi/lo > 1.02 {
 					mid := math.Sqrt(lo * hi)
 					guesses = append(guesses, mid)
-					cold, err := SolveLP(in, mid)
-					if err != nil {
-						t.Fatalf("SolveLP: %v", err)
-					}
-					if cold != nil {
+					if tableauFeasible(t, in, mid) {
 						hi = mid
 					} else {
 						lo = mid
 					}
-					cold.Release()
 				}
 				runGuessSequence(t, in, kind, ub, guesses)
 			}
@@ -178,18 +175,31 @@ func TestReSolveMatchesColdBinarySearchPattern(t *testing.T) {
 	}
 }
 
-// TestScheduleDetailedAcrossBackends runs the full algorithm end-to-end on
-// each backend: results must be valid, bounded, and report LP effort.
+// TestScheduleDetailedAcrossBackends runs the full algorithm end to end:
+// cold on the production backend (backend=), and on a relaxation built on
+// each backend and handed over as retained warm state, which is how a run
+// reaches the dense reference. Results must be valid, bounded, and report
+// LP effort; an unknown backend kind is rejected when the relaxation is
+// built.
 func TestScheduleDetailedAcrossBackends(t *testing.T) {
-	for _, backend := range []string{"", "dense", "sparse"} {
+	for _, backend := range []lp.BackendKind{"", lp.Dense, lp.Sparse} {
 		backend := backend
-		t.Run("backend="+backend, func(t *testing.T) {
+		t.Run("backend="+string(backend), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(9))
 			in := gen.Unrelated(rng, gen.Params{N: 14, M: 3, K: 3})
-			res, det, err := ScheduleDetailed(context.Background(), in, Options{
-				Rng:       rand.New(rand.NewSource(1)),
-				LPBackend: backend,
-			})
+			opt := Options{Rng: rand.New(rand.NewSource(1))}
+			var rel *Relaxation
+			if backend != "" {
+				g, err := baseline.Greedy(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rel, err = NewRelaxation(in, RelaxationConfig{Backend: backend}); err != nil {
+					t.Fatalf("NewRelaxation(%s): %v", backend, err)
+				}
+				opt.Warm = &core.WarmStart{Upper: g.Makespan(in), Fallback: g, State: rel}
+			}
+			res, det, err := ScheduleDetailed(context.Background(), in, opt)
 			if err != nil {
 				t.Fatalf("ScheduleDetailed: %v", err)
 			}
@@ -205,35 +215,28 @@ func TestScheduleDetailedAcrossBackends(t *testing.T) {
 			if det.LPIterations <= 0 || res.LPIters <= 0 {
 				t.Errorf("LP iterations not surfaced: detail %d, result %d", det.LPIterations, res.LPIters)
 			}
-			want := backend
-			if want == "" {
-				want = string(lp.DefaultBackend)
-			}
-			if det.LPBackend != want {
-				t.Errorf("Detail.LPBackend = %q, want %q", det.LPBackend, want)
+			if rel != nil && det.Relaxation != rel {
+				t.Errorf("the run did not solve on the handed-over %s relaxation", backend)
 			}
 		})
 	}
 	t.Run("unknown backend errors", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		in := gen.Unrelated(rng, gen.Params{N: 6, M: 2, K: 2})
-		if _, _, err := ScheduleDetailed(context.Background(), in, Options{LPBackend: "nope"}); err == nil {
+		if _, err := NewRelaxation(in, RelaxationConfig{Backend: "nope"}); err == nil {
 			t.Error("unknown LP backend accepted")
 		}
 	})
 }
 
 // TestRelaxationEnvelopeDefaults covers the zero-config constructor (greedy
-// envelope, default backend).
+// envelope, sparse backend).
 func TestRelaxationEnvelopeDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	in := gen.Unrelated(rng, gen.Params{N: 8, M: 2, K: 2})
 	rel, err := NewRelaxation(in, RelaxationConfig{})
 	if err != nil {
 		t.Fatalf("NewRelaxation: %v", err)
-	}
-	if rel.Backend() != lp.DefaultBackend {
-		t.Errorf("backend = %v, want default %v", rel.Backend(), lp.DefaultBackend)
 	}
 	g, err := baseline.Greedy(in)
 	if err != nil {
@@ -289,7 +292,7 @@ func TestAnchorBisectionRefactors(t *testing.T) {
 		t.Errorf("sparse backend never refactorized over the bisection (%d pivots)", rels[lp.Sparse].Iterations())
 	}
 
-	_, det, err := ScheduleDetailed(context.Background(), in, Options{Rng: rand.New(rand.NewSource(1)), LPBackend: "sparse"})
+	_, det, err := ScheduleDetailed(context.Background(), in, Options{Rng: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatalf("ScheduleDetailed: %v", err)
 	}

@@ -49,13 +49,6 @@ type SolveOptions struct {
 	Seed int64 `json:"seed,omitempty"`
 	// LocalSearch post-optimizes with best-improvement descent.
 	LocalSearch bool `json:"localSearch,omitempty"`
-	// LPBackend selects the LP backend for solvers that run feasibility
-	// LPs: "sparse" (the default) or "dense" (the reference). Empty
-	// inherits the server's -lp default, then the engine default. Any
-	// other name is rejected with 400 before admission. Participates in
-	// the coalescing key: solves on different backends never share a
-	// computation.
-	LPBackend string `json:"lpBackend,omitempty"`
 	// Timeout is the request deadline as a Go duration string ("500ms",
 	// "2s"); it covers queueing, engine admission and solving. The
 	// X-Request-Deadline header is the field's header-borne alternative;
@@ -69,8 +62,8 @@ type SolveOptions struct {
 // this digest match, so an eps=0.1 PTAS request never rides an eps=0.5
 // leader. Timeout is deliberately excluded (see SolveOptions).
 func (o SolveOptions) digest() string {
-	return fmt.Sprintf("algo=%s pf=%t eps=%g gap=%g prec=%g seed=%d ls=%t lp=%s",
-		o.Algorithm, o.Portfolio, o.Eps, o.Gap, o.Precision, o.Seed, o.LocalSearch, o.LPBackend)
+	return fmt.Sprintf("algo=%s pf=%t eps=%g gap=%g prec=%g seed=%d ls=%t",
+		o.Algorithm, o.Portfolio, o.Eps, o.Gap, o.Precision, o.Seed, o.LocalSearch)
 }
 
 // engineOpts translates the wire options into engine call options. Zero
@@ -98,9 +91,6 @@ func (o SolveOptions) engineOpts() []sched.SolveOption {
 	}
 	if o.LocalSearch {
 		opts = append(opts, sched.WithLocalSearch(true))
-	}
-	if o.LPBackend != "" {
-		opts = append(opts, sched.WithLPBackend(o.LPBackend))
 	}
 	return opts
 }

@@ -51,7 +51,6 @@ func TestOptionDigest(t *testing.T) {
 		"precision":   {Algorithm: "ptas", Eps: 0.25, Precision: 0.01},
 		"seed":        {Algorithm: "ptas", Eps: 0.25, Seed: 7},
 		"localSearch": {Algorithm: "ptas", Eps: 0.25, LocalSearch: true},
-		"lpBackend":   {Algorithm: "ptas", Eps: 0.25, LPBackend: "dense"},
 	} {
 		if base.digest() == other.digest() {
 			t.Errorf("digest ignores %s", name)

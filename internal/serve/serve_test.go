@@ -620,100 +620,3 @@ func TestSolverPanicAnswersError(t *testing.T) {
 		t.Fatalf("healthz after the panic: %d %s", hResp.StatusCode, hData)
 	}
 }
-
-// TestUnknownLPBackendRejected: an lpBackend name the LP layer does not
-// know (including the removed "ipm" and "auto") is a 400 on both solve
-// endpoints, answered before admission, so no flight starts, no solver
-// runs and the failed counter stays put. The known names and the empty
-// default still solve.
-func TestUnknownLPBackendRejected(t *testing.T) {
-	h := newHarness(t, 1, serve.Config{Queue: 4}, false, 0)
-	batchBody := func(opts serve.SolveOptions) []byte {
-		var req serve.SolveRequest
-		if err := json.Unmarshal(instanceBody(t, 3, serve.SolveOptions{}, false), &req); err != nil {
-			t.Fatal(err)
-		}
-		body, err := json.Marshal(serve.BatchRequest{Instances: []json.RawMessage{req.Instance}, Options: opts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
-	post := func(path string, body []byte) (int, string) {
-		resp, err := http.Post(h.ts.URL+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, string(data)
-	}
-	for _, name := range []string{"ipm", "auto", "bogus"} {
-		opts := serve.SolveOptions{LPBackend: name}
-		before := h.srv.Stats()
-		for path, body := range map[string][]byte{
-			"/v1/solve": instanceBody(t, 3, opts, false),
-			"/v1/batch": batchBody(opts),
-		} {
-			code, data := post(path, body)
-			if code != http.StatusBadRequest || !strings.Contains(data, "lp: unknown backend") {
-				t.Errorf("%s lpBackend=%q answered %d (%s), want 400 with the lp error", path, name, code, data)
-			}
-		}
-		after := h.srv.Stats()
-		if h.calls.Load() != 0 || after.Coalesce.Leaders != before.Coalesce.Leaders ||
-			after.Requests.Failed != before.Requests.Failed || after.Queue.Depth != 0 {
-			t.Errorf("lpBackend=%q reached the engine: calls %d, leaders %d→%d, failed %d→%d, depth %d",
-				name, h.calls.Load(), before.Coalesce.Leaders, after.Coalesce.Leaders,
-				before.Requests.Failed, after.Requests.Failed, after.Queue.Depth)
-		}
-	}
-	for i, name := range []string{"dense", "sparse", ""} {
-		opts := serve.SolveOptions{LPBackend: name}
-		if code, data := post("/v1/solve", instanceBody(t, 4+i, opts, false)); code != http.StatusOK {
-			t.Errorf("/v1/solve lpBackend=%q answered %d (%s), want 200", name, code, data)
-		}
-		if code, data := post("/v1/batch", batchBody(opts)); code != http.StatusOK {
-			t.Errorf("/v1/batch lpBackend=%q answered %d (%s), want 200", name, code, data)
-		}
-	}
-}
-
-// TestUnknownLPBackendRejectedOnRounding: on the solver that reads the
-// backend name, an unknown name is the same 400 at the door, not a flight
-// that fails with 500 and bumps the failed counter.
-func TestUnknownLPBackendRejectedOnRounding(t *testing.T) {
-	eng, err := sched.New(sched.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := serve.New(eng, serve.Config{Queue: 4})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	in, err := sched.NewUnrelated([][]float64{{3, 5, 2}, {4, 1, 6}}, []int{0, 1, 0}, [][]float64{{1, 2}, {2, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var instJSON bytes.Buffer
-	if err := in.WriteJSON(&instJSON); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		backend string
-		want    int
-	}{{"ipm", http.StatusBadRequest}, {"bogus", http.StatusBadRequest}, {"dense", http.StatusOK}} {
-		body, err := json.Marshal(serve.SolveRequest{Instance: instJSON.Bytes(),
-			Options: serve.SolveOptions{Algorithm: sched.AlgoRounding, LPBackend: tc.backend}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, data := postSolve(t, ts.URL, body)
-		if resp.StatusCode != tc.want {
-			t.Errorf("rounding lpBackend=%q answered %d (%s), want %d", tc.backend, resp.StatusCode, data, tc.want)
-		}
-	}
-	if st := srv.Stats(); st.Requests.Failed != 0 || st.Coalesce.Leaders != 1 {
-		t.Errorf("failed %d, leaders %d after two rejected and one solved request; want 0 and 1",
-			st.Requests.Failed, st.Coalesce.Leaders)
-	}
-}

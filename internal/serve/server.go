@@ -78,23 +78,6 @@ type Config struct {
 	// solve of the identical request would return the same (or the same
 	// cached) result. 0 disables (strictly concurrent coalescing only).
 	Linger time.Duration
-	// LPBackend is the server-wide default for SolveOptions.LPBackend
-	// ("dense" or "sparse"); requests that name a backend
-	// override it. Applied before the coalescing key is formed, so a
-	// request inheriting the default and one naming the same backend
-	// explicitly coalesce. Empty defers to the engine default.
-	LPBackend string
-}
-
-// defaultLPBackend fills an empty o.LPBackend from the server default and
-// validates the result, so an unknown backend name is a client error
-// before the request takes a queue slot rather than a failed solve.
-func (s *Server) defaultLPBackend(o *SolveOptions) error {
-	if o.LPBackend == "" {
-		o.LPBackend = s.cfg.LPBackend
-	}
-	_, err := lp.ParseBackend(o.LPBackend)
-	return err
 }
 
 // withDefaults fills unset Config fields.
@@ -391,10 +374,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeShed(w, &shedError{status: http.StatusServiceUnavailable, retryAfter: time.Second, reason: "request deadline already expired"})
 		return
 	}
-	if err := s.defaultLPBackend(&req.Options); err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error(), "")
-		return
-	}
 
 	key := in.Fingerprint() + "|" + req.Options.digest()
 	f, leader, shed := s.admitOrJoin(key, timeout)
@@ -557,10 +536,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if timeout < 0 {
 		s.writeShed(w, &shedError{status: http.StatusServiceUnavailable, retryAfter: time.Second, reason: "request deadline already expired"})
-		return
-	}
-	if err := s.defaultLPBackend(&req.Options); err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error(), "")
 		return
 	}
 	if shed := s.admitBatch(len(ins), timeout); shed != nil {

@@ -22,21 +22,7 @@ func ScheduleClassUniformPT(ctx context.Context, in *core.Instance, opt Options)
 	var mu sync.Mutex
 	var solveErr error
 	decide := func(T float64) (*core.Schedule, bool) {
-		// Constraint (16): a pair (i,k) is admitted only if one job plus
-		// the setup fits under T. Valid because all jobs of k cost the
-		// same on i: a machine processing any of them within T satisfies
-		// s_ik + p_ik ≤ T.
-		admit := func(i, k int) bool {
-			pt := classTime[i][k]
-			if pt < 0 {
-				return true // class without jobs: unconstrained
-			}
-			if !core.IsFinite(pt) {
-				return false
-			}
-			return in.S[i][k]+pt <= T+core.Eps
-		}
-		r, err := solveRelaxed(in, T, admit)
+		r, err := solveRelaxed(in, T, admitPT(in, classTime, T))
 		if err != nil {
 			mu.Lock()
 			if solveErr == nil {
@@ -55,6 +41,23 @@ func ScheduleClassUniformPT(ctx context.Context, in *core.Instance, opt Options)
 		err = solveErr
 	}
 	return res, err
+}
+
+// admitPT is constraint (16) at guess T: a pair (i,k) is admitted only if
+// one job plus the setup fits under T. Valid because all jobs of k cost
+// the same on i: a machine processing any of them within T satisfies
+// s_ik + p_ik ≤ T.
+func admitPT(in *core.Instance, classTime [][]float64, T float64) func(i, k int) bool {
+	return func(i, k int) bool {
+		pt := classTime[i][k]
+		if pt < 0 {
+			return true // class without jobs: unconstrained
+		}
+		if !core.IsFinite(pt) {
+			return false
+		}
+		return in.S[i][k]+pt <= T+core.Eps
+	}
 }
 
 // CheckClassUniformPT verifies the structural precondition of Theorem 3.11.

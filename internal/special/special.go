@@ -27,7 +27,6 @@ package special
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -45,9 +44,6 @@ type Options struct {
 	// Precision is the relative precision of the binary search on T
 	// (default 0.02).
 	Precision float64
-	// Rng is unused by the deterministic rounding but kept for signature
-	// symmetry with the other algorithms; may be nil.
-	Rng *rand.Rand
 	// Bounds, when non-nil, connects the run to a live bound exchange (the
 	// engine portfolio's incumbent bus): the greedy bootstrap and every
 	// accepted guess are published as incumbents the moment they appear,
@@ -82,10 +78,18 @@ type relaxed struct {
 	work [][]float64 // p̄_ik (Inf when ineligible)
 }
 
-// solveRelaxed builds and solves LP-RelaxedRA for guess T. The pair (i,k)
-// is admitted only when admit(i,k) holds (the per-variant exclusion rule
-// (14)/(16)). Returns nil when the LP is infeasible.
-func solveRelaxed(in *core.Instance, T float64, admit func(i, k int) bool) (*relaxed, error) {
+// relaxedLP is LP-RelaxedRA built for one guess T.
+type relaxedLP struct {
+	p    *lp.Problem
+	idx  [][]int     // variable of pair (i,k); -1 when excluded
+	work [][]float64 // p̄_ik (Inf when ineligible)
+}
+
+// buildRelaxed builds LP-RelaxedRA for guess T. The pair (i,k) is admitted
+// only when admit(i,k) holds (the per-variant exclusion rule (14)/(16)).
+// α_ik depends on T, so the LP is rebuilt per guess. Returns nil when a
+// class with jobs has no admitted machine: the LP is infeasible.
+func buildRelaxed(in *core.Instance, T float64, admit func(i, k int) bool) *relaxedLP {
 	work := in.ClassWork()
 	p := &lp.Problem{}
 	idx := make([][]int, in.M)
@@ -147,23 +151,38 @@ func solveRelaxed(in *core.Instance, T float64, admit func(i, k int) bool) (*rel
 			}
 		}
 		if len(terms) == 0 {
-			return nil, nil
+			return nil
 		}
 		p.AddConstraint(lp.EQ, 1, terms...)
 	}
-	sol, err := p.Solve()
+	return &relaxedLP{p: p, idx: idx, work: work}
+}
+
+// solveRelaxed builds and solves LP-RelaxedRA for guess T (see
+// buildRelaxed) on its own sparse backend, so concurrent guesses share no
+// solver state. Returns nil when the LP is infeasible.
+func solveRelaxed(in *core.Instance, T float64, admit func(i, k int) bool) (*relaxed, error) {
+	mdl := buildRelaxed(in, T, admit)
+	if mdl == nil {
+		return nil, nil
+	}
+	be, err := lp.NewBackend(lp.Sparse, mdl.p, nil)
+	if err != nil {
+		return nil, err
+	}
+	sol, err := be.Solve()
 	if err != nil {
 		return nil, err
 	}
 	if sol.Status != lp.Optimal {
 		return nil, nil
 	}
-	r := &relaxed{T: T, xbar: make([][]float64, in.M), work: work}
+	r := &relaxed{T: T, xbar: make([][]float64, in.M), work: mdl.work}
 	for i := 0; i < in.M; i++ {
 		r.xbar[i] = make([]float64, in.K)
 		for k := 0; k < in.K; k++ {
-			if idx[i][k] >= 0 {
-				v := sol.Value(idx[i][k])
+			if mdl.idx[i][k] >= 0 {
+				v := sol.Value(mdl.idx[i][k])
 				switch {
 				case v < fracTol:
 					v = 0

@@ -6,9 +6,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/gen"
+	"repro/internal/lp"
 	"repro/internal/testutil"
 )
 
@@ -209,4 +211,69 @@ func TestSpeculativeSearchWorkers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRelaxedRAMatchesTableau: LP-RelaxedRA solved on the sparse backend
+// must reach the same feasibility verdict as the tableau (Problem.Solve,
+// the independent reference) on a seeded class-uniform corpus over a
+// ladder of guesses, and every feasible backend solution must induce a
+// pseudoforest support graph (at most as many edges as nodes per
+// component), the property the Correa et al. rounding relies on.
+func TestRelaxedRAMatchesTableau(t *testing.T) {
+	verdicts := map[bool]int{}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := gen.Params{N: 10 + rng.Intn(30), M: 2 + rng.Intn(5), K: 1 + rng.Intn(5)}
+		in := gen.RestrictedClassUniform(rng, p)
+		var classTime [][]float64 // PT instances only
+		if seed%2 == 1 {
+			in = gen.UnrelatedClassUniform(rng, p)
+			classTime = classTimes(in)
+		}
+		g, err := baseline.Greedy(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ub := g.Makespan(in)
+		for T := ub; T > ub/2; T *= 0.93 {
+			admit := func(i, k int) bool { return true }
+			if classTime != nil {
+				admit = admitPT(in, classTime, T)
+			}
+			mdl := buildRelaxed(in, T, admit)
+			if mdl == nil {
+				continue // a class has no admitted machine: no LP to solve
+			}
+			sol, err := mdl.p.Solve()
+			if err != nil {
+				t.Fatalf("seed %d T=%v: tableau: %v", seed, T, err)
+			}
+			want := sol.Status == lp.Optimal
+			r, err := solveRelaxed(in, T, admit)
+			if err != nil {
+				t.Fatalf("seed %d T=%v: backend: %v", seed, T, err)
+			}
+			if got := r != nil; got != want {
+				t.Fatalf("seed %d T=%v: backend feasible=%v, tableau feasible=%v", seed, T, got, want)
+			}
+			verdicts[want]++
+			if r == nil {
+				continue
+			}
+			sg := newSupportGraph(in.M, in.K, r.xbar)
+			for _, comp := range sg.components() {
+				edges := 0
+				for _, v := range comp {
+					edges += len(sg.adj[v])
+				}
+				if edges/2 > len(comp) {
+					t.Fatalf("seed %d T=%v: support component %v has %d edges on %d nodes", seed, T, comp, edges/2, len(comp))
+				}
+			}
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("ladder never crossed the threshold: %v", verdicts)
+	}
+	t.Logf("%d feasible and %d infeasible guesses", verdicts[true], verdicts[false])
 }

@@ -197,26 +197,6 @@ func WithRoundingC(c0 int) SolveOption {
 	return func(c *solveConfig) { c.opt.RoundingC = c0 }
 }
 
-// WithLPBackend selects the LP solver backend for solvers that run LPs
-// (the randomized rounding's relaxation LPs): "sparse" — the
-// warm-started sparse revised simplex, the default — or "dense", the
-// reference dense solver. Unknown names are reported as a solve error.
-// Result.LPIters exposes the per-run LP effort (simplex pivots) for
-// comparisons, and `schedbench -engine -lp=dense|sparse` prints
-// comparison rows.
-func WithLPBackend(kind string) SolveOption {
-	return func(c *solveConfig) { c.opt.LPBackend = kind }
-}
-
-// WithLPPresolve toggles equilibration scaling of every LP backend build
-// (on by default): the simplex solves the Ruiz-scaled matrix, and
-// solutions come back in the problem's own units, so verdicts are the same
-// either way; pass false to measure the unscaled baseline
-// (`schedbench -no-presolve` does the same).
-func WithLPPresolve(on bool) SolveOption {
-	return func(c *solveConfig) { c.opt.LPNoPresolve = !on }
-}
-
 // WithSearchWorkers sets the speculative parallelism of dual-approximation
 // binary searches: solvers that search over a makespan guess (the PTAS,
 // the randomized rounding, the class-uniform special cases) evaluate up to

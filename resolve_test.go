@@ -105,82 +105,80 @@ func TestResolveMatchesColdSolve(t *testing.T) {
 			return gen.Unrelated(rng, gen.SetupHeavy(12, 3, 4))
 		}},
 	}
-	for _, backend := range []string{"sparse", "dense"} {
-		for _, m := range makers {
-			m := m
-			backend := backend
-			t.Run(backend+"/"+m.name, func(t *testing.T) {
-				t.Parallel()
-				ctx := context.Background()
-				rng := rand.New(rand.NewSource(int64(len(backend) + len(m.name))))
-				in := m.gen(rng)
-				warmEng, err := New(WithDefaults(WithLPBackend(backend)))
+	const backend = "sparse" // the LP backend every engine solve runs on
+	for _, m := range makers {
+		m := m
+		t.Run(backend+"/"+m.name, func(t *testing.T) {
+			t.Parallel()
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(int64(len(backend) + len(m.name))))
+			in := m.gen(rng)
+			warmEng, err := New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldEng, err := New(WithBoundCache(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := warmEng.Open(ctx, in)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			for step := 0; step < 5; step++ {
+				d := randDeltaSched(rng, h.Instance())
+				newIn, err := d.Apply(h.Instance())
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("step %d: Apply(%v): %v", step, d, err)
 				}
-				coldEng, err := New(WithBoundCache(0), WithDefaults(WithLPBackend(backend)))
+				warm, err := warmEng.Resolve(ctx, h, d)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("step %d: Resolve(%v): %v", step, d, err)
 				}
-				h, err := warmEng.Open(ctx, in)
+				cold, err := coldEng.Solve(ctx, newIn, WithoutWarmStart())
 				if err != nil {
-					t.Fatalf("Open: %v", err)
+					t.Fatalf("step %d: cold Solve: %v", step, err)
 				}
-				for step := 0; step < 5; step++ {
-					d := randDeltaSched(rng, h.Instance())
-					newIn, err := d.Apply(h.Instance())
-					if err != nil {
-						t.Fatalf("step %d: Apply(%v): %v", step, d, err)
-					}
-					warm, err := warmEng.Resolve(ctx, h, d)
-					if err != nil {
-						t.Fatalf("step %d: Resolve(%v): %v", step, d, err)
-					}
-					cold, err := coldEng.Solve(ctx, newIn, WithoutWarmStart())
-					if err != nil {
-						t.Fatalf("step %d: cold Solve: %v", step, err)
-					}
 
-					// Fingerprint property: Resolve solved exactly the
-					// instance a cold Apply produces.
-					if warm.Fingerprint() != newIn.Fingerprint() {
-						t.Fatalf("step %d: Resolve fingerprint %s != Apply fingerprint %s",
-							step, warm.Fingerprint(), newIn.Fingerprint())
-					}
-
-					wr, cr := warm.Result(), cold
-					if wr.Schedule == nil || wr.Schedule.Validate(newIn) != nil {
-						t.Fatalf("step %d: warm schedule infeasible: %v", step, wr.Schedule.Validate(newIn))
-					}
-					if wr.Makespan != wr.Schedule.Makespan(newIn) {
-						t.Fatalf("step %d: warm makespan %g not witnessed by its schedule (%g)",
-							step, wr.Makespan, wr.Schedule.Makespan(newIn))
-					}
-
-					// Cross-soundness: each run's certified lower bound must
-					// hold against the optimum the other run's feasible
-					// schedule upper-bounds. A lower bound leaking across a
-					// non-raising delta fails here.
-					const eps = 1e-6
-					if wr.LowerBound > cr.Makespan+eps {
-						t.Fatalf("step %d (%v): warm lower bound %g exceeds cold makespan %g — unsound transfer",
-							step, d, wr.LowerBound, cr.Makespan)
-					}
-					if cr.LowerBound > wr.Makespan+eps {
-						t.Fatalf("step %d (%v): cold lower bound %g exceeds warm makespan %g",
-							step, d, cr.LowerBound, wr.Makespan)
-					}
-
-					// Same approximation regime: warm re-solving must not
-					// degrade quality (both runs carry the same guarantees).
-					if wr.Makespan > 2*cr.Makespan+eps || cr.Makespan > 2*wr.Makespan+eps {
-						t.Fatalf("step %d (%v): warm %g vs cold %g diverge beyond the approximation regime",
-							step, d, wr.Makespan, cr.Makespan)
-					}
-					h = warm
+				// Fingerprint property: Resolve solved exactly the
+				// instance a cold Apply produces.
+				if warm.Fingerprint() != newIn.Fingerprint() {
+					t.Fatalf("step %d: Resolve fingerprint %s != Apply fingerprint %s",
+						step, warm.Fingerprint(), newIn.Fingerprint())
 				}
-			})
-		}
+
+				wr, cr := warm.Result(), cold
+				if wr.Schedule == nil || wr.Schedule.Validate(newIn) != nil {
+					t.Fatalf("step %d: warm schedule infeasible: %v", step, wr.Schedule.Validate(newIn))
+				}
+				if wr.Makespan != wr.Schedule.Makespan(newIn) {
+					t.Fatalf("step %d: warm makespan %g not witnessed by its schedule (%g)",
+						step, wr.Makespan, wr.Schedule.Makespan(newIn))
+				}
+
+				// Cross-soundness: each run's certified lower bound must
+				// hold against the optimum the other run's feasible
+				// schedule upper-bounds. A lower bound leaking across a
+				// non-raising delta fails here.
+				const eps = 1e-6
+				if wr.LowerBound > cr.Makespan+eps {
+					t.Fatalf("step %d (%v): warm lower bound %g exceeds cold makespan %g — unsound transfer",
+						step, d, wr.LowerBound, cr.Makespan)
+				}
+				if cr.LowerBound > wr.Makespan+eps {
+					t.Fatalf("step %d (%v): cold lower bound %g exceeds warm makespan %g",
+						step, d, cr.LowerBound, wr.Makespan)
+				}
+
+				// Same approximation regime: warm re-solving must not
+				// degrade quality (both runs carry the same guarantees).
+				if wr.Makespan > 2*cr.Makespan+eps || cr.Makespan > 2*wr.Makespan+eps {
+					t.Fatalf("step %d (%v): warm %g vs cold %g diverge beyond the approximation regime",
+						step, d, wr.Makespan, cr.Makespan)
+				}
+				h = warm
+			}
+		})
 	}
 }
 
