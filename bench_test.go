@@ -291,23 +291,15 @@ func BenchmarkColdBuildLarge(b *testing.B) {
 	}
 }
 
-// benchDualSearch runs the full randomized-rounding dual search (greedy
-// bootstrap, one relaxation build, warm per-guess LP re-solves, rounding)
-// at the M=10/N=100/K=8 reference shape with the given speculative search
-// parallelism. Seq vs SpecK isolates the pluggable-strategy win: fewer
-// serial search rounds, k concurrent LP re-solves on per-worker relaxation
-// clones. The wall-clock speedup requires spare cores (GOMAXPROCS > 1);
-// on a single-CPU runner speculation degrades to in-batch bisection and
-// should track Seq.
-func benchDualSearch(b *testing.B, workers int) {
+// BenchmarkDualSearch runs the full randomized-rounding dual search
+// (greedy bootstrap, one relaxation build, warm per-guess LP re-solves,
+// rounding) at the M=10/N=100/K=8 reference shape.
+func BenchmarkDualSearch(b *testing.B) {
 	in, _, _ := roundingGuessSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := rounding.Schedule(context.Background(), in, rounding.Options{
-			Rng:           rand.New(rand.NewSource(1)),
-			SearchWorkers: workers,
-		})
+		res, err := rounding.Schedule(context.Background(), in, rounding.Options{Rng: rand.New(rand.NewSource(1))})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -316,10 +308,6 @@ func benchDualSearch(b *testing.B, workers int) {
 		}
 	}
 }
-
-func BenchmarkDualSearchSeq(b *testing.B)   { benchDualSearch(b, 1) }
-func BenchmarkDualSearchSpec2(b *testing.B) { benchDualSearch(b, 2) }
-func BenchmarkDualSearchSpec4(b *testing.B) { benchDualSearch(b, 4) }
 
 func BenchmarkRandomizedRoundingFull(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -433,42 +421,27 @@ func BenchmarkSolveBatch(b *testing.B) {
 }
 
 // BenchmarkGovernedBatchPortfolio measures the governor under the
-// multiplicative load it was built for — a batch of portfolio solves, each
-// member running a wide speculative search — against the WithUngoverned
-// baseline, whose layers each size themselves independently. The governed
-// variant holds concurrent LP solves at the token budget; the ungoverned
-// one oversubscribes (see `schedbench -oversub` for the CLI form).
+// layered load it was built for — a batch of portfolio solves, every
+// member's extra lane drawn from the engine's token budget.
 func BenchmarkGovernedBatchPortfolio(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	ins := make([]*Instance, 8)
 	for i := range ins {
 		ins[i] = gen.Unrelated(rng, gen.Params{N: 24, M: 4, K: 3})
 	}
-	for _, mode := range []struct {
-		name string
-		opts []EngineOption
-	}{
-		{"governed", nil},
-		{"ungoverned", []EngineOption{WithUngoverned()}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			eng, err := New(append(mode.opts, WithBoundCache(0))...)
-			if err != nil {
-				b.Fatal(err)
+	eng, err := New(WithBoundCache(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := eng.SolveBatch(context.Background(), ins, WithPortfolio(), WithSeed(3), WithoutWarmStart())
+		for _, br := range res {
+			if br.Err != nil {
+				b.Fatal(br.Err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := eng.SolveBatch(context.Background(), ins,
-					WithPortfolio(), WithSearchWorkers(4),
-					WithSeed(3), WithoutWarmStart())
-				for _, br := range res {
-					if br.Err != nil {
-						b.Fatal(br.Err)
-					}
-				}
-			}
-		})
+		}
 	}
 }
 

@@ -10,8 +10,6 @@
 //	schedbench -seed 7 -exp E2    change the master seed
 //	schedbench -engine            race every registered solver per environment
 //	schedbench -engine -timeout 2s -n 40 -m 6
-//	schedbench -engine -search-workers 4   speculative parallel dual search
-//	schedbench -oversub -batch 16 -n 40 -m 5 -k 4    governed vs ungoverned
 //	schedbench -online -events 50 -n 60 -m 6         warm Resolve vs cold re-solve
 //	schedbench -online -stream stream.json           replay an instgen -stream file
 //	schedbench -serve-load -rps 30 -dur 5s -dup-frac 0.8 -n 100 -m 10 -k 8
@@ -20,10 +18,7 @@
 // The -engine mode generates one instance per machine environment and runs
 // every applicable registry solver plus the portfolio race on it, printing
 // per-solver makespans, runtimes and LP pivot counts (the lp-iters
-// column); -timeout bounds each run
-// with a context deadline; -search-workers evaluates that many makespan
-// guesses concurrently in every dual-approximation search (the sw column
-// shows the effective parallelism per solver).
+// column); -timeout bounds each run with a context deadline.
 //
 // The -serve-load mode is an open-loop load generator against the HTTP
 // solver service (internal/serve): Poisson arrivals at -rps for -dur, a
@@ -33,13 +28,6 @@
 // rate (429/503 admission rejections) and the coalesce hit rate, plus one
 // JSON line per run for the BENCH_* artifacts. With no -url it starts an
 // in-process server.
-//
-// The -oversub mode measures the concurrency governor: it fires the worst
-// multiplicative load the API can express — a SolveBatch of -batch
-// instances, each solved as a portfolio race, each member running a
-// -search-workers-wide speculative search — at a governed engine and at a
-// WithUngoverned one, and prints wall clock, the observed peak of
-// simultaneous LP solves, and the governor's token statistics for each.
 package main
 
 import (
@@ -49,13 +37,11 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/dual"
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/lp"
@@ -75,9 +61,6 @@ func main() {
 		n       = flag.Int("n", 24, "engine mode: number of jobs")
 		m       = flag.Int("m", 4, "engine mode: number of machines")
 		k       = flag.Int("k", 3, "engine mode: number of setup classes")
-		sworker = flag.Int("search-workers", 0, "engine mode: speculative parallelism of dual-approximation searches (guesses evaluated concurrently; <2 = sequential bisection)")
-		oversub = flag.Bool("oversub", false, "oversubscription scenario: governed vs ungoverned engine under batch × portfolio × speculative-search load")
-		batch   = flag.Int("batch", 8, "oversub mode: instances per SolveBatch")
 		online  = flag.Bool("online", false, "online re-optimization scenario: warm Resolve chain vs cold re-solves over a delta stream, per-event latency percentiles")
 		stream  = flag.String("stream", "", "online mode: delta-stream file from `instgen -stream` (empty = generate -events events in memory)")
 		events  = flag.Int("events", 50, "online mode: generated event count when no -stream file is given")
@@ -98,12 +81,7 @@ func main() {
 			fmt.Printf("%-4s %s\n     claim: %s\n", e.ID, e.Name, e.Claim)
 		}
 	case *engMode:
-		if err := engineBench(*seed, *n, *m, *k, *timeout, *gap, *sworker); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-	case *oversub:
-		if err := oversubBench(*seed, *n, *m, *k, *batch, *sworker, *timeout); err != nil {
+		if err := engineBench(*seed, *n, *m, *k, *timeout, *gap); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
@@ -156,21 +134,12 @@ func run(e experiments.Experiment, cfg experiments.Config) error {
 // registry, reporting makespans, lower-bound ratios, runtimes and — for the
 // portfolio — the time-to-incumbent: how far into the race the winning
 // makespan was published to the shared bound bus.
-func engineBench(seed int64, n, m, k int, timeout time.Duration, gap float64, sworkers int) error {
+func engineBench(seed int64, n, m, k int, timeout time.Duration, gap float64) error {
 	// Every row solves cold (WithoutWarmStart): the rows compare the
 	// algorithms, so a warm start from an earlier row's cached bounds would
 	// contaminate the measurement. The lp-iters column shows the LP effort
-	// (pivot counts per run), not just in microbenchmarks. -search-workers
-	// turns on the speculative parallel dual search (the sw column shows
-	// the effective parallelism per solver; "-" for solvers that run no
-	// guess search).
-	if sworkers < 1 {
-		sworkers = 1
-	}
-	// WithWorkers is the governor's global token budget; size it to the
-	// requested search width so a solo solve can actually be granted that
-	// many concurrent guess evaluations.
-	eng, err := sched.New(sched.WithWorkers(sworkers))
+	// (pivot counts per run), not just in microbenchmarks.
+	eng, err := sched.New()
 	if err != nil {
 		return err
 	}
@@ -189,34 +158,30 @@ func engineBench(seed int64, n, m, k int, timeout time.Duration, gap float64, sw
 		rng := rand.New(rand.NewSource(seed))
 		in := c.gen(rng, params)
 		title := fmt.Sprintf("engine race — %s (n=%d m=%d K=%d)", c.name, in.N, in.M, in.K)
-		tab := table.New(title, "solver", "makespan", "ratio", "time", "lp-iters", "scale", "sw", "tti")
+		tab := table.New(title, "solver", "makespan", "ratio", "time", "lp-iters", "scale", "tti")
 		for _, name := range eng.Applicable(in) {
 			ctx, cancel := withTimeout(timeout)
 			before := lp.PresolveTotals()
 			start := time.Now()
 			res, err := eng.Solve(ctx, in,
-				sched.WithAlgorithm(name), sched.WithoutWarmStart(),
-				sched.WithSearchWorkers(sworkers))
+				sched.WithAlgorithm(name), sched.WithoutWarmStart())
 			elapsed := time.Since(start)
 			cancel()
 			if err != nil {
-				tab.AddRow(name, "error", err.Error(), fmtDur(elapsed), "-", "-", "-", "-")
+				tab.AddRow(name, "error", err.Error(), fmtDur(elapsed), "-", "-", "-")
 				continue
 			}
 			tab.AddRow(name, fmt.Sprintf("%.0f", res.Makespan), fmt.Sprintf("%.3f", res.Ratio()),
-				fmtDur(elapsed), fmtIters(res.LPIters), presolveCell(before, lp.PresolveTotals()),
-				fmtSearchWorkers(name, sworkers), "-")
+				fmtDur(elapsed), fmtIters(res.LPIters), presolveCell(before, lp.PresolveTotals()), "-")
 		}
 		ctx, cancel := withTimeout(timeout)
 		before := lp.PresolveTotals()
 		start := time.Now()
-		pr, err := eng.Portfolio(ctx, in,
-			sched.WithGap(gap), sched.WithoutWarmStart(),
-			sched.WithSearchWorkers(sworkers))
+		pr, err := eng.Portfolio(ctx, in, sched.WithGap(gap), sched.WithoutWarmStart())
 		elapsed := time.Since(start)
 		cancel()
 		if err != nil {
-			tab.AddRow("portfolio", "error", err.Error(), fmtDur(elapsed), "-", "-", "-", "-")
+			tab.AddRow("portfolio", "error", err.Error(), fmtDur(elapsed), "-", "-", "-")
 		} else {
 			tti := "-"
 			for _, o := range pr.Outcomes {
@@ -229,76 +194,10 @@ func engineBench(seed int64, n, m, k int, timeout time.Duration, gap float64, sw
 				name += " (gap hit)"
 			}
 			tab.AddRow(name, fmt.Sprintf("%.0f", pr.Best.Makespan), fmt.Sprintf("%.3f", pr.Best.Ratio()),
-				fmtDur(elapsed), fmtIters(pr.Best.LPIters), presolveCell(before, lp.PresolveTotals()),
-				fmtSearchWorkers(pr.Winner, sworkers), tti)
+				fmtDur(elapsed), fmtIters(pr.Best.LPIters), presolveCell(before, lp.PresolveTotals()), tti)
 		}
 		fmt.Println(tab.String())
 	}
-	return nil
-}
-
-// oversubBench measures what the governor buys under multiplicative load.
-// One batch of unrelated instances is solved twice — on a governed engine
-// (default budget: GOMAXPROCS) and on a WithUngoverned one — with every
-// parallelism layer engaged: SolveBatch dispatch × portfolio racing ×
-// speculative search width. The lp-peak column is measured at the LP layer
-// itself (the resource the tokens meter), so the governed row demonstrates
-// the budget held while the ungoverned row shows the multiplicative blow-up
-// it replaces; gov-peak/waits/degraded report how the tokens were spent.
-func oversubBench(seed int64, n, m, k, batch, sworkers int, timeout time.Duration) error {
-	if sworkers < 1 {
-		sworkers = 4
-	}
-	if batch < 1 {
-		batch = 8
-	}
-	rng := rand.New(rand.NewSource(seed))
-	ins := make([]*core.Instance, batch)
-	for i := range ins {
-		ins[i] = gen.Unrelated(rng, gen.Params{N: n, M: m, K: k})
-	}
-	rows := []struct {
-		name string
-		opts []sched.EngineOption
-	}{
-		{"governed", nil},
-		{"ungoverned", []sched.EngineOption{sched.WithUngoverned()}},
-	}
-	tab := table.New(
-		fmt.Sprintf("oversubscription — batch=%d × portfolio × speculate(%d), unrelated n=%d m=%d K=%d, budget=%d",
-			batch, sworkers, n, m, k, runtime.GOMAXPROCS(0)),
-		"engine", "wall", "Σ makespan", "lp-peak", "gov-peak", "waits", "degraded")
-	for _, r := range rows {
-		eng, err := sched.New(r.opts...)
-		if err != nil {
-			return err
-		}
-		lp.SolveGauge.Reset()
-		ctx, cancel := withTimeout(timeout)
-		start := time.Now()
-		res := eng.SolveBatch(ctx, ins,
-			sched.WithPortfolio(), sched.WithSearchWorkers(sworkers),
-			sched.WithSeed(seed), sched.WithoutWarmStart())
-		wall := time.Since(start)
-		cancel()
-		sum := 0.0
-		for i, br := range res {
-			if br.Err != nil {
-				return fmt.Errorf("%s: instance %d: %w", r.name, i, br.Err)
-			}
-			sum += br.Result.Makespan
-		}
-		govPeak, waits, degraded := "-", "-", "-"
-		if len(r.opts) == 0 {
-			st := eng.GovernorStats()
-			govPeak = fmt.Sprintf("%d/%d", st.Peak, st.Budget)
-			waits = fmt.Sprintf("%d", st.Waits)
-			degraded = fmt.Sprintf("%d", st.Degradations)
-		}
-		tab.AddRow(r.name, fmtDur(wall), fmt.Sprintf("%.0f", sum),
-			fmt.Sprintf("%d", lp.SolveGauge.Peak()), govPeak, waits, degraded)
-	}
-	fmt.Println(tab.String())
 	return nil
 }
 
@@ -458,23 +357,4 @@ func presolveCell(before, after lp.PresolveTotalsSnapshot) string {
 		return "-"
 	}
 	return fmt.Sprintf("s%.1f", float64(after.ScalePasses-before.ScalePasses)/float64(runs))
-}
-
-// dualSearchSolvers names the registry solvers that run a dual-approximation
-// guess search (and therefore honor -search-workers).
-var dualSearchSolvers = map[string]bool{
-	sched.AlgoPTAS:     true,
-	sched.AlgoRounding: true,
-	sched.AlgoRA2:      true,
-	sched.AlgoPT3:      true,
-}
-
-// fmtSearchWorkers renders the effective speculative search parallelism of
-// a solver row — the requested width clamped to what the runtime can
-// overlap — dashing out solvers without a guess search.
-func fmtSearchWorkers(solver string, n int) string {
-	if !dualSearchSolvers[solver] {
-		return "-"
-	}
-	return fmt.Sprintf("%d", dual.EffectiveParallelism(n))
 }

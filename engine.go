@@ -28,17 +28,16 @@ import (
 // All methods are safe for concurrent use. Concurrency is bounded
 // engine-wide by the governor, a weighted semaphore holding WithWorkers
 // tokens (default GOMAXPROCS): every solve is admitted with one guaranteed
-// token, and batch dispatch, portfolio member launches and speculative
-// search width draw any extra parallelism from the same pool,
-// acquire-or-degrade (see GovernorStats for the live occupancy). The
-// package-level Solve/Portfolio/PTAS/… functions are thin wrappers over a
-// lazily-built shared engine (DefaultEngine).
+// token, and batch dispatch and portfolio member launches draw any extra
+// parallelism from the same pool, acquire-or-degrade (see GovernorStats
+// for the live occupancy). The package-level Solve/Portfolio/PTAS/…
+// functions are thin wrappers over a lazily-built shared engine
+// (DefaultEngine).
 type Engine struct {
 	reg      *engine.Registry
 	cache    *engine.BoundCache
 	states   *engine.StateStore // retained solve states for Resolve
-	gov      *engine.Governor   // nil with WithUngoverned
-	workers  int
+	gov      *engine.Governor
 	defaults []SolveOption
 
 	mu   sync.RWMutex
@@ -76,12 +75,9 @@ func New(opts ...EngineOption) (*Engine, error) {
 	}
 	e := &Engine{
 		reg:      reg,
-		workers:  cfg.workers,
+		gov:      engine.NewGovernor(cfg.workers),
 		defaults: cfg.defaults,
 		subs:     make(map[chan Event]struct{}),
-	}
-	if !cfg.ungoverned {
-		e.gov = engine.NewGovernor(cfg.workers)
 	}
 	if cfg.cacheSize > 0 {
 		e.cache = engine.NewBoundCache(cfg.cacheSize)
@@ -306,10 +302,10 @@ func (e *Engine) begin(ctx context.Context, in *Instance, cfg solveConfig) (solv
 		s.ctx, cancelTimeout = context.WithTimeout(ctx, cfg.timeout)
 	}
 	release := func() {}
-	if e.gov != nil && !cfg.admitted {
+	if !cfg.admitted {
 		// Admission: the solve's one guaranteed compute lane. Everything
-		// wider (portfolio members, search width) is acquire-or-degrade
-		// inside the solve, so holding this token can never deadlock.
+		// wider (portfolio members) is acquire-or-degrade inside the
+		// solve, so holding this token can never deadlock.
 		if err := e.gov.Acquire(s.ctx); err != nil {
 			if cancelTimeout != nil {
 				cancelTimeout()
@@ -374,17 +370,10 @@ func (e *Engine) begin(ctx context.Context, in *Instance, cfg solveConfig) (solv
 	}
 	s.opt = cfg.opt
 	s.opt.Warm = cfg.warm
-	if e.gov != nil {
-		// The governor is the width authority: the solve's portfolio and
-		// search layers draw extra parallelism from it live, so the static
-		// per-solve SearchWorkers clamp of the ungoverned path is not
-		// needed — concurrent solves share one pool instead of multiplying.
-		s.opt.Budget = e.gov
-	} else if s.opt.SearchWorkers > e.workers {
-		// Ungoverned compatibility: WithWorkers caps each individual
-		// solve's speculative width, and concurrent solves multiply.
-		s.opt.SearchWorkers = e.workers
-	}
+	// The governor is the width authority: a portfolio race draws its
+	// extra member lanes from it live, so concurrent solves share one pool
+	// instead of multiplying.
+	s.opt.Budget = e.gov
 	s.opt.Bounds = s.base
 	if tapped {
 		s.opt.Bounds = engine.NewEventBus(s.base, s.fp, func(ev Event) { e.broadcast(ev, cfg.events) })
@@ -562,20 +551,11 @@ func (e *Engine) SolveBatch(ctx context.Context, ins []*Instance, opts ...SolveO
 	if len(ins) == 0 {
 		return out
 	}
-	workers := e.workers
-	if e.gov != nil {
-		workers = e.gov.Cap()
-		// Each batch worker holds the governor token for its current job
-		// (acquired below, per instance); solveOne must not acquire a
-		// second one for the same solve.
-		cfg.admitted = true
-	}
-	if workers > len(ins) {
-		workers = len(ins)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(e.gov.Cap(), len(ins))
+	// Each batch worker holds the governor token for its current job
+	// (acquired below, per instance); solveOne must not acquire a second
+	// one for the same solve.
+	cfg.admitted = true
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -591,19 +571,15 @@ func (e *Engine) SolveBatch(ctx context.Context, ins []*Instance, opts ...SolveO
 				case ins[i] == nil:
 					br.Err = fmt.Errorf("sched: batch instance %d is nil", i)
 				default:
-					if e.gov != nil {
-						// Admission per instance, not per worker lifetime:
-						// tokens return to the pool between jobs, so other
-						// engine traffic interleaves with a long batch.
-						if err := e.gov.Acquire(ctx); err != nil {
-							br.Err = err
-							break
-						}
-						br.Result, br.Err = e.solveOne(ctx, ins[i], cfg)
-						e.gov.Release(1)
-					} else {
-						br.Result, br.Err = e.solveOne(ctx, ins[i], cfg)
+					// Admission per instance, not per worker lifetime:
+					// tokens return to the pool between jobs, so other
+					// engine traffic interleaves with a long batch.
+					if err := e.gov.Acquire(ctx); err != nil {
+						br.Err = err
+						break
 					}
+					br.Result, br.Err = e.solveOne(ctx, ins[i], cfg)
+					e.gov.Release(1)
 				}
 				br.Elapsed = time.Since(start)
 				out[i] = br
@@ -625,13 +601,8 @@ type GovernorStats = engine.GovernorStats
 // GovernorStats reports the governor's live occupancy: the token budget,
 // tokens currently in use, the high-water mark, how many admissions had to
 // wait for a token, and how many acquire-or-degrade requests were granted
-// fewer tokens than asked (each such grant shrank a portfolio launch or a
-// speculative search round). On an ungoverned engine (WithUngoverned) all
-// fields are zero.
+// fewer tokens than asked (each such grant shrank a portfolio launch).
 func (e *Engine) GovernorStats() GovernorStats {
-	if e.gov == nil {
-		return GovernorStats{}
-	}
 	return e.gov.Stats()
 }
 

@@ -6,14 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/lp"
 	"repro/internal/testutil"
 )
 
 // TestGovernorBoundsLPConcurrency saturates every parallelism layer at once
-// — a batch of instances, each solved as a portfolio race, each member
-// running a wide speculative search — and asserts from outside the engine
+// — a batch of instances, each solved as a portfolio race — and asserts from outside the engine
 // (via the LP package's own concurrency gauge) that the number of
 // simultaneously running LP solves never exceeded the governor budget. Run
 // under -race this doubles as the data-race stress for the token plumbing.
@@ -31,7 +31,7 @@ func TestGovernorBoundsLPConcurrency(t *testing.T) {
 	}
 	lp.SolveGauge.Reset()
 	res := eng.SolveBatch(context.Background(), ins,
-		WithPortfolio(), WithSearchWorkers(4), WithSeed(5), WithoutWarmStart())
+		WithPortfolio(), WithSeed(5), WithoutWarmStart())
 	for i, br := range res {
 		if br.Err != nil {
 			t.Fatalf("instance %d: %v", i, br.Err)
@@ -53,16 +53,16 @@ func TestGovernorBoundsLPConcurrency(t *testing.T) {
 	if st.InUse != 0 {
 		t.Errorf("GovernorStats.InUse = %d after batch returned, want 0", st.InUse)
 	}
-	// 8 jobs × (portfolio + speculation) against 2 tokens must have had to
-	// degrade somewhere; a zero count would mean the layers never consulted
+	// 8 jobs × portfolio against 2 tokens must have had to degrade
+	// somewhere; a zero count would mean the layers never consulted
 	// the governor at all.
 	if st.Degradations == 0 {
-		t.Error("GovernorStats.Degradations = 0 under heavy oversubscription")
+		t.Error("GovernorStats.Degradations = 0 with 8 portfolio races on 2 tokens")
 	}
 }
 
 // TestGovernorBudgetOneNoDeadlock drives the full layering — batch ×
-// portfolio × speculation — through a single-token governor. The
+// portfolio — through a single-token governor. The
 // acquire-or-degrade contract (blocking acquires only at admission, with no
 // tokens held) means everything must serialize and finish; a watchdog turns
 // a deadlock into a test failure rather than a suite timeout.
@@ -83,7 +83,7 @@ func TestGovernorBudgetOneNoDeadlock(t *testing.T) {
 	go func() {
 		defer close(done)
 		res = eng.SolveBatch(context.Background(), ins,
-			WithPortfolio(), WithSearchWorkers(4), WithSeed(5), WithoutWarmStart())
+			WithPortfolio(), WithSeed(5), WithoutWarmStart())
 	}()
 	select {
 	case <-done:
@@ -101,10 +101,10 @@ func TestGovernorBudgetOneNoDeadlock(t *testing.T) {
 }
 
 // TestGovernorDegradationEquivalence pins the degradation ladder's floor:
-// a governed engine starved to one token must degrade every layer to the
-// exact sequential algorithm the ungoverned one-worker engine runs, so a
-// seeded solve produces the identical makespan and simplex effort on both.
-// Degraded parallelism is a scheduling change, never an algorithmic one.
+// a governed engine starved to one token runs the registry solver's own
+// sequential algorithm, so a seeded solve produces the identical makespan
+// and simplex effort as calling the solver directly. Governed admission is
+// a scheduling change, never an algorithmic one.
 func TestGovernorDegradationEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	in := gen.Unrelated(rng, gen.Params{N: 18, M: 4, K: 3})
@@ -112,25 +112,24 @@ func TestGovernorDegradationEquivalence(t *testing.T) {
 
 	gov, err := New(WithWorkers(1), WithBoundCache(0))
 	if err != nil {
-		t.Fatalf("New(governed): %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	ung, err := New(WithWorkers(1), WithUngoverned(), WithBoundCache(0))
-	if err != nil {
-		t.Fatalf("New(ungoverned): %v", err)
-	}
-	opts := []SolveOption{
-		WithAlgorithm(AlgoRounding), WithSearchWorkers(4), WithSeed(9), WithoutWarmStart(),
-	}
-	g, err := gov.Solve(ctx, in, opts...)
+	g, err := gov.Solve(ctx, in, WithAlgorithm(AlgoRounding), WithSeed(9), WithoutWarmStart())
 	if err != nil {
 		t.Fatalf("governed solve: %v", err)
 	}
-	u, err := ung.Solve(ctx, in, opts...)
-	if err != nil {
-		t.Fatalf("ungoverned solve: %v", err)
+	solver, ok := engine.Default().Get(engine.NameRounding)
+	if !ok {
+		t.Fatal("rounding solver not registered")
 	}
-	if g.Makespan != u.Makespan || g.LPIters != u.LPIters {
-		t.Errorf("budget-1 governed solve diverged from ungoverned 1-worker solve: makespan %v vs %v, lp-iters %d vs %d",
-			g.Makespan, u.Makespan, g.LPIters, u.LPIters)
+	// The engine hands every solve a bound bus; give the direct call one
+	// too, so both searches see the same incumbent exchange.
+	d, err := solver.Solve(ctx, in, engine.Options{Seed: 9, Bounds: engine.NewIncumbent()})
+	if err != nil {
+		t.Fatalf("direct solve: %v", err)
+	}
+	if g.Makespan != d.Makespan || g.LPIters != d.LPIters {
+		t.Errorf("budget-1 governed solve diverged from the registry solver: makespan %v vs %v, lp-iters %d vs %d",
+			g.Makespan, d.Makespan, g.LPIters, d.LPIters)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/gen"
-	"repro/internal/testutil"
 )
 
 func TestEngineFunctionalOptions(t *testing.T) {
@@ -453,55 +452,5 @@ func TestPortfolioWarmStartMonotone(t *testing.T) {
 	// a raced member that was beaten by the cache.
 	if strings.Contains(second.Best.Note, "warm start") && second.Winner != second.Best.Algorithm {
 		t.Errorf("substituted Best came from %q but Winner says %q", second.Best.Algorithm, second.Winner)
-	}
-}
-
-// TestWithSearchWorkersPlumbing: the speculative dual search rides the
-// engine handle end-to-end, and the engine clamps the per-call parallelism
-// to its WithWorkers budget — a single-worker engine with
-// WithSearchWorkers(8) must behave exactly like the sequential search
-// (byte-identical result for a seeded randomized solver).
-func TestWithSearchWorkersPlumbing(t *testing.T) {
-	testutil.ForceParallel(t)
-	rng := rand.New(rand.NewSource(21))
-	in := gen.Unrelated(rng, gen.Params{N: 20, M: 4, K: 3})
-	ctx := context.Background()
-
-	// Clamped engine: budget 1 forces the sequential path.
-	one, err := New(WithWorkers(1), WithBoundCache(0))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	clamped, err := one.Solve(ctx, in,
-		WithAlgorithm(AlgoRounding), WithSearchWorkers(8), WithSeed(3), WithoutWarmStart())
-	if err != nil {
-		t.Fatalf("clamped solve: %v", err)
-	}
-	seq, err := one.Solve(ctx, in,
-		WithAlgorithm(AlgoRounding), WithSeed(3), WithoutWarmStart())
-	if err != nil {
-		t.Fatalf("sequential solve: %v", err)
-	}
-	if clamped.Makespan != seq.Makespan || clamped.LPIters != seq.LPIters {
-		t.Errorf("WithSearchWorkers(8) on a 1-worker engine diverged from sequential: makespan %v vs %v, lp-iters %d vs %d",
-			clamped.Makespan, seq.Makespan, clamped.LPIters, seq.LPIters)
-	}
-
-	// Unclamped engine: the speculative search runs for real and stays
-	// consistent.
-	four, err := New(WithWorkers(4), WithBoundCache(0))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	spec, err := four.Solve(ctx, in,
-		WithAlgorithm(AlgoRounding), WithSearchWorkers(4), WithSeed(3), WithoutWarmStart())
-	if err != nil {
-		t.Fatalf("speculative solve: %v", err)
-	}
-	if err := spec.Schedule.Validate(in); err != nil {
-		t.Errorf("speculative schedule invalid: %v", err)
-	}
-	if spec.LowerBound > spec.Makespan+1e-9 {
-		t.Errorf("speculative bounds inconsistent: lower %g > makespan %g", spec.LowerBound, spec.Makespan)
 	}
 }

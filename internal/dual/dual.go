@@ -2,18 +2,17 @@
 // (Section 1.1.1 of the paper): given a decision procedure that, for a
 // makespan guess T, either produces a schedule with makespan at most α·T or
 // correctly reports that no schedule with makespan T exists, a
-// multiplicative search over T yields an α(1+δ)-approximation.
+// multiplicative binary search over T yields an α(1+δ)-approximation.
 //
-// How the search picks guesses is pluggable (Strategy): Bisect is the
-// classic sequential binary search, Speculate(k) evaluates k guesses of the
-// bracket concurrently on a worker pool — speculative parallelism that
-// trades redundant decider work for wall-clock latency. Search,
-// SearchWithBounds and SearchGuesses are thin wrappers over the shared
-// strategy runner (Run).
+// Search is that one sequential bisection. It can be connected to a live
+// bound exchange (core.BoundBus) shared with concurrent racers: their
+// incumbents and certificates narrow the bracket, and every verdict the
+// search commits is published back.
 package dual
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/core"
 )
@@ -21,69 +20,66 @@ import (
 // Decider is the per-guess decision procedure. For a guess T it returns
 // (schedule, true) when it constructed a schedule with makespan ≤ α·T, or
 // (nil, false) when it certifies that no schedule with makespan ≤ T exists.
+// A decider may also accept without a schedule (nil, true) when its
+// construction lives outside the core.Schedule type.
 type Decider func(T float64) (*core.Schedule, bool)
 
-// Guess is the handle a GuessDecider receives for one decision-procedure
-// invocation: the makespan guess plus the state of the surrounding search.
-// Deciders that keep warm-start state between guesses (an LP relaxation
-// re-solved per guess, a reusable DP arena) use it to size and prime that
-// state: Index tells them whether this is the build or a re-solve, and
-// [Lo, Hi] brackets every future guess the search can still emit, so
-// anything constructed for the envelope Hi remains valid for the rest of
-// the search.
-type Guess struct {
-	// T is the makespan guess to decide.
-	T float64
-	// Index is the 0-based ordinal of this decider invocation across the
-	// whole search (guesses skipped via a shared incumbent do not count).
-	// Under a parallel strategy ordinals are assigned in launch order, so
-	// concurrent invocations carry distinct indices but may complete out
-	// of order.
-	Index int
-	// Lo and Hi are the search bracket the guess was proposed from: every
-	// remaining guess lies in [Lo, Hi]. Under Bisect, T is their geometric
-	// mean; parallel strategies propose several interior points per round.
-	Lo, Hi float64
-	// Ctx is the evaluation's context. It is cancelled when the guess
-	// becomes irrelevant — a concurrently evaluated guess already moved
-	// the bracket past it — or when the whole search is stopped, so
-	// deciders that loop internally should observe it instead of the
-	// search-level context. A rejection returned after Ctx was cancelled
-	// is treated as interrupted (not a certificate) and discarded.
-	Ctx context.Context
+// Config parameterizes Search.
+type Config struct {
+	// Instance evaluates the makespans of schedules the decider returns.
+	Instance *core.Instance
+	// Lower and Upper bracket the search. Lower may be 0; it is raised to
+	// a tiny fraction of Upper to keep the geometric search well-defined.
+	// Upper must be achievable: the caller typically passes the makespan
+	// of a heuristic schedule and that schedule as Fallback.
+	Lower, Upper float64
+	// Precision is the relative gap at which the search stops (e.g. 0.05
+	// narrows to a factor 1.05; default 0.05).
+	Precision float64
+	// Fallback seeds the outcome with a known-feasible schedule (may be
+	// nil, allowing an empty outcome when every guess is rejected).
+	Fallback *core.Schedule
+	// Bus connects the search to a live bound exchange (may be nil):
+	//
+	//   - guesses at or above the live incumbent makespan are accepted
+	//     without running the decider, since the incumbent schedule is
+	//     already a witness (Outcome.Skipped counts these);
+	//   - the search floor is raised to the bus's certified lower bound
+	//     before every guess, so refutations by concurrent racers narrow
+	//     this search;
+	//   - every rejected guess is published as a certified lower bound,
+	//     and the makespan of every schedule a guess produces as an
+	//     incumbent, the moment the verdict is committed.
+	//
+	// Deciders whose rejections are not certificates (e.g. a node-capped
+	// dynamic program) must wrap the bus to suppress PublishLower for those
+	// guesses, or they would poison every racer sharing it.
+	Bus core.BoundBus
 }
-
-// GuessDecider is a Decider that receives the full Guess handle instead of
-// the bare T. See SearchGuesses.
-type GuessDecider func(g Guess) (*core.Schedule, bool)
 
 // Outcome is the result of a dual approximation search.
 type Outcome struct {
 	// Schedule is the best (smallest makespan) schedule produced by any
-	// accepted guess; nil when every guess was rejected.
+	// accepted guess, or the Fallback; nil when neither exists.
 	Schedule *core.Schedule
-	// Makespan is the makespan of Schedule under the instance the decider
-	// was built for (recorded by the decider via Observe; see Search).
+	// Makespan is the makespan of Schedule under Config.Instance.
 	Makespan float64
 	// LowerBound is the largest guess that was rejected — a certified lower
 	// bound on the optimal makespan (Opt > LowerBound). It equals the
-	// initial lb if no guess was ever rejected.
+	// initial Lower if no guess was ever rejected.
 	LowerBound float64
 	// Accepted is the smallest guess value the search holds an acceptance
 	// for when it returns: the final upper bracket edge. Like the initial
-	// upper bound it is accept-backed — either a decider accepted it, or it
-	// is the caller's Upper (assumed accepted by the Search contract), or a
-	// live incumbent witnessed it. The incremental re-solve pipeline
-	// retains it and lifts it through Delta.AcceptedCap to open the next
-	// search's bracket near the threshold. Zero when Upper <= 0 (the
-	// zero-makespan fast path).
+	// upper bound it is accept-backed — either the decider accepted it, or
+	// it is the caller's Upper, or a live incumbent witnessed it. The
+	// incremental re-solve pipeline retains it and lifts it through
+	// Delta.AcceptedCap to open the next search's bracket near the
+	// threshold. Zero when Upper <= 0 (the zero-makespan fast path).
 	Accepted float64
 	// Guesses is the number of decision-procedure invocations.
 	Guesses int
-	// Skipped is the number of guesses short-circuited by a shared
-	// incumbent (SearchWithBounds): guesses at or above the live incumbent
-	// makespan are accepted without running the decider, since the
-	// incumbent schedule is already a witness. Always 0 for Search.
+	// Skipped is the number of guesses accepted without running the
+	// decider because they were at or above the bus's live incumbent.
 	Skipped int
 	// Err is the context error (context.Canceled or
 	// context.DeadlineExceeded) when the search was stopped before
@@ -93,61 +89,86 @@ type Outcome struct {
 	Err error
 }
 
-// Search runs multiplicative binary search for the smallest accepted guess
-// in [lb, ub]. precision is the relative gap at which the search stops
-// (e.g. 0.05 narrows to a factor 1.05). The instance is needed to evaluate
-// makespans of returned schedules.
+// Search runs the multiplicative binary search for the smallest accepted
+// guess in [cfg.Lower, cfg.Upper]: every step decides the geometric mean
+// of the bracket, an acceptance lowers the upper edge to it and a
+// rejection raises the lower edge.
 //
-// The context is checked between guesses: a cancelled or expired ctx stops
-// the search early and is reported in Outcome.Err. Deciders that loop
-// internally should additionally observe the same context themselves.
-//
-// lb may be 0; it is raised to a tiny fraction of ub to keep the geometric
-// search well-defined. ub must be achievable (the caller typically passes
-// the makespan of a heuristic schedule and that schedule as a fallback via
-// fallback; pass nil to allow an empty outcome when all guesses fail).
-func Search(ctx context.Context, in *core.Instance, lb, ub, precision float64, fallback *core.Schedule, decide Decider) Outcome {
-	return SearchWithBounds(ctx, in, lb, ub, precision, fallback, nil, decide)
-}
-
-// SearchWithBounds is Search connected to a live bound exchange (a nil bus
-// degrades to plain Search). The search both consumes and feeds the bus:
-//
-//   - guesses at or above the live incumbent makespan are accepted without
-//     running the decider — the incumbent schedule, wherever it lives, is
-//     already a witness that a schedule with that makespan exists
-//     (Outcome.Skipped counts these);
-//   - the search floor is raised to the bus's certified lower bound before
-//     every round, so refutations by concurrent racers narrow this search;
-//   - every committed rejected guess is published as a certified lower
-//     bound, and the makespan of every schedule a guess produces is
-//     published as an incumbent the moment its round commits, not only at
-//     return.
-//
-// Deciders whose rejections are not certificates (e.g. a node-capped
-// dynamic program) must wrap the bus to suppress PublishLower for those
-// guesses, or they would poison every racer sharing it.
-func SearchWithBounds(ctx context.Context, in *core.Instance, lb, ub, precision float64, fallback *core.Schedule, bus core.BoundBus, decide Decider) Outcome {
-	return SearchGuesses(ctx, in, lb, ub, precision, fallback, bus, func(g Guess) (*core.Schedule, bool) {
-		return decide(g.T)
-	})
-}
-
-// SearchGuesses is SearchWithBounds for deciders that carry warm-start
-// state across guesses: the callback receives the Guess handle (ordinal and
-// live bracket) alongside T, so a decider can build an expensive structure
-// once at the envelope and cheaply re-solve it for every subsequent guess
-// (the randomized-rounding LP relaxation does exactly this).
-func SearchGuesses(ctx context.Context, in *core.Instance, lb, ub, precision float64, fallback *core.Schedule, bus core.BoundBus, decide GuessDecider) Outcome {
-	return Run(ctx, Config{
-		Instance:  in,
-		Lower:     lb,
-		Upper:     ub,
-		Precision: precision,
-		Fallback:  fallback,
-		Bus:       bus,
-		Deciders:  []GuessDecider{decide},
-	})
+// The context is checked before every guess: a cancelled or expired ctx
+// stops the search early and is reported in Outcome.Err. Deciders that
+// loop internally should observe the same context themselves. A rejection
+// returned after ctx was cancelled is an interruption, not a certificate:
+// it is discarded, neither committed nor published.
+func Search(ctx context.Context, cfg Config, decide Decider) Outcome {
+	in, bus := cfg.Instance, cfg.Bus
+	out := Outcome{LowerBound: cfg.Lower, Makespan: math.Inf(1)}
+	if cfg.Fallback != nil {
+		out.Schedule = cfg.Fallback
+		out.Makespan = cfg.Fallback.Makespan(in)
+	}
+	if cfg.Upper <= 0 {
+		// Zero-makespan instance (all sizes 0): any complete feasible
+		// assignment achieves 0; the fallback already is one.
+		return out
+	}
+	precision := cfg.Precision
+	if precision <= 0 {
+		precision = 0.05
+	}
+	lo, hi := searchFloor(cfg.Lower, cfg.Upper), cfg.Upper
+	for hi/lo > 1+precision {
+		if err := ctx.Err(); err != nil {
+			out.Err = err
+			break
+		}
+		if bus != nil {
+			if l := bus.Lower(); l > lo {
+				// A concurrent racer certified a higher floor.
+				lo = l
+				if l > out.LowerBound {
+					out.LowerBound = l
+				}
+				continue
+			}
+		}
+		t := math.Sqrt(lo * hi)
+		if t <= lo || t >= hi {
+			break // bracket numerically exhausted
+		}
+		if bus != nil && t >= bus.Upper() {
+			// The incumbent schedule is already a witness at t.
+			out.Skipped++
+			hi = t
+			continue
+		}
+		out.Guesses++
+		sched, ok := decide(t)
+		if !ok && ctx.Err() != nil {
+			continue // interrupted rejection; the loop reports ctx.Err
+		}
+		if ok {
+			hi = t
+			if sched != nil {
+				ms := sched.Makespan(in)
+				if ms < out.Makespan {
+					out.Schedule, out.Makespan = sched, ms
+				}
+				if bus != nil {
+					bus.PublishUpper(ms)
+				}
+			}
+			continue
+		}
+		lo = t
+		if t > out.LowerBound {
+			out.LowerBound = t
+		}
+		if bus != nil {
+			bus.PublishLower(t)
+		}
+	}
+	out.Accepted = hi
+	return out
 }
 
 // searchFloor raises a lower bracket edge to keep the geometric search

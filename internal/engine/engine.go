@@ -46,16 +46,6 @@ type Options struct {
 	// RoundingC is the iteration multiplier of the randomized rounding
 	// (0 = solver default).
 	RoundingC int
-	// SearchWorkers is the speculative parallelism of dual-approximation
-	// binary searches (dual.Speculate): solvers that search over a
-	// makespan guess (PTAS, randomized rounding, the two class-uniform
-	// special cases) evaluate that many guesses concurrently per round,
-	// each worker on its own warm-start state (the rounding clones its LP
-	// relaxation per worker). 0 or 1 keeps the sequential bisection. With
-	// Budget set the width is additionally governed live: each round runs
-	// as wide as the global budget grants, degrading toward sequential
-	// bisection on a saturated box.
-	SearchWorkers int
 	// LocalSearch post-optimizes the chosen schedule with the
 	// best-improvement descent of internal/improve before returning it.
 	LocalSearch bool
@@ -73,13 +63,11 @@ type Options struct {
 	// enabling warm restarts across repeated solves.
 	Bounds core.BoundBus
 	// Budget, when non-nil, is the engine's global concurrency budget (the
-	// governor): portfolio member launches and speculative search width
-	// draw their extra parallelism from it, acquire-or-degrade, instead of
-	// clamping independently. The solve itself is assumed to already hold
-	// one guaranteed token (the engine admits solves through the blocking
-	// side of the governor), so solvers only ever use the non-blocking
-	// TryAcquire/Release. Nil means ungoverned: each layer falls back to
-	// its local GOMAXPROCS clamp.
+	// governor): a portfolio race draws its extra member lanes from it,
+	// acquire-or-degrade. The solve itself is assumed to already hold one
+	// guaranteed token (the engine admits solves through the blocking side
+	// of the governor), so the race only ever uses the non-blocking
+	// TryAcquire/Release. Nil launches every member on its own goroutine.
 	Budget core.TokenBudget
 	// Warm, when non-nil, carries re-solve knowledge from a previous solve
 	// of a related instance (see core.WarmStart): a certified lower bound,

@@ -11,12 +11,12 @@ import (
 
 // Governor is the engine's global concurrency budget: a weighted semaphore
 // sized in compute lanes (default GOMAXPROCS) that every parallel layer of
-// a solve acquires from — batch dispatch workers, portfolio member
-// launches, speculative search width. It implements core.TokenBudget for
-// the acquire-or-degrade layers and adds the blocking Acquire the engine
-// uses to admit solves, so the whole process never runs more concurrent
-// compute lanes than the budget regardless of how batch size, portfolio
-// fan-out and search width multiply.
+// a solve acquires from — batch dispatch workers and portfolio member
+// launches. It implements core.TokenBudget for the acquire-or-degrade
+// portfolio launch and adds the blocking Acquire the engine uses to admit
+// solves, so the whole process never runs more concurrent compute lanes
+// than the budget regardless of how batch size and portfolio fan-out
+// multiply.
 //
 // Deadlock freedom rests on the split contract (see core.TokenBudget): the
 // blocking Acquire is only ever called by a goroutine holding no tokens
@@ -45,7 +45,7 @@ func NewGovernor(budget int) *Governor {
 	return &Governor{cap: budget}
 }
 
-// Cap implements core.TokenBudget.
+// Cap returns the total token budget (≥ 1).
 func (g *Governor) Cap() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -174,8 +174,7 @@ type GovernorStats struct {
 	// MaxWait is the longest single admission wait observed.
 	MaxWait time.Duration
 	// Degradations counts TryAcquire calls granted fewer tokens than asked:
-	// portfolio races that fell back toward sequential and speculative
-	// search rounds that ran narrower than their configured width.
+	// portfolio races that fell back toward sequential.
 	Degradations int64
 }
 

@@ -132,12 +132,10 @@ func newPTASSolver() Solver {
 		Priority:  50,
 	}, func(ctx context.Context, in *core.Instance, opt Options) (core.Result, error) {
 		res, _, err := ptas.Schedule(ctx, in, ptas.Options{
-			Eps:           opt.Eps,
-			NodeCap:       opt.NodeCap,
-			Precision:     opt.Precision,
-			Bounds:        opt.Bounds,
-			SearchWorkers: opt.SearchWorkers,
-			Budget:        opt.Budget,
+			Eps:       opt.Eps,
+			NodeCap:   opt.NodeCap,
+			Precision: opt.Precision,
+			Bounds:    opt.Bounds,
 		})
 		return res, err
 	})
@@ -150,13 +148,11 @@ func newRoundingSolver() Solver {
 		Priority:  20,
 	}, func(ctx context.Context, in *core.Instance, opt Options) (core.Result, error) {
 		res, det, err := rounding.ScheduleDetailed(ctx, in, rounding.Options{
-			C:             opt.RoundingC,
-			Rng:           rngFor(opt),
-			Precision:     opt.Precision,
-			Bounds:        opt.Bounds,
-			SearchWorkers: opt.SearchWorkers,
-			Budget:        opt.Budget,
-			Warm:          opt.Warm,
+			C:         opt.RoundingC,
+			Rng:       rngFor(opt),
+			Precision: opt.Precision,
+			Bounds:    opt.Bounds,
+			Warm:      opt.Warm,
 		})
 		if err == nil && opt.Retain != nil {
 			opt.Retain(RetainedState{Accepted: det.Accepted, Rel: det.Relaxation})
@@ -172,7 +168,7 @@ func newRA2Solver() Solver {
 		Guarantee:           "2-approximation (Theorem 3.10)",
 		Priority:            40,
 	}, func(ctx context.Context, in *core.Instance, opt Options) (core.Result, error) {
-		return special.ScheduleClassUniformRA(ctx, in, special.Options{Precision: opt.Precision, Bounds: opt.Bounds, SearchWorkers: opt.SearchWorkers, Budget: opt.Budget})
+		return special.ScheduleClassUniformRA(ctx, in, special.Options{Precision: opt.Precision, Bounds: opt.Bounds})
 	})
 }
 
@@ -183,7 +179,7 @@ func newPT3Solver() Solver {
 		Guarantee:           "3-approximation (Theorem 3.11)",
 		Priority:            30,
 	}, func(ctx context.Context, in *core.Instance, opt Options) (core.Result, error) {
-		return special.ScheduleClassUniformPT(ctx, in, special.Options{Precision: opt.Precision, Bounds: opt.Bounds, SearchWorkers: opt.SearchWorkers, Budget: opt.Budget})
+		return special.ScheduleClassUniformPT(ctx, in, special.Options{Precision: opt.Precision, Bounds: opt.Bounds})
 	})
 }
 

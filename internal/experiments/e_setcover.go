@@ -36,30 +36,23 @@ func lpFeasibleMakespan(in *core.Instance, ub float64) (float64, error) {
 		return 0, err
 	}
 	var solveErr error
-	best := ub
-	out := dual.SearchGuesses(context.Background(), in, 0, ub, 0.03, nil, nil, func(g dual.Guess) (*core.Schedule, bool) {
-		f, err := rel.ReSolve(g.T)
+	out := dual.Search(context.Background(), dual.Config{Instance: in, Upper: ub, Precision: 0.03}, func(T float64) (*core.Schedule, bool) {
+		f, err := rel.ReSolve(T)
 		if err != nil {
 			solveErr = err
 			return nil, true
 		}
-		if f == nil {
-			return nil, false
-		}
-		if g.T < best {
-			best = g.T
-		}
-		return nil, true
+		return nil, f != nil
 	})
 	if solveErr != nil {
 		return 0, solveErr
 	}
-	// The search's lower bound is the largest infeasible guess; the LP
-	// optimum lies between it and the smallest feasible guess.
-	if out.LowerBound > 0 && out.LowerBound < best {
-		return (out.LowerBound + best) / 2, nil
+	// The search's lower bound is the largest infeasible guess and its
+	// accepted edge the smallest feasible one; the LP optimum lies between.
+	if out.LowerBound > 0 && out.LowerBound < out.Accepted {
+		return (out.LowerBound + out.Accepted) / 2, nil
 	}
-	return best, nil
+	return out.Accepted, nil
 }
 
 func runE5(cfg Config) (string, error) {

@@ -130,9 +130,7 @@ type Backend interface {
 	// perturbs the parent and vice versa, so clones can solve concurrently
 	// on separate goroutines (one goroutine per backend — a single Backend
 	// remains non-thread-safe). Clone must not be called concurrently with
-	// a Solve or mutation on the receiver. This is the substrate of the
-	// speculative parallel dual search: each search worker re-solves on its
-	// own clone, keeping the locality of its warm basis.
+	// a Solve or mutation on the receiver.
 	Clone() Backend
 }
 

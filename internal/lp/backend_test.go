@@ -553,8 +553,7 @@ func TestBackendCloneIndependence(t *testing.T) {
 
 // TestBackendCloneConcurrentSolves runs several clones of one warmed parent
 // concurrently (run under -race), each on its own RHS trajectory, and
-// checks every verdict against a cold solve — the speculative dual search's
-// exact usage pattern.
+// checks every verdict against a cold solve.
 func TestBackendCloneConcurrentSolves(t *testing.T) {
 	for _, kind := range []BackendKind{Dense, Sparse} {
 		kind := kind

@@ -33,7 +33,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -61,17 +60,6 @@ type Options struct {
 	// rejections are never published — they are suspicions, not
 	// certificates.
 	Bounds core.BoundBus
-	// SearchWorkers is the speculative parallelism of the binary search on
-	// T (dual.Speculate): that many guesses are simplified and DP-solved
-	// concurrently. The decision procedure is stateless per guess
-	// (simplify + fresh DP arena), so workers share nothing but the
-	// instance. 0 or 1 keeps the sequential bisection.
-	SearchWorkers int
-	// Budget, when non-nil, governs the search width live (the engine's
-	// global concurrency budget): each round runs as wide as the budget
-	// grants, degrading toward sequential bisection when the box is
-	// saturated. Nil keeps the local GOMAXPROCS clamp.
-	Budget core.TokenBudget
 }
 
 func (o Options) normalize() Options {
@@ -127,8 +115,7 @@ func Schedule(ctx context.Context, in *core.Instance, opt Options) (core.Result,
 	}
 	// The guard marks guesses whose rejection is not a certificate: a
 	// capped or cancelled DP run only suspects infeasibility and must not
-	// be published as a lower bound. It is keyed by the guess value, so it
-	// stays sound when several guesses are decided concurrently.
+	// be published as a lower bound.
 	var guard *guardedBus
 	var bus core.BoundBus
 	if opt.Bounds != nil {
@@ -137,45 +124,27 @@ func Schedule(ctx context.Context, in *core.Instance, opt Options) (core.Result,
 		guard = &guardedBus{BoundBus: opt.Bounds}
 		bus = guard
 	}
-	workers := dual.PlanParallelism(opt.SearchWorkers, opt.Budget)
-	// The decision procedure is stateless per guess; shared stats are the
-	// only mutable cross-worker state, so one concurrency-safe decider
-	// serves every worker slot.
-	var mu sync.Mutex
-	decider := func(g dual.Guess) (*core.Schedule, bool) {
-		sched, st := decide(g.Ctx, in, g.T, opt)
-		mu.Lock()
-		stats.Nodes += st.Nodes
-		if st.Capped {
-			stats.Capped = true
-		}
-		stats.Guesses++
-		mu.Unlock()
-		// A guess cancelled mid-DP is not marked in Stats.Cancelled here:
-		// under a speculative strategy per-guess cancellation is routine
-		// (the guess became irrelevant) and the runner discards the
-		// interrupted rejection, so nothing unsound is committed. A
-		// search-level cancellation surfaces as Outcome.Err below. The
-		// guard still suppresses the rejection's publication either way.
-		if guard != nil && (st.Capped || st.Cancelled) {
-			guard.markUnsound(g.T)
-		}
-		return sched, sched != nil
-	}
-	deciders := make([]dual.GuessDecider, workers)
-	for w := range deciders {
-		deciders[w] = decider
-	}
-	out := dual.Run(ctx, dual.Config{
+	out := dual.Search(ctx, dual.Config{
 		Instance:  in,
 		Lower:     lb,
 		Upper:     ub,
 		Precision: opt.Precision,
 		Fallback:  lptSched,
 		Bus:       bus,
-		Strategy:  dual.Speculate(workers),
-		Deciders:  deciders,
-		Budget:    opt.Budget,
+	}, func(T float64) (*core.Schedule, bool) {
+		sched, st := decide(ctx, in, T, opt)
+		stats.Nodes += st.Nodes
+		if st.Capped {
+			stats.Capped = true
+		}
+		stats.Guesses++
+		// A rejection cancelled mid-DP is discarded by the search; the
+		// cancellation itself surfaces as Outcome.Err below. The guard
+		// still suppresses the rejection's publication either way.
+		if guard != nil && (st.Capped || st.Cancelled) {
+			guard.unsound = T
+		}
+		return sched, sched != nil
 	})
 	if out.Err != nil {
 		stats.Cancelled = true
@@ -206,34 +175,19 @@ func Schedule(ctx context.Context, in *core.Instance, opt Options) (core.Result,
 	}, stats, nil
 }
 
-// guardedBus filters PublishLower through a set of unsound guess values:
-// rejections caused by the node cap or a cancelled context are not
-// infeasibility certificates, and publishing them would poison the shared
-// bound bus for every racer. The decider marks such guesses by their exact
-// value before returning, and the search runner publishes a committed
-// rejection with that same value, so the filter matches exactly. Keying by
-// value (rather than a "last guess" flag) keeps the guard sound when a
-// parallel strategy decides several guesses concurrently.
+// guardedBus keeps an unsound rejection off the bus: a rejection caused by
+// the node cap or a cancelled context is not an infeasibility certificate,
+// and publishing it would poison the shared bound bus for every racer. The
+// decider records the guess value before returning, and the search
+// publishes a committed rejection with that same value, so the filter
+// matches exactly.
 type guardedBus struct {
 	core.BoundBus
-	mu      sync.Mutex
-	unsound map[float64]bool
-}
-
-func (g *guardedBus) markUnsound(t float64) {
-	g.mu.Lock()
-	if g.unsound == nil {
-		g.unsound = make(map[float64]bool)
-	}
-	g.unsound[t] = true
-	g.mu.Unlock()
+	unsound float64
 }
 
 func (g *guardedBus) PublishLower(v float64) bool {
-	g.mu.Lock()
-	bad := g.unsound[v]
-	g.mu.Unlock()
-	if bad {
+	if v == g.unsound {
 		return false
 	}
 	return g.BoundBus.PublishLower(v)

@@ -31,12 +31,11 @@ import (
 //     model) returns an error, and the caller falls back to a cold
 //     NewRelaxation on newIn.
 //
-// Ownership contract: the relaxation's model is shared with any clones
-// made for a speculative search. ApplyDelta must only be called once that
-// search has finished and the caller holds the sole live reference (the
-// engine's retention store hands out states exclusively). The instance
-// newIn must be the exact value later passed to ScheduleDetailed — the
-// warm path matches them by pointer identity.
+// Ownership contract: ApplyDelta must only be called once the search that
+// used the relaxation has finished and the caller holds the sole live
+// reference (the engine's retention store hands out states exclusively).
+// The instance newIn must be the exact value later passed to
+// ScheduleDetailed — the warm path matches them by pointer identity.
 func (rel *Relaxation) ApplyDelta(d core.Delta, newIn *core.Instance, searchUpper float64) error {
 	if rel.mdl.infeasible {
 		return fmt.Errorf("rounding: ApplyDelta on an infeasible relaxation")

@@ -3,8 +3,6 @@ package rounding
 import (
 	"context"
 	"math/rand"
-	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/baseline"
@@ -14,11 +12,10 @@ import (
 	"repro/internal/lp"
 )
 
-// TestReportRounds logs the search-shape numbers (serial rounds, decider
-// invocations) for the benchmark instance — run manually with -v.
+// TestReportRounds logs the search-shape numbers (guesses, certified
+// bound, LP pivots) of a pure LP-feasibility search over [0, greedy] on the
+// benchmark instance — run manually with -v.
 func TestReportRounds(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
 	rng := rand.New(rand.NewSource(1))
 	in := gen.Unrelated(rng, gen.Params{N: 100, M: 10, K: 8})
 	g, err := baseline.Greedy(in)
@@ -26,44 +23,23 @@ func TestReportRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ub := g.Makespan(in)
-	for _, workers := range []int{1, 2, 4} {
-		rel, err := NewRelaxation(in, RelaxationConfig{Envelope: ub, Backend: lp.Sparse})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rel.ReSolve(ub); err != nil {
-			t.Fatal(err)
-		}
-		rels := make([]*Relaxation, workers)
-		rels[0] = rel
-		for w := 1; w < workers; w++ {
-			rels[w] = rel.Clone()
-		}
-		var mu sync.Mutex
-		rounds := map[[2]float64]bool{}
-		deciders := make([]dual.GuessDecider, workers)
-		for w := range deciders {
-			r := rels[w]
-			deciders[w] = func(gu dual.Guess) (*core.Schedule, bool) {
-				mu.Lock()
-				rounds[[2]float64{gu.Lo, gu.Hi}] = true
-				mu.Unlock()
-				f, err := r.ReSolve(gu.T)
-				if err != nil {
-					t.Errorf("ReSolve: %v", err)
-					return nil, true
-				}
-				return nil, f != nil
-			}
-		}
-		out := dual.Run(context.Background(), dual.Config{
-			Instance: in, Lower: 0, Upper: ub, Precision: 0.05,
-			Strategy: dual.Speculate(workers), Deciders: deciders,
-		})
-		iters := 0
-		for _, r := range rels {
-			iters += r.Iterations()
-		}
-		t.Logf("workers=%d rounds=%d guesses=%d lower=%.4g lp-iters=%d", workers, len(rounds), out.Guesses, out.LowerBound, iters)
+	rel, err := NewRelaxation(in, RelaxationConfig{Envelope: ub, Backend: lp.Sparse})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := rel.ReSolve(ub); err != nil {
+		t.Fatal(err)
+	}
+	out := dual.Search(context.Background(), dual.Config{Instance: in, Upper: ub, Precision: 0.05}, func(T float64) (*core.Schedule, bool) {
+		f, err := rel.ReSolve(T)
+		if err != nil {
+			t.Errorf("ReSolve: %v", err)
+			return nil, true
+		}
+		return nil, f != nil
+	})
+	if out.Guesses == 0 {
+		t.Error("search over [0, greedy] evaluated no guess")
+	}
+	t.Logf("guesses=%d lower=%.4g lp-iters=%d", out.Guesses, out.LowerBound, rel.Iterations())
 }

@@ -60,20 +60,6 @@ type Options struct {
 	// the LP threshold and LP-infeasible guesses as certified lower bounds,
 	// and the binary search skips guesses at or above the live incumbent.
 	Bounds core.BoundBus
-	// SearchWorkers is the speculative parallelism of the binary search on
-	// T (dual.Speculate): that many makespan guesses are evaluated
-	// concurrently, each on its own Relaxation clone, shrinking the search
-	// to fewer serial rounds. 0 or 1 keeps the sequential bisection.
-	// Memory scales with workers (one LP backend per worker); verdicts are
-	// equivalent to the sequential search within precision.
-	SearchWorkers int
-	// Budget, when non-nil, governs the search width live (the engine's
-	// global concurrency budget): per-worker state is provisioned up to
-	// min(SearchWorkers, Budget.Cap()) and each search round runs only as
-	// wide as the budget grants at that moment, degrading toward the
-	// sequential bisection on a saturated box. Nil keeps the local
-	// GOMAXPROCS clamp.
-	Budget core.TokenBudget
 	// Warm, when usable (non-nil with a feasible Fallback witness and a
 	// positive finite Upper), switches the run onto the incremental
 	// re-solve path: the greedy bootstrap is skipped, the bracket opens on
@@ -437,37 +423,6 @@ func (mdl *ilpModel) startBasis(in *core.Instance, g *core.Schedule) *lp.Basis {
 	return b
 }
 
-// Clone returns an independent Relaxation for speculative parallel dual
-// searches: it shares the immutable built model (variables, rows, index
-// maps) with the parent but owns its own LP backend (basis, factorization,
-// workspace), clamp state and result buffer, so clones and parent can
-// ReSolve concurrently on separate goroutines without perturbing each
-// other's warm bases. The clone inherits the parent's current basis, which
-// stays useful because consecutive guesses in a worker's sub-bracket differ
-// only in RHS and bound clamps. Clone must not be called concurrently with
-// ReSolve on the receiver. Iterations are counted per clone.
-func (rel *Relaxation) Clone() *Relaxation {
-	if rel.stale {
-		// A deferred post-delta rebuild must land in the parent before the
-		// backend can be cloned; a transplant failure falls back to a cold
-		// backend inside materialize, so be is valid either way.
-		rel.materialize()
-	}
-	c := &Relaxation{
-		in: rel.in, kind: rel.kind, noPresolve: rel.noPresolve, ws: lp.NewWorkspace(), mdl: rel.mdl,
-		envelope: rel.envelope,
-		banned:   append([]bool(nil), rel.banned...),
-		avail:    append([]int(nil), rel.avail...),
-		dead:     append([]int(nil), rel.dead...),
-		deadRows: append([]int(nil), rel.deadRows...),
-		frac:     makeFractional(rel.in.M, rel.in.N, rel.in.K),
-	}
-	if rel.be != nil {
-		c.be = rel.be.Clone()
-	}
-	return c
-}
-
 // Iterations returns the cumulative simplex pivots across all ReSolve
 // calls so far — the per-backend effort metric behind Detail.LPIterations.
 func (rel *Relaxation) Iterations() int { return rel.iters }
@@ -822,10 +777,10 @@ type Detail struct {
 	// microbenchmarks.
 	LPIterations int
 	// LPRefactors is the total number of basis refactorizations across the
-	// same LP solves (lp.Solution.Refactors summed per relaxation): the
+	// same LP solves (lp.Solution.Refactors summed): the
 	// count that shows how often the sparse backend rebuilt its eta file.
 	LPRefactors int
-	// LPPresolve is the equilibration scaling of the primary relaxation's
+	// LPPresolve is the equilibration scaling of the relaxation's
 	// latest LP solve (Ruiz passes), nil when scaling was off or no LP
 	// was solved.
 	LPPresolve *lp.PresolveInfo
@@ -833,7 +788,7 @@ type Detail struct {
 	// (dual.Outcome.Accepted). The re-solve pipeline retains it and lifts
 	// it through Delta.AcceptedCap into the next search's bracket.
 	Accepted float64
-	// Relaxation is the primary (worker-0) relaxation the run solved on,
+	// Relaxation is the relaxation the run solved on,
 	// exposed so the engine can retain it — with its warm basis — for
 	// ApplyDelta on the next delta. Callers that keep it own it: it must
 	// not be used after the instance is re-solved elsewhere.
@@ -939,74 +894,37 @@ func ScheduleDetailed(ctx context.Context, in *core.Instance, opt Options) (core
 			}
 		}
 	}
-	// One decider per search worker: worker 0 re-solves the primary
-	// relaxation, every further worker an independent clone (own backend,
-	// own warm basis), and each worker draws from its own rng stream, so
-	// the speculative search runs race-free without locking the LP layer.
-	// The shared diagnostics (guess count, pure-rounding record) and the
-	// abort-on-error channel are the only cross-worker state, guarded by mu.
-	workers := dual.PlanParallelism(opt.SearchWorkers, opt.Budget)
-	if ub <= 0 || det.SearchClosed {
-		// The search below returns without evaluating a guess, so
-		// per-worker relaxation clones would be pure waste.
-		workers = 1
-	}
-	var mu sync.Mutex
+	// Every guess re-solves the one relaxation in place from the previous
+	// guess's warm basis.
 	var solveErr error
-	rels := make([]*Relaxation, workers)
-	deciders := make([]dual.GuessDecider, workers)
-	rels[0] = rel
-	for w := 1; w < workers; w++ {
-		rels[w] = rel.Clone()
-	}
-	for w := 0; w < workers; w++ {
-		r, rng := rels[w], opt.Rng
-		if w > 0 {
-			rng = rand.New(rand.NewSource(opt.Rng.Int63()))
-		}
-		deciders[w] = func(g dual.Guess) (*core.Schedule, bool) {
-			mu.Lock()
-			det.Guesses++
-			mu.Unlock()
-			f, err := r.ReSolve(g.T)
-			if err != nil {
-				mu.Lock()
-				if solveErr == nil {
-					solveErr = err
-				}
-				mu.Unlock()
-				return nil, true // abort ascent; error reported below
-			}
-			if f == nil {
-				return nil, false
-			}
-			sched, _ := Round(g.Ctx, in, f, opt.C, rng)
-			mu.Lock()
-			if ms := sched.Makespan(in); ms < det.PureMakespan {
-				det.PureMakespan, det.PureSchedule = ms, sched
-			}
-			mu.Unlock()
-			return sched, true
-		}
-	}
-	out := dual.Run(ctx, dual.Config{
+	out := dual.Search(ctx, dual.Config{
 		Instance:  in,
 		Lower:     lb,
 		Upper:     hi,
 		Precision: opt.Precision,
 		Fallback:  fallback,
 		Bus:       opt.Bounds,
-		Strategy:  dual.Speculate(workers),
-		Deciders:  deciders,
-		Budget:    opt.Budget,
+	}, func(T float64) (*core.Schedule, bool) {
+		det.Guesses++
+		f, err := rel.ReSolve(T)
+		if err != nil {
+			solveErr = err
+			return nil, true // abort ascent; error reported below
+		}
+		if f == nil {
+			return nil, false
+		}
+		sched, _ := Round(ctx, in, f, opt.C, opt.Rng)
+		if ms := sched.Makespan(in); ms < det.PureMakespan {
+			det.PureMakespan, det.PureSchedule = ms, sched
+		}
+		return sched, true
 	})
-	for _, r := range rels {
-		det.LPIterations += r.Iterations()
-		det.LPRefactors += r.Refactors()
-	}
+	det.LPIterations = rel.Iterations()
+	det.LPRefactors = rel.Refactors()
 	det.Accepted = out.Accepted
-	det.Relaxation = rels[0]
-	det.LPPresolve = rels[0].Presolve()
+	det.Relaxation = rel
+	det.LPPresolve = rel.Presolve()
 	if solveErr != nil {
 		return core.Result{}, det, solveErr
 	}

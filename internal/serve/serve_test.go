@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -568,6 +569,27 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", name, resp.StatusCode, data)
+		}
+	}
+	// A misspelled option is named in a 400 on both endpoints, instead of
+	// being dropped in favour of the default solver.
+	inst := instanceBody(t, 3, serve.SolveOptions{}, false)
+	var solveReq serve.SolveRequest
+	if err := json.Unmarshal(inst, &solveReq); err != nil {
+		t.Fatal(err)
+	}
+	for path, body := range map[string]string{
+		"/v1/solve": fmt.Sprintf(`{"instance": %s, "options": {"algoritm": "lpt"}}`, solveReq.Instance),
+		"/v1/batch": fmt.Sprintf(`{"instances": [%s], "options": {"algoritm": "lpt"}}`, solveReq.Instance),
+	} {
+		resp, err := http.Post(h.ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "algoritm") {
+			t.Errorf("%s with a misspelled option: status %d (%s), want 400 naming the field", path, resp.StatusCode, data)
 		}
 	}
 	// An already-expired explicit deadline is shed, not an input error.

@@ -691,10 +691,14 @@ func (s *Server) Stats() Stats {
 
 // --- response helpers -------------------------------------------------------
 
-// readJSON decodes the request body into v, answering 400 on failure.
+// readJSON decodes the request body into v, answering 400 on failure. A
+// field the request type does not define is a failure too, so a misspelled
+// option is named in the error instead of silently falling back to its
+// default.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
 	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error(), "")
 		return false

@@ -3,10 +3,8 @@ package special
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/dual"
 )
 
 // ScheduleClassUniformPT implements Theorem 3.11: a 3-approximation for
@@ -19,28 +17,11 @@ func ScheduleClassUniformPT(ctx context.Context, in *core.Instance, opt Options)
 		return core.Result{}, err
 	}
 	classTime := classTimes(in)
-	var mu sync.Mutex
-	var solveErr error
-	decide := func(T float64) (*core.Schedule, bool) {
-		r, err := solveRelaxed(in, T, admitPT(in, classTime, T))
-		if err != nil {
-			mu.Lock()
-			if solveErr == nil {
-				solveErr = err
-			}
-			mu.Unlock()
-			return nil, true
-		}
-		if r == nil {
-			return nil, false
-		}
-		return roundPT(in, r), true
-	}
-	res, err := schedule(ctx, in, "class-uniform-pt-3approx", opt, dual.Decider(decide))
-	if err == nil && solveErr != nil {
-		err = solveErr
-	}
-	return res, err
+	return schedule(ctx, in, variant{
+		name:  "class-uniform-pt-3approx",
+		admit: func(T float64) func(i, k int) bool { return admitPT(in, classTime, T) },
+		round: roundPT,
+	}, opt)
 }
 
 // admitPT is constraint (16) at guess T: a pair (i,k) is admitted only if

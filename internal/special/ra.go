@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/dual"
 )
 
 // ScheduleClassUniformRA implements Theorem 3.10: a 2-approximation for the
@@ -19,36 +17,22 @@ func ScheduleClassUniformRA(ctx context.Context, in *core.Instance, opt Options)
 	if err := CheckClassUniformRA(in); err != nil {
 		return core.Result{}, err
 	}
-	var mu sync.Mutex
-	var solveErr error
-	decide := func(T float64) (*core.Schedule, bool) {
-		// Any schedule with makespan ≤ T pays p_j + s_{k_j} ≤ T for every
-		// job (in restricted assignment the setup size is machine-
-		// independent on eligible machines), so T below that is rejected.
-		for j := 0; j < in.N; j++ {
-			if in.JobSize[j]+in.SetupSize[in.Class[j]] > T+core.Eps {
-				return nil, false
+	return schedule(ctx, in, variant{
+		name: "class-uniform-ra-2approx",
+		admit: func(T float64) func(i, k int) bool {
+			// Any schedule with makespan ≤ T pays p_j + s_{k_j} ≤ T for
+			// every job (in restricted assignment the setup size is
+			// machine-independent on eligible machines), so T below that
+			// is rejected.
+			for j := 0; j < in.N; j++ {
+				if in.JobSize[j]+in.SetupSize[in.Class[j]] > T+core.Eps {
+					return nil
+				}
 			}
-		}
-		r, err := solveRelaxed(in, T, func(i, k int) bool { return true })
-		if err != nil {
-			mu.Lock()
-			if solveErr == nil {
-				solveErr = err
-			}
-			mu.Unlock()
-			return nil, true
-		}
-		if r == nil {
-			return nil, false
-		}
-		return roundRA(in, r), true
-	}
-	res, err := schedule(ctx, in, "class-uniform-ra-2approx", opt, dual.Decider(decide))
-	if err == nil && solveErr != nil {
-		err = solveErr
-	}
-	return res, err
+			return func(i, k int) bool { return true }
+		},
+		round: roundRA,
+	}, opt)
 }
 
 // CheckClassUniformRA verifies the structural precondition of Theorem 3.10.

@@ -50,18 +50,6 @@ type Options struct {
 	// LP-RelaxedRA-infeasible guesses as certified lower bounds, and the
 	// binary search skips guesses at or above the live incumbent.
 	Bounds core.BoundBus
-	// SearchWorkers is the speculative parallelism of the binary search on
-	// T (dual.Speculate): that many guesses are LP-solved and rounded
-	// concurrently. The per-guess procedure builds a fresh LP-RelaxedRA
-	// problem and support graph each call and reads only the immutable
-	// instance, so workers share no mutable state. 0 or 1 keeps the
-	// sequential bisection.
-	SearchWorkers int
-	// Budget, when non-nil, governs the search width live (the engine's
-	// global concurrency budget): each round runs as wide as the budget
-	// grants, degrading toward sequential bisection when the box is
-	// saturated. Nil keeps the local GOMAXPROCS clamp.
-	Budget core.TokenBudget
 }
 
 func (o Options) normalize() Options {
@@ -159,23 +147,23 @@ func buildRelaxed(in *core.Instance, T float64, admit func(i, k int) bool) *rela
 }
 
 // solveRelaxed builds and solves LP-RelaxedRA for guess T (see
-// buildRelaxed) on its own sparse backend, so concurrent guesses share no
-// solver state. Returns nil when the LP is infeasible.
-func solveRelaxed(in *core.Instance, T float64, admit func(i, k int) bool) (*relaxed, error) {
+// buildRelaxed) on a fresh sparse backend, and reports the simplex pivots
+// the solve took. Returns nil when the LP is infeasible.
+func solveRelaxed(in *core.Instance, T float64, admit func(i, k int) bool) (*relaxed, int, error) {
 	mdl := buildRelaxed(in, T, admit)
 	if mdl == nil {
-		return nil, nil
+		return nil, 0, nil
 	}
 	be, err := lp.NewBackend(lp.Sparse, mdl.p, nil)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sol, err := be.Solve()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if sol.Status != lp.Optimal {
-		return nil, nil
+		return nil, sol.Iterations, nil
 	}
 	r := &relaxed{T: T, xbar: make([][]float64, in.M), work: mdl.work}
 	for i := 0; i < in.M; i++ {
@@ -193,15 +181,25 @@ func solveRelaxed(in *core.Instance, T float64, admit func(i, k int) bool) (*rel
 			}
 		}
 	}
-	return r, nil
+	return r, sol.Iterations, nil
 }
 
-// schedule runs the shared dual approximation loop with the given decider
-// and packages the outcome. The context is checked between guesses. The
-// decider must be safe for concurrent calls when opt.SearchWorkers > 1
-// (both Theorem 3.10/3.11 deciders are: they build a fresh LP and support
-// graph per guess over the read-only instance).
-func schedule(ctx context.Context, in *core.Instance, name string, opt Options, decide dual.Decider) (core.Result, error) {
+// variant is one of the two Section 3.3 algorithms, as the shared search
+// loop runs it.
+type variant struct {
+	name string
+	// admit returns the LP-RelaxedRA admission rule of guess T (constraint
+	// (14) or (16)), or nil when T is rejected before any LP is built.
+	admit func(T float64) func(i, k int) bool
+	// round turns an extreme solution of LP-RelaxedRA into a schedule.
+	round func(in *core.Instance, r *relaxed) *core.Schedule
+}
+
+// schedule runs the shared dual approximation loop for variant v and
+// packages the outcome. The context is checked between guesses. LPIters
+// sums the simplex pivots of every guess's LP; an LP error ends the search
+// and is returned in place of the result.
+func schedule(ctx context.Context, in *core.Instance, v variant, opt Options) (core.Result, error) {
 	opt = opt.normalize()
 	greedy, err := baseline.Greedy(in)
 	if err != nil {
@@ -213,22 +211,36 @@ func schedule(ctx context.Context, in *core.Instance, name string, opt Options, 
 		opt.Bounds.PublishUpper(ub) // the greedy schedule is feasible
 		opt.Bounds.PublishLower(lb)
 	}
-	workers := dual.PlanParallelism(opt.SearchWorkers, opt.Budget)
-	deciders := make([]dual.GuessDecider, workers)
-	for w := range deciders {
-		deciders[w] = func(g dual.Guess) (*core.Schedule, bool) { return decide(g.T) }
-	}
-	out := dual.Run(ctx, dual.Config{
+	var iters int64
+	var solveErr error
+	out := dual.Search(ctx, dual.Config{
 		Instance:  in,
 		Lower:     lb,
 		Upper:     ub,
 		Precision: opt.Precision,
 		Fallback:  greedy,
 		Bus:       opt.Bounds,
-		Strategy:  dual.Speculate(workers),
-		Deciders:  deciders,
-		Budget:    opt.Budget,
+	}, func(T float64) (*core.Schedule, bool) {
+		admit := v.admit(T)
+		if admit == nil {
+			return nil, false
+		}
+		r, n, err := solveRelaxed(in, T, admit)
+		iters += int64(n)
+		if err != nil {
+			if solveErr == nil {
+				solveErr = err
+			}
+			return nil, true
+		}
+		if r == nil {
+			return nil, false
+		}
+		return v.round(in, r), true
 	})
+	if solveErr != nil {
+		return core.Result{}, solveErr
+	}
 	low := out.LowerBound
 	if lb > low {
 		low = lb
@@ -238,11 +250,12 @@ func schedule(ctx context.Context, in *core.Instance, name string, opt Options, 
 		note = fmt.Sprintf("binary search stopped early (%v after %d guesses); schedule is best-so-far, constant-factor guarantee not certified", out.Err, out.Guesses)
 	}
 	return core.Result{
-		Algorithm:  name,
+		Algorithm:  v.name,
 		Schedule:   out.Schedule,
 		Makespan:   out.Makespan,
 		LowerBound: low,
 		Note:       note,
+		LPIters:    iters,
 	}, nil
 }
 

@@ -116,8 +116,8 @@ func ScheduleSplittable(ctx context.Context, in *core.Instance, opt Options) (Sp
 	var best *SplitSchedule
 	bestMs := math.Inf(1)
 	var solveErr error
-	out := dual.Search(ctx, in, lb, ub, opt.Precision, nil, func(T float64) (*core.Schedule, bool) {
-		r, err := solveRelaxed(in, T, func(i, k int) bool { return true })
+	out := dual.Search(ctx, dual.Config{Instance: in, Lower: lb, Upper: ub, Precision: opt.Precision}, func(T float64) (*core.Schedule, bool) {
+		r, _, err := solveRelaxed(in, T, func(i, k int) bool { return true })
 		if err != nil {
 			solveErr = err
 			return nil, true

@@ -7,11 +7,9 @@ import (
 	"testing"
 )
 
-// ForceParallel raises GOMAXPROCS so a speculative dual search takes its
-// concurrent round path even on a single-CPU test machine (the dual runner
-// otherwise clamps speculation to the P count, which would leave the
-// concurrency untested there; tests whose deciders block on Guess.Ctx
-// additionally depend on true concurrency to make progress).
+// ForceParallel raises GOMAXPROCS so a concurrency stress test (batch
+// workers, portfolio members) runs its goroutines truly in parallel even
+// on a single-CPU test machine.
 func ForceParallel(t *testing.T) {
 	t.Helper()
 	if old := runtime.GOMAXPROCS(0); old < 4 {

@@ -13,12 +13,11 @@ import (
 
 // engineConfig accumulates EngineOptions inside New.
 type engineConfig struct {
-	registry   *engine.Registry
-	solvers    []string
-	workers    int
-	cacheSize  int
-	defaults   []SolveOption
-	ungoverned bool
+	registry  *engine.Registry
+	solvers   []string
+	workers   int
+	cacheSize int
+	defaults  []SolveOption
 }
 
 // EngineOption configures an Engine at construction (sched.New).
@@ -60,37 +59,18 @@ func WithRegistry(reg *Registry) EngineOption {
 // count of its governor. The default is runtime.GOMAXPROCS(0).
 //
 // Every unit of parallelism the engine spends draws from this one budget:
-// SolveBatch admits at most n instances at a time, a portfolio race's
-// extra members each cost a token, and a speculative dual search
-// (WithSearchWorkers) widens only as far as the remaining tokens allow.
-// The layers compose cooperatively — each admitted solve owns one
-// guaranteed token, and everything beyond it is acquire-or-degrade — so
-// batch × portfolio × speculation traffic never runs more than n LP
-// solves at once and never deadlocks, even at n = 1. See
-// Engine.GovernorStats for observed utilization, and WithUngoverned for
-// the pre-governor clamping behavior.
+// SolveBatch admits at most n instances at a time, and a portfolio race's
+// extra members each cost a token. The layers compose cooperatively —
+// each admitted solve owns one guaranteed token, and everything beyond it
+// is acquire-or-degrade — so batch × portfolio traffic never runs more
+// than n solver lanes at once and never deadlocks, even at n = 1. See
+// Engine.GovernorStats for observed utilization.
 func WithWorkers(n int) EngineOption {
 	return func(c *engineConfig) error {
 		if n < 1 {
 			return fmt.Errorf("sched: WithWorkers(%d): need at least one worker", n)
 		}
 		c.workers = n
-		return nil
-	}
-}
-
-// WithUngoverned disables the engine's concurrency governor, restoring
-// the independent local clamps: SolveBatch runs a WithWorkers-sized
-// worker pool, each solve clamps its own SearchWorkers to the worker
-// budget, and portfolio races launch every member on its own goroutine
-// regardless of load. Layered traffic can then oversubscribe the box
-// multiplicatively (batch × portfolio × speculation); the option exists
-// as the baseline row for oversubscription comparisons (see `schedbench
-// -oversub`) and as an escape hatch should governed admission interact
-// badly with an embedding application's own scheduler.
-func WithUngoverned() EngineOption {
-	return func(c *engineConfig) error {
-		c.ungoverned = true
 		return nil
 	}
 }
@@ -195,29 +175,6 @@ func WithNodeCap(n int64) SolveOption {
 // (0 = solver default).
 func WithRoundingC(c0 int) SolveOption {
 	return func(c *solveConfig) { c.opt.RoundingC = c0 }
-}
-
-// WithSearchWorkers sets the speculative parallelism of dual-approximation
-// binary searches: solvers that search over a makespan guess (the PTAS,
-// the randomized rounding, the class-uniform special cases) evaluate up to
-// n guesses concurrently per round (dual.Speculate), each worker on its
-// own warm-start state — the rounding clones its LP relaxation (backend,
-// basis, workspace) per worker, so warm bases never race. Verdicts are
-// equivalent to the sequential bisection within the search precision;
-// wall-clock improves when spare cores exist, at the cost of redundant
-// guess work. Values < 2 keep the sequential bisection.
-//
-// On a governed engine (the default), n is a request, not a reservation:
-// each search round runs as wide as the governor's remaining tokens allow
-// at that moment, shrinking toward plain bisection when batch or
-// portfolio traffic holds the budget. There is no multiplicative
-// oversubscription to size around — ask for the width a solo solve should
-// use and let the governor arbitrate contention. Only with WithUngoverned
-// does n act as a hard per-solve clamp (capped at the engine's worker
-// budget and GOMAXPROCS), multiplying across concurrent batch workers and
-// portfolio members.
-func WithSearchWorkers(n int) SolveOption {
-	return func(c *solveConfig) { c.opt.SearchWorkers = n }
 }
 
 // WithLocalSearch toggles the best-improvement descent post-pass on the

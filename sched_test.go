@@ -42,6 +42,32 @@ func TestSolveDispatch(t *testing.T) {
 	}
 }
 
+// TestSpecialCasesReportLPIters: RA-2 and PT-3 solve one LP-RelaxedRA
+// per guess, and Engine.Solve must report the simplex pivots summed over
+// them, as the rounding does for its relaxation.
+func TestSpecialCasesReportLPIters(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	eng, err := New(WithBoundCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		algo string
+		in   *Instance
+	}{
+		{AlgoRA2, gen.RestrictedClassUniform(rng, gen.Params{N: 30, M: 5, K: 4})},
+		{AlgoPT3, gen.UnrelatedClassUniform(rng, gen.Params{N: 30, M: 5, K: 4})},
+	} {
+		res, err := eng.Solve(context.Background(), tc.in, WithAlgorithm(tc.algo), WithoutWarmStart())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.algo, err)
+		}
+		if res.LPIters <= 0 {
+			t.Errorf("%s reported LPIters %d, want the pivots of its per-guess LPs", tc.algo, res.LPIters)
+		}
+	}
+}
+
 func TestSolveWithContextAndPortfolio(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in := gen.Identical(rng, gen.Params{N: 12, M: 3, K: 2})
