@@ -30,15 +30,14 @@ import (
 // tokens (default GOMAXPROCS): every solve is admitted with one guaranteed
 // token, and batch dispatch and portfolio member launches draw any extra
 // parallelism from the same pool, acquire-or-degrade (see GovernorStats
-// for the live occupancy). The package-level Solve/Portfolio/PTAS/…
-// functions are thin wrappers over a lazily-built shared engine
-// (DefaultEngine).
+// for the live occupancy). Every solve in this package is an Engine call;
+// a program builds one with New and keeps it for as long as its cache and
+// subscribers should live.
 type Engine struct {
-	reg      *engine.Registry
-	cache    *engine.BoundCache
-	states   *engine.StateStore // retained solve states for Resolve
-	gov      *engine.Governor
-	defaults []SolveOption
+	reg    *engine.Registry
+	cache  *engine.BoundCache
+	states *engine.StateStore // retained solve states for Resolve
+	gov    *engine.Governor
 
 	mu   sync.RWMutex
 	subs map[chan Event]struct{}
@@ -74,10 +73,9 @@ func New(opts ...EngineOption) (*Engine, error) {
 		reg = subset
 	}
 	e := &Engine{
-		reg:      reg,
-		gov:      engine.NewGovernor(cfg.workers),
-		defaults: cfg.defaults,
-		subs:     make(map[chan Event]struct{}),
+		reg:  reg,
+		gov:  engine.NewGovernor(cfg.workers),
+		subs: make(map[chan Event]struct{}),
 	}
 	if cfg.cacheSize > 0 {
 		e.cache = engine.NewBoundCache(cfg.cacheSize)
@@ -127,16 +125,6 @@ func (e *Engine) Applicable(in *Instance) []string {
 		out = append(out, s.Name())
 	}
 	return out
-}
-
-// CachedFingerprints returns the number of distinct instance fingerprints
-// currently held by the warm-start bound cache (0 when caching is
-// disabled).
-func (e *Engine) CachedFingerprints() int {
-	if e.cache == nil {
-		return 0
-	}
-	return e.cache.Len()
 }
 
 // CacheStats is a snapshot of the warm-start bound cache's effectiveness
@@ -237,15 +225,9 @@ func (e *Engine) broadcast(ev Event, callCh chan<- Event) {
 	e.mu.RUnlock()
 }
 
-// config folds the engine defaults and the call's options into one
-// solveConfig.
+// config folds the call's options into one solveConfig.
 func (e *Engine) config(opts []SolveOption) solveConfig {
 	var cfg solveConfig
-	for _, o := range e.defaults {
-		if o != nil {
-			o(&cfg)
-		}
-	}
 	for _, o := range opts {
 		if o != nil {
 			o(&cfg)
@@ -355,10 +337,7 @@ func (e *Engine) begin(ctx context.Context, in *Instance, cfg solveConfig) (solv
 			s.cached.Lower = cfg.seed.Lower
 		}
 	}
-	s.base = cfg.opt.Bounds
-	if s.base == nil {
-		s.base = engine.NewIncumbent()
-	}
+	s.base = engine.NewIncumbent()
 	if s.hit {
 		// Warm start: prime the incumbent with the best makespan any
 		// earlier solve of this fingerprint achieved (branch-and-bound
@@ -480,13 +459,15 @@ func (e *Engine) finish(s solveSession, res Result) (Result, bool) {
 	return res, substituted
 }
 
-// Portfolio races every applicable solver concurrently and keeps the best
-// schedule (see the package Portfolio function for the racing semantics).
-// On an Engine the race is additionally warm-started from the fingerprint
-// cache, streams every incumbent and bound improvement to event
-// subscribers live, and feeds its final bounds back into the cache.
-// WithAlgorithm is ignored — a portfolio always races the whole applicable
-// set.
+// Portfolio races every solver applicable to the instance concurrently
+// under the shared ctx — typically bounded by a deadline (WithTimeout) —
+// and returns the minimum-makespan schedule along with every member's
+// outcome. At least two solvers race for every machine environment (the
+// specialists plus the baselines and, for small instances, the exact
+// search). The race is warm-started from the fingerprint cache, streams
+// every incumbent and bound improvement to event subscribers live, and
+// feeds its final bounds back into the cache. WithAlgorithm is ignored —
+// a portfolio always races the whole applicable set.
 func (e *Engine) Portfolio(ctx context.Context, in *Instance, opts ...SolveOption) (PortfolioResult, error) {
 	s, err := e.begin(ctx, in, e.config(opts))
 	if err != nil {
@@ -539,14 +520,6 @@ type BatchResult struct {
 // BatchResult.Err; SolveBatch itself does not fail.
 func (e *Engine) SolveBatch(ctx context.Context, ins []*Instance, opts ...SolveOption) []BatchResult {
 	cfg := e.config(opts)
-	// A WithBounds bus is a per-instance contract: its bounds are trusted
-	// as certified knowledge about the one instance being solved. Batch
-	// options apply to every instance, so sharing one caller bus across
-	// fingerprint-distinct instances would cross-contaminate certified
-	// bounds (instance A's lower bound poisoning instance B's result and
-	// cache entry). Drop it; the engine's own per-solve buses and the
-	// fingerprint cache provide the batch warm-start path.
-	cfg.opt.Bounds = nil
 	out := make([]BatchResult, len(ins))
 	if len(ins) == 0 {
 		return out
@@ -647,14 +620,11 @@ const (
 	AlgoExact    = engine.NameExact
 )
 
-// BoundBus is a live, concurrency-safe exchange of makespan bounds; see
-// WithBounds for connecting one to a solve.
+// BoundBus is a live, concurrency-safe exchange of makespan bounds: the
+// engine hands each solve its own bus in SolveOptions.Bounds, and a
+// plug-in solver (NewSolver) publishes its improved makespans and
+// certified lower bounds there.
 type BoundBus = core.BoundBus
-
-// NewBoundBus returns an empty bound bus (upper +Inf, lower 0) suitable for
-// WithBounds: a caller-owned warm-start channel that outlives any one
-// engine.
-func NewBoundBus() BoundBus { return engine.NewIncumbent() }
 
 // Event is one anytime-progress signal: an improved incumbent makespan or
 // certified lower bound, stamped with the instance fingerprint and the time

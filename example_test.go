@@ -57,7 +57,7 @@ func ExampleEngine_SolveBatch() {
 		}
 		fmt.Printf("instance %d: makespan %.0f\n", i, br.Result.Makespan)
 	}
-	fmt.Printf("fingerprints cached: %d\n", eng.CachedFingerprints())
+	fmt.Printf("fingerprints cached: %d\n", eng.CacheStats().Entries)
 	// Output:
 	// instance 0: makespan 9
 	// instance 1: makespan 9

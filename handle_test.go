@@ -72,30 +72,6 @@ func TestEngineWithSolversSubset(t *testing.T) {
 	}
 }
 
-func TestEngineWithDefaults(t *testing.T) {
-	eng, err := New(WithDefaults(WithAlgorithm("greedy"), WithoutWarmStart()))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	in := gen.Identical(rng, gen.Params{N: 10, M: 3, K: 2})
-	res, err := eng.Solve(context.Background(), in)
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if res.Algorithm != "greedy" {
-		t.Errorf("engine default WithAlgorithm ignored: got %q", res.Algorithm)
-	}
-	// Per-call options override the engine defaults.
-	res, err = eng.Solve(context.Background(), in, WithAlgorithm("lpt"))
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if res.Algorithm != "lpt" {
-		t.Errorf("per-call option did not override default: got %q", res.Algorithm)
-	}
-}
-
 // TestWarmStartReducesBranchAndBoundNodes is the warm-start regression
 // test: the second solve of a fingerprint-identical instance must prime
 // the branch-and-bound from the cached bounds and therefore expand strictly
@@ -113,8 +89,8 @@ func TestWarmStartReducesBranchAndBoundNodes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first solve: %v", err)
 	}
-	if eng.CachedFingerprints() != 1 {
-		t.Fatalf("cache holds %d fingerprints after first solve, want 1", eng.CachedFingerprints())
+	if got := eng.CacheStats().Entries; got != 1 {
+		t.Fatalf("cache holds %d fingerprints after first solve, want 1", got)
 	}
 
 	second, err := eng.Solve(ctx, in.Clone(), WithAlgorithm("branch-and-bound"))
@@ -224,7 +200,7 @@ func TestSolveBatchSharedCache(t *testing.T) {
 			t.Errorf("instance %d makespan %v, want %v", i, br.Result.Makespan, *want)
 		}
 	}
-	if got := eng.CachedFingerprints(); got != 2 {
+	if got := eng.CacheStats().Entries; got != 2 {
 		t.Errorf("cache holds %d fingerprints, want 2", got)
 	}
 }
@@ -346,31 +322,20 @@ func TestEventsConcurrentSubscribers(t *testing.T) {
 	}
 }
 
-func TestCompatWrappersRejectMultipleOptions(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	in := gen.Identical(rng, gen.Params{N: 8, M: 2, K: 2})
-	if _, err := SolveWithContext(context.Background(), in, SolveOptions{Eps: 0.5}, SolveOptions{Eps: 0.25}); err == nil {
-		t.Error("SolveWithContext accepted two SolveOptions")
-	}
-	if _, err := Portfolio(context.Background(), in, SolveOptions{}, SolveOptions{}); err == nil {
-		t.Error("Portfolio accepted two SolveOptions")
-	}
-	// One option still works.
-	if _, err := SolveWithContext(context.Background(), in, SolveOptions{Eps: 0.5}); err != nil {
-		t.Errorf("SolveWithContext with one option: %v", err)
-	}
-}
-
 func TestEngineWithCustomRegistry(t *testing.T) {
+	greedy, err := New(WithSolvers(AlgoGreedy))
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := NewDefaultRegistry()
 	called := false
-	err := reg.Register(NewSolver("always-zero", SolverCaps{
+	err = reg.Register(NewSolver("always-zero", SolverCaps{
 		Kinds:     []Kind{Identical, Uniform, RestrictedAssignment, Unrelated},
 		Guarantee: "test stub",
 		Priority:  1000,
 	}, func(ctx context.Context, in *Instance, opt SolveOptions) (Result, error) {
 		called = true
-		g, err := Greedy(in)
+		g, err := greedy.Solve(ctx, in)
 		if err != nil {
 			return Result{}, err
 		}

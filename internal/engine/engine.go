@@ -14,6 +14,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -43,9 +44,6 @@ type Options struct {
 	// NodeCap bounds the PTAS dynamic-program nodes per guess (0 = solver
 	// default).
 	NodeCap int64
-	// RoundingC is the iteration multiplier of the randomized rounding
-	// (0 = solver default).
-	RoundingC int
 	// LocalSearch post-optimizes the chosen schedule with the
 	// best-improvement descent of internal/improve before returning it.
 	LocalSearch bool
@@ -190,12 +188,13 @@ func (r *Registry) Solvers() []Solver {
 	return out
 }
 
-// applies reports whether the solver's capabilities match the instance
-// under the given options (environment, structure, size guard).
-func applies(s Solver, in *core.Instance, opt Options) bool {
+// mismatch reports which of the solver's capabilities the instance fails
+// under the given options (environment, structure, size guard), or "" when
+// the solver applies.
+func mismatch(s Solver, in *core.Instance, opt Options) string {
 	caps := s.Capabilities()
 	if !caps.SupportsKind(in.Kind) {
-		return false
+		return "machine environment not supported"
 	}
 	if guard := caps.MaxJobs; guard > 0 {
 		// opt.MaxJobs replaces the guard outright (in either direction),
@@ -204,16 +203,16 @@ func applies(s Solver, in *core.Instance, opt Options) bool {
 			guard = opt.MaxJobs
 		}
 		if in.N > guard {
-			return false
+			return "more jobs than the solver's job-count guard"
 		}
 	}
 	if caps.NeedsClassUniformRA && !HasClassUniformRA(in) {
-		return false
+		return "eligible machine sets are not class-uniform (Theorem 3.10)"
 	}
 	if caps.NeedsClassUniformPT && !HasClassUniformPT(in) {
-		return false
+		return "processing times are not class-uniform (Theorem 3.11)"
 	}
-	return true
+	return ""
 }
 
 // Applicable returns the solvers whose capabilities match the instance,
@@ -223,7 +222,7 @@ func (r *Registry) Applicable(in *core.Instance, opt Options) []Solver {
 	defer r.mu.RUnlock()
 	var out []Solver
 	for _, name := range r.order {
-		if s := r.solvers[name]; applies(s, in, opt) {
+		if s := r.solvers[name]; mismatch(s, in, opt) == "" {
 			out = append(out, s)
 		}
 	}
@@ -256,13 +255,24 @@ func (r *Registry) Solve(ctx context.Context, in *core.Instance, opt Options) (c
 	return r.run(ctx, s, in, opt)
 }
 
+// ErrNotApplicable is wrapped by SolveNamed's error when the named solver's
+// capabilities do not match the instance (machine environment,
+// class-uniform structure or job-count guard): the request, not the
+// solver, is at fault.
+var ErrNotApplicable = errors.New("solver not applicable to the instance")
+
 // SolveNamed runs the registered solver with the given name under ctx,
 // applying the optional local-search post-pass (the path named-algorithm
-// dispatch must use so Options.LocalSearch is honored).
+// dispatch must use so Options.LocalSearch is honored). A solver whose
+// capabilities do not match the instance is not run; the error wraps
+// ErrNotApplicable.
 func (r *Registry) SolveNamed(ctx context.Context, name string, in *core.Instance, opt Options) (core.Result, error) {
 	s, ok := r.Get(name)
 	if !ok {
 		return core.Result{}, fmt.Errorf("engine: solver %q not registered", name)
+	}
+	if why := mismatch(s, in, opt); why != "" {
+		return core.Result{}, fmt.Errorf("engine: %s on %v (n=%d): %s: %w", name, in.Kind, in.N, why, ErrNotApplicable)
 	}
 	return r.run(ctx, s, in, opt)
 }

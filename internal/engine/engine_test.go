@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -178,6 +179,30 @@ func TestSolveNamedHonorsLocalSearch(t *testing.T) {
 	}
 	if _, err := Default().SolveNamed(context.Background(), "nope", in, Options{}); err == nil {
 		t.Error("SolveNamed accepted an unknown solver")
+	}
+}
+
+// TestSolveNamedRejectsInapplicable: a named solver whose capabilities do
+// not match the instance is not run, and the error says so through
+// ErrNotApplicable — environment, structure and size guard alike.
+func TestSolveNamedRejectsInapplicable(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	unrelated := gen.Unrelated(rng, gen.Params{N: 30, M: 4, K: 3})
+	for _, tc := range []struct {
+		name string
+		in   *core.Instance
+		opt  Options
+	}{
+		{NameLPT, unrelated, Options{}},
+		{NamePTAS, unrelated, Options{}},
+		{NameRA2, unrelated, Options{}},
+		{NameExact, gen.Identical(rng, gen.Params{N: 40, M: 3, K: 2}), Options{}},
+		{NameExact, gen.Identical(rng, gen.Params{N: 12, M: 3, K: 2}), Options{MaxJobs: 8}},
+	} {
+		_, err := Default().SolveNamed(context.Background(), tc.name, tc.in, tc.opt)
+		if !errors.Is(err, ErrNotApplicable) {
+			t.Errorf("%s on %v (n=%d, MaxJobs=%d): err = %v, want ErrNotApplicable", tc.name, tc.in.Kind, tc.in.N, tc.opt.MaxJobs, err)
+		}
 	}
 }
 

@@ -148,7 +148,6 @@ func newRoundingSolver() Solver {
 		Priority:  20,
 	}, func(ctx context.Context, in *core.Instance, opt Options) (core.Result, error) {
 		res, det, err := rounding.ScheduleDetailed(ctx, in, rounding.Options{
-			C:         opt.RoundingC,
 			Rng:       rngFor(opt),
 			Precision: opt.Precision,
 			Bounds:    opt.Bounds,

@@ -35,7 +35,8 @@ type BatchRequest struct {
 // by the leader's deadline.
 type SolveOptions struct {
 	// Algorithm names a registered solver (see `schedsolve -list-algos`);
-	// empty selects the strongest applicable one.
+	// empty selects the strongest applicable one. An unregistered name is
+	// answered 400; a solver that does not apply to the instance, 422.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Portfolio races every applicable solver and keeps the best schedule.
 	Portfolio bool `json:"portfolio,omitempty"`
@@ -67,8 +68,7 @@ func (o SolveOptions) digest() string {
 }
 
 // engineOpts translates the wire options into engine call options. Zero
-// values stay unset so the engine's own defaults (and WithDefaults policy)
-// apply.
+// values stay unset so each solver's own defaults apply.
 func (o SolveOptions) engineOpts() []sched.SolveOption {
 	var opts []sched.SolveOption
 	if o.Algorithm != "" {

@@ -642,3 +642,60 @@ func TestSolverPanicAnswersError(t *testing.T) {
 		t.Fatalf("healthz after the panic: %d %s", hResp.StatusCode, hData)
 	}
 }
+
+// TestAlgorithmRequestErrors: a registered solver that does not apply to
+// the instance is a client error (422, not counted as a failure) on both
+// endpoints, and an unregistered solver name answers 400 before the
+// request is admitted.
+func TestAlgorithmRequestErrors(t *testing.T) {
+	eng, err := sched.New(sched.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(eng, serve.Config{Queue: 4})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	in, err := sched.NewUnrelated([][]float64{{3, 4}, {5, 2}}, []int{0, 1}, [][]float64{{1, 1}, {2, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inst bytes.Buffer
+	if err := in.WriteJSON(&inst); err != nil {
+		t.Fatal(err)
+	}
+	post := func(path, body string) (int, string) {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(data)
+	}
+
+	// LPT (Lemma 2.1) needs identical or uniform machines.
+	if code, data := post("/v1/solve", fmt.Sprintf(`{"instance": %s, "options": {"algorithm": "lpt"}}`, inst.Bytes())); code != http.StatusUnprocessableEntity || !strings.Contains(data, "not applicable") {
+		t.Errorf("/v1/solve lpt on an unrelated instance: status %d (%s), want 422", code, data)
+	}
+	code, data := post("/v1/batch", fmt.Sprintf(`{"instances": [%s], "options": {"algorithm": "lpt"}}`, inst.Bytes()))
+	var br serve.BatchResponse
+	if err := json.Unmarshal([]byte(data), &br); code != http.StatusOK || err != nil || len(br.Results) != 1 || !strings.Contains(br.Results[0].Error, "not applicable") {
+		t.Errorf("/v1/batch lpt on an unrelated instance: status %d (%s), want 200 with a not-applicable item error", code, data)
+	}
+	if failed := srv.Stats().Requests.Failed; failed != 0 {
+		t.Errorf("inapplicable-solver requests counted %d failures, want 0", failed)
+	}
+
+	leaders := srv.Stats().Coalesce.Leaders
+	for path, body := range map[string]string{
+		"/v1/solve": fmt.Sprintf(`{"instance": %s, "options": {"algorithm": "simplex"}}`, inst.Bytes()),
+		"/v1/batch": fmt.Sprintf(`{"instances": [%s], "options": {"algorithm": "simplex"}}`, inst.Bytes()),
+	} {
+		if code, data := post(path, body); code != http.StatusBadRequest || !strings.Contains(data, "simplex") {
+			t.Errorf("%s with an unregistered algorithm: status %d (%s), want 400 naming it", path, code, data)
+		}
+	}
+	if st := srv.Stats(); st.Coalesce.Leaders != leaders || st.Queue.Depth != 0 {
+		t.Errorf("unregistered-algorithm requests were admitted: leaders %d → %d, depth %d", leaders, st.Coalesce.Leaders, st.Queue.Depth)
+	}
+}

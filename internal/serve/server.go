@@ -38,12 +38,14 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro"
+	"repro/internal/engine"
 	"repro/internal/lp"
 )
 
@@ -353,7 +355,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SolveRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readJSON(w, r, &req) || !s.checkAlgorithm(w, req.Options) {
 		return
 	}
 	if len(req.Instance) == 0 {
@@ -458,13 +460,18 @@ func (s *Server) runFlight(f *flight, in *sched.Instance, o SolveOptions, timeou
 	var body []byte
 	if err != nil {
 		status = http.StatusInternalServerError
-		if errors.Is(err, context.DeadlineExceeded) {
+		switch {
+		case errors.Is(err, engine.ErrNotApplicable):
+			status = http.StatusUnprocessableEntity
+		case errors.Is(err, context.DeadlineExceeded):
 			status = http.StatusGatewayTimeout
-		} else if errors.Is(err, context.Canceled) {
+		case errors.Is(err, context.Canceled):
 			status = http.StatusServiceUnavailable
 		}
 		body, _ = json.Marshal(errorBody{Error: err.Error(), ID: f.id})
-		s.failed.Add(1)
+		if status != http.StatusUnprocessableEntity {
+			s.failed.Add(1)
+		}
 	} else {
 		status = http.StatusOK
 		body, _ = json.Marshal(SolveResponse{
@@ -513,7 +520,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readJSON(w, r, &req) || !s.checkAlgorithm(w, req.Options) {
 		return
 	}
 	if len(req.Instances) == 0 {
@@ -566,7 +573,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		item := BatchItem{ElapsedMs: float64(br.Elapsed) / float64(time.Millisecond)}
 		if br.Err != nil {
 			item.Error = br.Err.Error()
-			s.failed.Add(1)
+			if !errors.Is(br.Err, engine.ErrNotApplicable) {
+				s.failed.Add(1)
+			}
 		} else {
 			item.Algorithm = br.Result.Algorithm
 			item.Machine = br.Result.Schedule.Assign
@@ -704,6 +713,17 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// checkAlgorithm answers 400 when the options name a solver the engine does
+// not register, before the request takes a queue slot.
+func (s *Server) checkAlgorithm(w http.ResponseWriter, o SolveOptions) bool {
+	if o.Algorithm == "" || slices.Contains(s.eng.Solvers(), o.Algorithm) {
+		return true
+	}
+	s.writeError(w, http.StatusBadRequest,
+		fmt.Sprintf("unknown algorithm %q (registered: %v)", o.Algorithm, s.eng.Solvers()), "")
+	return false
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {

@@ -65,10 +65,7 @@ func (ss *SplitSchedule) Makespan(in *core.Instance) float64 {
 // machines where it is eligible.
 func (ss *SplitSchedule) Validate(in *core.Instance) error {
 	work := in.ClassWork()
-	present := make([]bool, in.K)
-	for _, k := range in.Class {
-		present[k] = true
-	}
+	present := presentClasses(in)
 	for k := 0; k < in.K; k++ {
 		if !present[k] {
 			continue
@@ -79,7 +76,7 @@ func (ss *SplitSchedule) Validate(in *core.Instance) error {
 			if f < -fracTol || f > 1+fracTol {
 				return fmt.Errorf("special: fraction out of range: frac[%d][%d]=%v", i, k, f)
 			}
-			if f > fracTol && (!core.IsFinite(work[i][k]) || !core.IsFinite(in.S[i][k])) {
+			if f > fracTol && !carries(in, work, i, k) {
 				return fmt.Errorf("special: class %d fractionally placed on ineligible machine %d", k, i)
 			}
 			sum += f
@@ -102,9 +99,17 @@ type SplitResult struct {
 // splittable model: dual approximation over LP-RelaxedRA with the
 // pseudoforest rounding of Section 3.3.2, stopping before the integral job
 // fill (fractions are the solution). Classes act as the splittable units;
-// to split at job granularity, put each job in its own class.
+// to split at job granularity, put each job in its own class. A class
+// with no machine eligible for all of its jobs has no splittable schedule,
+// and the instance is rejected with an error naming it.
 func ScheduleSplittable(ctx context.Context, in *core.Instance, opt Options) (SplitResult, error) {
 	opt = opt.normalize()
+	work := in.ClassWork()
+	for k, present := range presentClasses(in) {
+		if present && cheapestCarrier(in, work, k) < 0 {
+			return SplitResult{}, fmt.Errorf("special: splittable model: no machine is eligible for every job of class %d (put each job in its own class to split per job)", k)
+		}
+	}
 	// Atomic greedy is a feasible splittable schedule: its upper bound
 	// seeds the search.
 	greedy, err := baseline.Greedy(in)
@@ -199,15 +204,22 @@ func roundSplittable(in *core.Instance, r *relaxed) *SplitSchedule {
 // Exact when classes are singletons (the job-granular splittable model);
 // for multi-job classes on unrelated machines, class-level fractions
 // cannot represent an arbitrary atomic schedule exactly, so this is only
-// the defensive fallback of ScheduleSplittable.
+// the defensive fallback of ScheduleSplittable. A job on a machine that
+// cannot run its whole class counts toward the class's cheapest carrier
+// instead (ScheduleSplittable has checked one exists), so the fractions
+// always Validate.
 func atomicToSplit(in *core.Instance, sched *core.Schedule) *SplitSchedule {
 	frac := make([][]float64, in.M)
 	for i := range frac {
 		frac[i] = make([]float64, in.K)
 	}
 	perClass := make([]float64, in.K)
+	work := in.ClassWork()
 	for j, i := range sched.Assign {
 		k := in.Class[j]
+		if c := cheapestCarrier(in, work, k); !carries(in, work, i, k) && c >= 0 {
+			i = c
+		}
 		frac[i][k]++
 		perClass[k]++
 	}
@@ -221,6 +233,33 @@ func atomicToSplit(in *core.Instance, sched *core.Schedule) *SplitSchedule {
 	return &SplitSchedule{Frac: frac}
 }
 
+// carries reports whether machine i can run every job of class k: finite
+// class workload and setup.
+func carries(in *core.Instance, work [][]float64, i, k int) bool {
+	return core.IsFinite(work[i][k]) && core.IsFinite(in.S[i][k])
+}
+
+// cheapestCarrier returns the machine with the least setup plus workload
+// among those that can run every job of class k, or -1 if none can.
+func cheapestCarrier(in *core.Instance, work [][]float64, k int) int {
+	best, bestCost := -1, math.Inf(1)
+	for i := 0; i < in.M; i++ {
+		if c := in.S[i][k] + work[i][k]; carries(in, work, i, k) && c < bestCost {
+			best, bestCost = i, c
+		}
+	}
+	return best
+}
+
+// presentClasses marks the classes that have at least one job.
+func presentClasses(in *core.Instance) []bool {
+	present := make([]bool, in.K)
+	for _, k := range in.Class {
+		present[k] = true
+	}
+	return present
+}
+
 // splitVolumeLowerBound is the volume bound for the splittable model. The
 // atomic bound (exact.VolumeLowerBound) is NOT valid here — a split job
 // never has to fit on one machine — so the bound is: (a) every class with
@@ -229,10 +268,7 @@ func atomicToSplit(in *core.Instance, sched *core.Schedule) *SplitSchedule {
 // costs at least its best-rate workload.
 func splitVolumeLowerBound(in *core.Instance) float64 {
 	work := in.ClassWork()
-	present := make([]bool, in.K)
-	for _, k := range in.Class {
-		present[k] = true
-	}
+	present := presentClasses(in)
 	lb, vol := 0.0, 0.0
 	for k := 0; k < in.K; k++ {
 		if !present[k] {

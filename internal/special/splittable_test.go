@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -136,5 +137,49 @@ func TestAtomicToSplitConsistentOnSingletonClasses(t *testing.T) {
 	}
 	if math.Abs(ss.Makespan(in)-g.Makespan(in)) > 1e-6 {
 		t.Errorf("fractional view %v != atomic makespan %v", ss.Makespan(in), g.Makespan(in))
+	}
+}
+
+// TestSplittableRejectsUncoverableClass: on restricted instances whose
+// eligibility is not class-uniform, a class may have no machine that can
+// run all of its jobs. Such an instance has no class-level split; it must
+// be rejected with an error naming the class, never answered with an
+// infinite makespan or a split that fails Validate.
+func TestSplittableRejectsUncoverableClass(t *testing.T) {
+	rejected := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		in := gen.Restricted(rand.New(rand.NewSource(seed)), gen.Params{N: 30, M: 6, K: 5})
+		res, err := ScheduleSplittable(context.Background(), in, Options{})
+		if err != nil {
+			if !strings.Contains(err.Error(), "class") {
+				t.Errorf("seed %d: error %q does not name the class", seed, err)
+			}
+			rejected++
+			continue
+		}
+		if err := res.Split.Validate(in); err != nil || !core.IsFinite(res.Makespan) {
+			t.Errorf("seed %d: makespan %v, Validate: %v", seed, res.Makespan, err)
+		}
+	}
+	if rejected == 0 {
+		t.Error("no seed produced an uncoverable class; the test checks nothing")
+	}
+}
+
+// TestAtomicToSplitMovesIneligibleClass: the fallback conversion must not
+// leave a class fraction on a machine that cannot run every job of the
+// class; the class moves whole to a machine that can.
+func TestAtomicToSplitMovesIneligibleClass(t *testing.T) {
+	// Class 0 = jobs 0 and 1; job 1 may only run on machine 0.
+	in, err := core.NewRestricted([]float64{2, 3}, []int{0, 0}, []float64{1}, 2, [][]int{{0, 1}, {0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := atomicToSplit(in, &core.Schedule{Assign: []int{1, 0}})
+	if err := ss.Validate(in); err != nil {
+		t.Fatalf("Validate: %v (fractions %v)", err, ss.Frac)
+	}
+	if ss.Frac[0][0] != 1 {
+		t.Errorf("class 0 fractions %v, want all on machine 0", [][]float64{ss.Frac[0], ss.Frac[1]})
 	}
 }

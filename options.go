@@ -17,16 +17,15 @@ type engineConfig struct {
 	solvers   []string
 	workers   int
 	cacheSize int
-	defaults  []SolveOption
 }
 
 // EngineOption configures an Engine at construction (sched.New).
 type EngineOption func(*engineConfig) error
 
 // WithSolvers restricts the engine to the named subset of the registered
-// solver set (see Solvers for the names), in the given order. Automatic
-// selection and portfolio races then consider only these solvers — e.g.
-// WithSolvers("lpt", "greedy") builds a heuristics-only engine for
+// solver set (the Algo… constants name the paper set), in the given order.
+// Automatic selection and portfolio races then consider only these solvers
+// — e.g. WithSolvers("lpt", "greedy") builds a heuristics-only engine for
 // latency-critical traffic. Unknown or duplicate names are a construction
 // error.
 func WithSolvers(names ...string) EngineOption {
@@ -85,18 +84,6 @@ func WithBoundCache(entries int) EngineOption {
 	}
 }
 
-// WithDefaults installs per-call options applied to every Solve, Portfolio
-// and SolveBatch on the engine, before the call's own options (which
-// therefore override them) — e.g. New(WithDefaults(WithEps(0.25),
-// WithTimeout(2*time.Second))) builds an engine with a house accuracy and
-// deadline policy.
-func WithDefaults(opts ...SolveOption) EngineOption {
-	return func(c *engineConfig) error {
-		c.defaults = append(c.defaults, opts...)
-		return nil
-	}
-}
-
 // --- per-call solve options ------------------------------------------------
 
 // solveConfig accumulates SolveOptions for one Solve/Portfolio/SolveBatch
@@ -129,8 +116,8 @@ type solveConfig struct {
 }
 
 // SolveOption tunes one engine call (Engine.Solve, Engine.Portfolio,
-// Engine.SolveBatch). Options are applied in order after the engine's
-// WithDefaults.
+// Engine.SolveBatch, Engine.Open). Options are applied in order; a later
+// option overrides an earlier one.
 type SolveOption func(*solveConfig)
 
 // WithEps sets the accuracy parameter of the PTAS (default 1/2; smaller is
@@ -160,23 +147,6 @@ func WithMaxJobs(n int) SolveOption {
 	return func(c *solveConfig) { c.opt.MaxJobs = n }
 }
 
-// WithNodeLimit caps branch-and-bound search nodes (0 = unlimited).
-func WithNodeLimit(n int64) SolveOption {
-	return func(c *solveConfig) { c.opt.NodeLimit = n }
-}
-
-// WithNodeCap bounds the PTAS dynamic-program nodes per guess (0 = solver
-// default).
-func WithNodeCap(n int64) SolveOption {
-	return func(c *solveConfig) { c.opt.NodeCap = n }
-}
-
-// WithRoundingC sets the iteration multiplier of the randomized rounding
-// (0 = solver default).
-func WithRoundingC(c0 int) SolveOption {
-	return func(c *solveConfig) { c.opt.RoundingC = c0 }
-}
-
 // WithLocalSearch toggles the best-improvement descent post-pass on the
 // chosen schedule.
 func WithLocalSearch(on bool) SolveOption {
@@ -190,23 +160,12 @@ func WithGap(gap float64) SolveOption {
 	return func(c *solveConfig) { c.opt.Gap = gap }
 }
 
-// WithBounds connects the call to a caller-owned bound bus (see
-// NewBoundBus): the solve primes its searches from the bus's bounds and
-// publishes improvements back as they appear. The bus is trusted as
-// certified knowledge about the instance being solved — it must only ever
-// carry bounds for that one instance (fingerprint), or the solve can
-// return unsound lower bounds. For the same reason SolveBatch, whose
-// options apply to every instance in the batch, ignores this option; batch
-// warm starts ride the fingerprint cache instead. Cache bounds are still
-// folded in unless WithoutWarmStart is given.
-func WithBounds(bus BoundBus) SolveOption {
-	return func(c *solveConfig) { c.opt.Bounds = bus }
-}
-
-// WithAlgorithm dispatches to the named registered solver (see Solvers)
-// instead of automatic strongest-applicable selection. Portfolio races
-// (Engine.Portfolio or WithPortfolio) ignore this option — they always
-// race every applicable solver.
+// WithAlgorithm dispatches to the named registered solver (see
+// Engine.Solvers) instead of automatic strongest-applicable selection. A
+// solver whose capabilities do not match the instance is not run: the
+// call fails with an error naming the capability the instance lacks.
+// Portfolio races (Engine.Portfolio or WithPortfolio) ignore this option —
+// they always race every applicable solver.
 func WithAlgorithm(name string) SolveOption {
 	return func(c *solveConfig) { c.algorithm = name }
 }
@@ -248,14 +207,6 @@ func WithEvents(ch chan<- Event) SolveOption {
 // itself rather than the cache.
 func WithoutWarmStart() SolveOption {
 	return func(c *solveConfig) { c.cold = true }
-}
-
-// WithOptions imports a flat SolveOptions struct wholesale, replacing every
-// field-mapped option applied so far (it is the bridge the compatibility
-// wrappers and CLI tools use; new code should prefer the individual
-// functional options).
-func WithOptions(opt SolveOptions) SolveOption {
-	return func(c *solveConfig) { c.opt = opt }
 }
 
 // defaultWorkers is the governor budget used when WithWorkers is not

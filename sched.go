@@ -7,28 +7,28 @@
 // class k it processes, and the makespan (maximum machine load, processing
 // plus setups) is minimized.
 //
-// Algorithms provided (paper reference in parentheses):
+// Every solve goes through an Engine built with New. Engine.Solve picks
+// the strongest algorithm applicable to the instance, or the one named by
+// WithAlgorithm; Engine.Portfolio races every applicable one;
+// Engine.SolveBatch and Engine.Open (incremental re-solves) build on the
+// same path, so every solve is governed, warm-started from the bound
+// cache and visible on the event stream. The registered algorithms (paper
+// reference in parentheses):
 //
-//   - LPT: the setup-aware LPT rule, a 3(1+1/√3) ≈ 4.74-approximation for
-//     identical and uniformly related machines (Lemma 2.1).
-//   - PTAS: a (1+O(ε))-approximation for identical and uniformly related
-//     machines (Section 2).
-//   - RandomizedRounding: an O(log n + log m)-approximation for unrelated
-//     machines via LP rounding (Theorem 3.3) — asymptotically optimal
-//     unless NP ⊆ RP (Theorem 3.5).
-//   - ClassUniformRA: a 2-approximation for restricted assignment when all
-//     jobs of a class share one eligible machine set (Theorem 3.10).
-//   - ClassUniformPT: a 3-approximation for unrelated machines when all
-//     jobs of a class have identical processing times per machine
-//     (Theorem 3.11).
-//   - Greedy: a setup-aware list scheduler (no guarantee; the practical
-//     baseline), and Optimal: exact branch-and-bound for small instances.
-//
-// Solve dispatches to the strongest applicable algorithm automatically
-// through the solver engine (package internal/engine): a registry of
-// pluggable solvers with capability matching. SolveWithContext adds
-// deadline/cancellation support, and Portfolio races every applicable
-// solver concurrently and returns the best schedule found.
+//   - AlgoLPT: the setup-aware LPT rule, a 3(1+1/√3) ≈ 4.74-approximation
+//     for identical and uniformly related machines (Lemma 2.1).
+//   - AlgoPTAS: a (1+O(ε))-approximation for identical and uniformly
+//     related machines (Section 2); tune it with WithEps.
+//   - AlgoRounding: an O(log n + log m)-approximation for unrelated
+//     machines via LP rounding (Theorem 3.3), asymptotically optimal
+//     unless NP ⊆ RP (Theorem 3.5); seed it with WithSeed.
+//   - AlgoRA2: a 2-approximation for restricted assignment when all jobs
+//     of a class share one eligible machine set (Theorem 3.10).
+//   - AlgoPT3: a 3-approximation for unrelated machines when all jobs of a
+//     class have identical processing times per machine (Theorem 3.11).
+//   - AlgoGreedy: a setup-aware list scheduler (no guarantee; the
+//     practical baseline), and AlgoExact: branch-and-bound for small
+//     instances (WithMaxJobs widens its size guard).
 //
 // Instances are built with NewIdentical, NewUniform, NewRestricted and
 // NewUnrelated, or loaded from JSON via ReadInstance.
@@ -36,18 +36,12 @@ package sched
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"math/rand"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/exact"
-	"repro/internal/identical"
 	"repro/internal/improve"
 	"repro/internal/ptas"
-	"repro/internal/rounding"
 	"repro/internal/special"
 	"repro/internal/timeline"
 )
@@ -101,10 +95,10 @@ func NewUnrelated(p [][]float64, class []int, s [][]float64) (*Instance, error) 
 // ReadInstance deserializes an instance from its JSON representation.
 func ReadInstance(r io.Reader) (*Instance, error) { return core.ReadJSON(r) }
 
-// SolveOptions is the unified tuning surface of the solver engine (see
-// engine.Options for field docs): accuracy (Eps, Precision), randomness
-// (Seed), search limits (MaxJobs, NodeLimit, NodeCap, RoundingC) and the
-// LocalSearch post-pass.
+// SolveOptions is what a plug-in solver's solve function receives (see
+// NewSolver): the call's settings (Eps, Precision, Seed, MaxJobs, Gap, …),
+// the live bound bus in Bounds and the engine's warm-start state. Callers
+// set these through SolveOption values on the Engine, never directly.
 type SolveOptions = engine.Options
 
 // PortfolioResult reports a portfolio race: the best result plus the
@@ -113,171 +107,6 @@ type PortfolioResult = engine.PortfolioResult
 
 // SolverOutcome is one solver's contribution to a portfolio race.
 type SolverOutcome = engine.SolverOutcome
-
-var (
-	defaultEngineOnce sync.Once
-	defaultEngine     *Engine
-)
-
-// DefaultEngine returns the lazily-built package-level Engine behind the
-// compatibility wrappers (Solve, Portfolio, PTAS, …): the full paper solver
-// set with a warm-start bound cache. Long-lived programs that want their
-// own solver sets, worker budgets or event streams should build engines
-// with New instead.
-func DefaultEngine() *Engine {
-	defaultEngineOnce.Do(func() {
-		e, err := New()
-		if err != nil {
-			panic(fmt.Sprintf("sched: building the default engine: %v", err))
-		}
-		defaultEngine = e
-	})
-	return defaultEngine
-}
-
-// Solvers returns the names of all registered solvers (usable with the
-// schedsolve -algo flag, WithAlgorithm and WithSolvers).
-func Solvers() []string { return DefaultEngine().Solvers() }
-
-// LPT runs the setup-aware LPT rule of Lemma 2.1 (identical/uniform
-// machines; approximation factor 3(1+1/√3) ≈ 4.74).
-func LPT(in *Instance) (Result, error) {
-	return solveByName(context.Background(), engine.NameLPT, in, SolveOptions{})
-}
-
-// Greedy runs the setup-aware list scheduler (all machine environments, no
-// approximation guarantee).
-func Greedy(in *Instance) (Result, error) {
-	return solveByName(context.Background(), engine.NameGreedy, in, SolveOptions{})
-}
-
-// PTAS runs the Section 2 approximation scheme for identical or uniform
-// machines with accuracy parameter eps (pass 0 for the default 1/2; smaller
-// eps gives better schedules and longer runtimes).
-func PTAS(in *Instance, eps float64) (Result, error) {
-	return solveByName(context.Background(), engine.NamePTAS, in, SolveOptions{Eps: eps})
-}
-
-// RandomizedRounding runs the Section 3.1 O(log n + log m)-approximation
-// for unrelated machines. Pass a nil rng for a fixed-seed deterministic run.
-func RandomizedRounding(in *Instance, rng *rand.Rand) (Result, error) {
-	return rounding.Schedule(context.Background(), in, rounding.Options{Rng: rng})
-}
-
-// ClassUniformRA runs the Theorem 3.10 2-approximation for restricted
-// assignment with class-uniform eligible machine sets.
-func ClassUniformRA(in *Instance) (Result, error) {
-	return special.ScheduleClassUniformRA(context.Background(), in, special.Options{})
-}
-
-// ClassUniformPT runs the Theorem 3.11 3-approximation for unrelated
-// machines with class-uniform processing times.
-func ClassUniformPT(in *Instance) (Result, error) {
-	return special.ScheduleClassUniformPT(context.Background(), in, special.Options{})
-}
-
-// solveByName dispatches to one registered solver through the default
-// engine. Named single-algorithm wrappers always solve cold: LPT(in) must
-// run LPT, not hand back a cached PTAS schedule.
-func solveByName(ctx context.Context, name string, in *Instance, opt SolveOptions) (Result, error) {
-	return DefaultEngine().Solve(ctx, in, WithOptions(opt), WithAlgorithm(name), WithoutWarmStart())
-}
-
-// Optimal computes an exact optimum by branch-and-bound. It refuses
-// instances with more than maxJobs jobs (pass 0 for the default guard of
-// 16); the bool result reports whether optimality was proven.
-func Optimal(in *Instance, maxJobs int) (Result, bool, error) {
-	return OptimalWithContext(context.Background(), in, maxJobs)
-}
-
-// OptimalWithContext is Optimal under a context: a cancelled or expired
-// ctx stops the branch-and-bound and returns the best schedule found so
-// far (not proven optimal, with Result.Note saying why).
-func OptimalWithContext(ctx context.Context, in *Instance, maxJobs int) (Result, bool, error) {
-	sched, opt, st := exact.BranchAndBound(ctx, in, exact.Options{MaxJobs: maxJobs})
-	if sched == nil {
-		if st.Reason == exact.StopTooLarge {
-			return Result{}, false, fmt.Errorf("sched: instance too large for exact search (n=%d)", in.N)
-		}
-		return Result{}, false, fmt.Errorf("sched: exact search found no schedule (%s)", st.Reason)
-	}
-	res := Result{
-		Algorithm:  "branch-and-bound",
-		Schedule:   sched,
-		Makespan:   opt,
-		LowerBound: opt,
-		Nodes:      st.Nodes,
-	}
-	if !st.Proven {
-		res.LowerBound = exact.VolumeLowerBound(in)
-		res.Note = fmt.Sprintf("search incomplete (%s after %d nodes); makespan is an upper bound only", st.Reason, st.Nodes)
-	}
-	return res, st.Proven, nil
-}
-
-// Solve dispatches through the default engine to the strongest algorithm
-// applicable to the instance: the PTAS for identical/uniform machines, the
-// 2-approximation for class-uniform restricted assignment, the
-// 3-approximation for class-uniform processing times, and randomized
-// rounding for general unrelated machines. Repeated solves of a
-// fingerprint-identical instance warm-start from the default engine's
-// bound cache.
-func Solve(in *Instance) (Result, error) {
-	return SolveWithContext(context.Background(), in)
-}
-
-// SolveWithContext is Solve under a context: a deadline or cancellation
-// stops in-flight searches (PTAS dynamic program, branch-and-bound nodes,
-// LP rounding's binary search) and returns the best feasible schedule
-// reached, with Result.Note explaining any early stop. Pass at most one
-// SolveOptions to tune the chosen solver; Engine.Solve with functional
-// options (WithEps, WithGap, …) is the richer interface.
-func SolveWithContext(ctx context.Context, in *Instance, opts ...SolveOptions) (Result, error) {
-	opt, err := onlyOpt("SolveWithContext", opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return DefaultEngine().Solve(ctx, in, WithOptions(opt))
-}
-
-// SolveBatch solves many instances through the default engine's worker
-// pool; see Engine.SolveBatch for the service-mode semantics (per-request
-// deadlines via WithTimeout, per-instance results and errors).
-func SolveBatch(ctx context.Context, ins []*Instance, opts ...SolveOption) []BatchResult {
-	return DefaultEngine().SolveBatch(ctx, ins, opts...)
-}
-
-// Portfolio races every solver applicable to the instance concurrently
-// under the shared ctx — typically bounded by a deadline — and returns the
-// minimum-makespan schedule along with every member's outcome. At least
-// two solvers race for every machine environment (the specialists plus the
-// baselines and, for small instances, the exact search). Pass at most one
-// SolveOptions; Engine.Portfolio with functional options is the richer
-// interface.
-func Portfolio(ctx context.Context, in *Instance, opts ...SolveOptions) (PortfolioResult, error) {
-	opt, err := onlyOpt("Portfolio", opts)
-	if err != nil {
-		return PortfolioResult{}, err
-	}
-	return DefaultEngine().Portfolio(ctx, in, WithOptions(opt))
-}
-
-// onlyOpt unpacks the optional trailing SolveOptions of the compatibility
-// wrappers. More than one is rejected loudly: an earlier version silently
-// dropped every option after the first, which is exactly the kind of
-// footgun the variadic-struct signature invites.
-func onlyOpt(fn string, opts []SolveOptions) (SolveOptions, error) {
-	switch len(opts) {
-	case 0:
-		return SolveOptions{}, nil
-	case 1:
-		return opts[0], nil
-	default:
-		return SolveOptions{}, fmt.Errorf(
-			"sched: %s accepts at most one SolveOptions, got %d — merge them, or use Engine.Solve with functional options (WithEps, WithGap, …)",
-			fn, len(opts))
-	}
-}
 
 // Figure1 renders the speed-group diagnostic of the paper's Figure 1 for a
 // uniform instance at makespan guess T and accuracy eps.
@@ -317,26 +146,4 @@ type Timeline = timeline.Timeline
 // BuildTimeline materializes sched into a Timeline.
 func BuildTimeline(in *Instance, s *Schedule) (*Timeline, error) {
 	return timeline.Build(in, s)
-}
-
-// NextFitBatch runs the whole-class batching heuristic for identical
-// machines (the regime of Mäcker et al. [24] that Section 2 generalizes).
-func NextFitBatch(in *Instance) (Result, error) {
-	sched, err := identical.NextFitBatch(in)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Algorithm: "next-fit-batch", Schedule: sched,
-		Makespan: sched.Makespan(in), LowerBound: exact.VolumeLowerBound(in)}, nil
-}
-
-// SplitBigClasses runs the class-splitting batch heuristic for identical
-// machines.
-func SplitBigClasses(in *Instance) (Result, error) {
-	sched, err := identical.SplitBigClasses(in)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Algorithm: "split-big-classes", Schedule: sched,
-		Makespan: sched.Makespan(in), LowerBound: exact.VolumeLowerBound(in)}, nil
 }

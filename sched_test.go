@@ -3,12 +3,24 @@ package sched
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/gen"
 )
+
+// newEngine builds a default engine for one test.
+func newEngine(t *testing.T) *Engine {
+	t.Helper()
+	eng, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
 
 func TestSolveDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -23,9 +35,10 @@ func TestSolveDispatch(t *testing.T) {
 		{"unrelated class-uniform", gen.UnrelatedClassUniform(rng, gen.Params{N: 8, M: 2, K: 2}), "class-uniform-pt-3approx"},
 		{"unrelated", gen.Unrelated(rng, gen.Params{N: 8, M: 2, K: 2}), "randomized-rounding"},
 	}
+	eng := newEngine(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Solve(tc.in)
+			res, err := eng.Solve(context.Background(), tc.in)
 			if err != nil {
 				t.Fatalf("Solve: %v", err)
 			}
@@ -71,10 +84,11 @@ func TestSpecialCasesReportLPIters(t *testing.T) {
 func TestSolveWithContextAndPortfolio(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in := gen.Identical(rng, gen.Params{N: 12, M: 3, K: 2})
+	eng := newEngine(t)
 
-	res, err := SolveWithContext(context.Background(), in)
+	res, err := eng.Solve(context.Background(), in, WithTimeout(5*time.Second))
 	if err != nil {
-		t.Fatalf("SolveWithContext: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if err := res.Schedule.Validate(in); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -82,7 +96,7 @@ func TestSolveWithContextAndPortfolio(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	pr, err := Portfolio(ctx, in)
+	pr, err := eng.Portfolio(ctx, in)
 	if err != nil {
 		t.Fatalf("Portfolio: %v", err)
 	}
@@ -97,8 +111,8 @@ func TestSolveWithContextAndPortfolio(t *testing.T) {
 	if err := pr.Best.Schedule.Validate(in); err != nil {
 		t.Errorf("portfolio best invalid: %v", err)
 	}
-	if len(Solvers()) < 5 {
-		t.Errorf("registry lists %d solvers, want the full paper set", len(Solvers()))
+	if n := len(eng.Solvers()); n < 5 {
+		t.Errorf("registry lists %d solvers, want the full paper set", n)
 	}
 }
 
@@ -107,38 +121,28 @@ func TestPublicConstructorsAndSolvers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewIdentical: %v", err)
 	}
-	lpt, err := LPT(in)
-	if err != nil {
-		t.Fatalf("LPT: %v", err)
+	eng := newEngine(t)
+	opt, err := eng.Solve(context.Background(), in, WithAlgorithm(AlgoExact), WithoutWarmStart())
+	if err != nil || opt.LowerBound != opt.Makespan || opt.Note != "" {
+		t.Fatalf("exact: %v (lower bound %v, makespan %v, note %q)", err, opt.LowerBound, opt.Makespan, opt.Note)
 	}
-	gr, err := Greedy(in)
-	if err != nil {
-		t.Fatalf("Greedy: %v", err)
-	}
-	opt, proven, err := Optimal(in, 0)
-	if err != nil || !proven {
-		t.Fatalf("Optimal: %v (proven=%v)", err, proven)
-	}
-	for _, r := range []Result{lpt, gr} {
+	for _, opts := range [][]SolveOption{{WithAlgorithm(AlgoLPT)}, {WithAlgorithm(AlgoGreedy)}, {WithAlgorithm(AlgoPTAS), WithEps(0.25)}} {
+		r, err := eng.Solve(context.Background(), in, append(opts, WithoutWarmStart())...)
+		if err != nil {
+			t.Fatalf("Solve: %v", err)
+		}
 		if r.Makespan < opt.Makespan-1e-9 {
 			t.Errorf("%s makespan %v below optimum %v", r.Algorithm, r.Makespan, opt.Makespan)
 		}
-	}
-	res, err := PTAS(in, 0.25)
-	if err != nil {
-		t.Fatalf("PTAS: %v", err)
-	}
-	if res.Makespan < opt.Makespan-1e-9 {
-		t.Errorf("PTAS makespan %v below optimum %v", res.Makespan, opt.Makespan)
 	}
 }
 
 func TestRandomizedRoundingPublic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	in := gen.Unrelated(rng, gen.Params{N: 10, M: 3, K: 2})
-	res, err := RandomizedRounding(in, rng)
+	res, err := newEngine(t).Solve(context.Background(), in, WithAlgorithm(AlgoRounding), WithSeed(3))
 	if err != nil {
-		t.Fatalf("RandomizedRounding: %v", err)
+		t.Fatalf("rounding: %v", err)
 	}
 	if err := res.Schedule.Validate(in); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -169,15 +173,16 @@ func TestReadInstanceRoundTrip(t *testing.T) {
 func TestOptimalRejectsLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	in := gen.Identical(rng, gen.Params{N: 40, M: 3, K: 2})
-	if _, _, err := Optimal(in, 0); err == nil {
-		t.Error("Optimal accepted a 40-job instance under the default guard")
+	_, err := newEngine(t).Solve(context.Background(), in, WithAlgorithm(AlgoExact))
+	if !errors.Is(err, engine.ErrNotApplicable) {
+		t.Errorf("exact solve of a 40-job instance under the default guard: err = %v, want ErrNotApplicable", err)
 	}
 }
 
 func TestLocalSearchPublic(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	in := gen.Unrelated(rng, gen.Params{N: 15, M: 3, K: 3})
-	g, err := Greedy(in)
+	g, err := newEngine(t).Solve(context.Background(), in, WithAlgorithm(AlgoGreedy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +213,9 @@ func TestSplittablePublic(t *testing.T) {
 func TestIdenticalHeuristicsPublic(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	in := gen.Identical(rng, gen.Params{N: 20, M: 4, K: 3})
-	for _, f := range []func(*Instance) (Result, error){NextFitBatch, SplitBigClasses} {
-		res, err := f(in)
+	eng := newEngine(t)
+	for _, algo := range []string{AlgoLPT, AlgoGreedy} {
+		res, err := eng.Solve(context.Background(), in, WithAlgorithm(algo))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +228,7 @@ func TestIdenticalHeuristicsPublic(t *testing.T) {
 func TestBuildTimelinePublic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := gen.Identical(rng, gen.Params{N: 12, M: 3, K: 2})
-	res, err := Greedy(in)
+	res, err := newEngine(t).Solve(context.Background(), in, WithAlgorithm(AlgoGreedy))
 	if err != nil {
 		t.Fatal(err)
 	}
