@@ -193,10 +193,11 @@ func BenchmarkRoundingGuessWarm(b *testing.B) {
 // K=8 anchor, end to end: greedy bootstrap, relaxation build, the seed
 // solve at T=ub and whatever dual search it leaves open. guesses/op counts
 // the search's LP feasibility tests (0 when the seed solve closed the
-// bracket) and lp-iters/op the simplex pivots of every solve.
+// bracket), lp-iters/op the simplex pivots of every solve and
+// refactors/op their basis refactorizations.
 func BenchmarkRoundingAnchor(b *testing.B) {
 	in, _, _ := roundingGuessSetup(b)
-	guesses, iters := 0, 0
+	guesses, iters, refactors := 0, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -206,9 +207,11 @@ func BenchmarkRoundingAnchor(b *testing.B) {
 		}
 		guesses += det.Guesses
 		iters += det.LPIterations
+		refactors += det.LPRefactors
 	}
 	b.ReportMetric(float64(guesses)/float64(b.N), "guesses/op")
 	b.ReportMetric(float64(iters)/float64(b.N), "lp-iters/op")
+	b.ReportMetric(float64(refactors)/float64(b.N), "refactors/op")
 }
 
 // BenchmarkLPBackend compares a single cold solve of the rounding

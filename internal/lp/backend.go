@@ -124,14 +124,6 @@ type Backend interface {
 	// from it. A snapshot of the wrong shape, or one naming a column in two
 	// rows, is rejected with an error before any factorization.
 	Warm(*Basis) error
-	// Clone returns an independent backend with the same problem data,
-	// mutation state (RHS, variable bounds) and basis/factorization, backed
-	// by its own private Workspace: mutating or solving the clone never
-	// perturbs the parent and vice versa, so clones can solve concurrently
-	// on separate goroutines (one goroutine per backend — a single Backend
-	// remains non-thread-safe). Clone must not be called concurrently with
-	// a Solve or mutation on the receiver.
-	Clone() Backend
 }
 
 // NewBackend builds a backend of the given kind ("" means Sparse) bound

@@ -474,144 +474,3 @@ func TestNewBackendRejectsUnknownKind(t *testing.T) {
 		}
 	}
 }
-
-// TestBackendCloneIndependence: a clone carries the parent's problem data,
-// mutation state and warm basis, but mutating and solving either side never
-// perturbs the other. Verified against cold solves of the mutated specs.
-func TestBackendCloneIndependence(t *testing.T) {
-	for _, kind := range []BackendKind{Dense, Sparse} {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) {
-			f := func(seed int64) bool {
-				rng := rand.New(rand.NewSource(seed))
-				ps := randomBoxSpec(rng)
-				if rng.Intn(2) == 0 {
-					ps = randomEqSpec(rng)
-				}
-				parent, err := NewBackend(kind, ps.build(), NewWorkspace())
-				if err != nil {
-					t.Fatalf("NewBackend: %v", err)
-				}
-				base, err := parent.Solve()
-				if err != nil {
-					t.Fatalf("parent cold Solve: %v", err)
-				}
-				baseStatus, baseObj := base.Status, base.Objective
-
-				// Mutate and solve the clone along its own trajectory.
-				clone := parent.Clone()
-				mut := ps.clone()
-				for round := 0; round < 2; round++ {
-					for r := range mut.rows {
-						if rng.Float64() < 0.6 {
-							mut.rows[r].rhs *= 0.3 + rng.Float64()
-							clone.SetRHS(r, mut.rows[r].rhs)
-						}
-					}
-					for j := range mut.ub {
-						if rng.Intn(3) == 0 {
-							mut.ub[j] = 0
-							clone.SetVarUpper(j, 0)
-						}
-					}
-					warm, err := clone.Solve()
-					if err != nil {
-						t.Fatalf("clone warm Solve: %v", err)
-					}
-					cold, err := mut.build().Solve()
-					if err != nil {
-						t.Fatalf("legacy cold Solve: %v", err)
-					}
-					if warm.Status != cold.Status {
-						t.Fatalf("clone status %v, cold %v (seed %d)", warm.Status, cold.Status, seed)
-					}
-					if warm.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > 1e-6 {
-						t.Fatalf("clone objective %v, cold %v", warm.Objective, cold.Objective)
-					}
-				}
-
-				// The parent must be untouched: same verdict and objective as
-				// before the clone existed.
-				again, err := parent.Solve()
-				if err != nil {
-					t.Fatalf("parent re-Solve: %v", err)
-				}
-				if again.Status != baseStatus {
-					t.Fatalf("parent status drifted after clone mutations: %v -> %v", baseStatus, again.Status)
-				}
-				if baseStatus == Optimal && math.Abs(again.Objective-baseObj) > 1e-9 {
-					t.Fatalf("parent objective drifted after clone mutations: %v -> %v", baseObj, again.Objective)
-				}
-				return true
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-}
-
-// TestBackendCloneConcurrentSolves runs several clones of one warmed parent
-// concurrently (run under -race), each on its own RHS trajectory, and
-// checks every verdict against a cold solve.
-func TestBackendCloneConcurrentSolves(t *testing.T) {
-	for _, kind := range []BackendKind{Dense, Sparse} {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			ps := randomEqSpec(rng)
-			parent, err := NewBackend(kind, ps.build(), NewWorkspace())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := parent.Solve(); err != nil {
-				t.Fatal(err)
-			}
-			const workers = 4
-			type job struct {
-				be  Backend
-				mut *problemSpec
-			}
-			jobs := make([]job, workers)
-			for w := range jobs {
-				mut := ps.clone()
-				be := parent.Clone()
-				for r := range mut.rows {
-					mut.rows[r].rhs *= 0.5 + float64(w)*0.3
-					be.SetRHS(r, mut.rows[r].rhs)
-				}
-				jobs[w] = job{be: be, mut: mut}
-			}
-			errs := make(chan error, workers)
-			for _, jb := range jobs {
-				jb := jb
-				go func() {
-					warm, err := jb.be.Solve()
-					if err != nil {
-						errs <- err
-						return
-					}
-					cold, err := jb.mut.build().Solve()
-					if err != nil {
-						errs <- err
-						return
-					}
-					if warm.Status != cold.Status {
-						errs <- fmt.Errorf("concurrent clone status %v, cold %v", warm.Status, cold.Status)
-						return
-					}
-					if warm.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > 1e-6 {
-						errs <- fmt.Errorf("concurrent clone objective %v, cold %v", warm.Objective, cold.Objective)
-						return
-					}
-					errs <- nil
-				}()
-			}
-			for range jobs {
-				if err := <-errs; err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -83,10 +83,6 @@ func (d *denseInverse) btran(y []float64) {
 	copy(y, z)
 }
 
-func (d *denseInverse) btranUnit(r int, y []float64) {
-	copy(y, d.binv[r*d.m:r*d.m+d.m])
-}
-
 // update applies the eta transform to every row of the explicit inverse;
 // it reads w densely and ignores the pattern.
 func (d *denseInverse) update(r int, w []float64, _ []int32) {
@@ -111,13 +107,11 @@ func (d *denseInverse) update(r int, w []float64, _ []int32) {
 	}
 }
 
+// addRow is never called: the dense inverse inverts the whole basis, so
+// solverState keeps its implicit-slack set empty.
+func (d *denseInverse) addRow(int, []int32, []float64) {
+	panic("lp: the dense inverse keeps no implicit-slack rows")
+}
+
 func (d *denseInverse) shouldRefactor() bool { return false }
 func (d *denseInverse) markRefactored()      {}
-
-func (d *denseInverse) clone() basisRep {
-	return &denseInverse{
-		m:    d.m,
-		binv: append([]float64(nil), d.binv...),
-		tmp:  make([]float64, d.m),
-	}
-}

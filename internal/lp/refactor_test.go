@@ -9,11 +9,14 @@ import (
 )
 
 // refactorStaticOrder replicates the pre-Markowitz refactorization — the
-// static sparsest-column-first sort with a full-row pivot scan per column —
-// as the differential baseline for the dynamic bucket ordering in
-// solverState.refactor.
+// static sparsest-column-first sort with a full-row pivot scan per column,
+// every row factored (S empty) — as the differential baseline for the
+// dynamic bucket ordering in solverState.refactor.
 func refactorStaticOrder(s *solverState) error {
 	m := s.sf.m
+	for r := range s.implicit {
+		s.implicit[r] = false
+	}
 	cols := append([]int(nil), s.basis...)
 	order := make([]int, m)
 	for i := range order {
@@ -51,8 +54,23 @@ func refactorStaticOrder(s *solverState) error {
 		s.basis[best] = j
 		s.inv.update(best, w, pat)
 	}
+	s.partition()
 	s.inv.markRefactored()
 	return nil
+}
+
+// warmCopy returns the solver core of a fresh unscaled sparse backend for
+// ps with basis b installed by Warm, which refactorizes it.
+func warmCopy(tb testing.TB, ps *problemSpec, b *Basis) *solverState {
+	tb.Helper()
+	be, err := NewBackend(Sparse, ps.build(), nil, WithPresolve(false))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := be.Warm(b); err != nil {
+		tb.Fatal(err)
+	}
+	return be.(*solverState)
 }
 
 // randomSchedShapeSpec builds a scheduling-relaxation-shaped feasibility LP
@@ -136,8 +154,8 @@ func TestRefactorMarkowitzDifferential(t *testing.T) {
 	solved := 0
 	for trial := 0; trial < 40; trial++ {
 		ps := randomSchedShapeSpec(rng)
-		// White-box: the clones are downcast to solverState to compare eta
-		// fill on the raw matrix, so scaling is off.
+		// White-box: the copies are solverStates, to compare eta fill on
+		// the raw matrix, so scaling is off.
 		be, err := NewBackend(Sparse, ps.build(), nil, WithPresolve(false))
 		if err != nil {
 			t.Fatalf("trial %d: NewBackend: %v", trial, err)
@@ -151,8 +169,7 @@ func TestRefactorMarkowitzDifferential(t *testing.T) {
 		}
 		solved++
 		refObj := ref.Objective
-		a := be.Clone().(*solverState)
-		b := be.Clone().(*solverState)
+		a, b := warmCopy(t, ps, be.Basis()), warmCopy(t, ps, be.Basis())
 		if err := a.refactor(); err != nil {
 			t.Fatalf("trial %d: dynamic refactor: %v", trial, err)
 		}
@@ -240,8 +257,9 @@ func TestRefactorPreservesWarmVerdicts(t *testing.T) {
 // scheduling-shaped bases that mix basic slacks with basic structural
 // columns hitting those same rows: the sparse eta file must hold exactly
 // one eta per basic structural column (none for slacks, which sit on the
-// identity in their own row), and on both representations ftran of every
-// basic column must return its unit vector.
+// identity in their own row), the implicit-slack set must be exactly the
+// slack rows, no eta may hold an entry in one of them, and on both
+// representations ftran of every basic column must return its unit vector.
 func TestRefactorSlackFirstInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	mixed := 0
@@ -273,22 +291,36 @@ func TestRefactorSlackFirstInvariant(t *testing.T) {
 				mixed++
 			}
 
-			a := sp.Clone().(*solverState)
-			if err := a.refactor(); err != nil {
-				t.Fatalf("trial %d step %d: refactor: %v", trial, step, err)
-			}
+			a := warmCopy(t, ps, basis)
 			structural := 0
 			for _, j := range a.basis {
 				if j < a.sf.nv {
 					structural++
 				}
 			}
-			if etas := len(a.inv.(*etaFile).pivRow); etas != structural {
+			e := a.inv.(*etaFile)
+			if etas := len(e.pivRow); etas != structural {
 				t.Fatalf("trial %d step %d: %d etas for %d basic structural columns", trial, step, etas, structural)
+			}
+			if a.nImplicit != a.sf.m-structural {
+				t.Fatalf("trial %d step %d: %d implicit rows for %d basic slacks", trial, step, a.nImplicit, a.sf.m-structural)
 			}
 			for r, j := range a.basis {
 				if j >= a.sf.nv && j-a.sf.nv != r {
 					t.Fatalf("trial %d step %d: slack %d placed in row %d", trial, step, j-a.sf.nv, r)
+				}
+				if a.implicit[r] != (j >= a.sf.nv) {
+					t.Fatalf("trial %d step %d: row %d holds column %d, implicit %v", trial, step, r, j, a.implicit[r])
+				}
+			}
+			for k, r := range e.pivRow {
+				if r < 0 || a.implicit[r] {
+					t.Fatalf("trial %d step %d: eta %d pivots on row %d (implicit or a row eta)", trial, step, k, r)
+				}
+				for _, i := range e.idx[e.start[k]:e.start[k+1]] {
+					if a.implicit[i] {
+						t.Fatalf("trial %d step %d: eta %d holds an entry in implicit row %d", trial, step, k, i)
+					}
 				}
 			}
 			checkUnitFtran(t, a, "sparse")
@@ -451,7 +483,7 @@ func BenchmarkRefactor(b *testing.B) {
 	if setLoad(hi) != Optimal {
 		b.Fatal("anchor LP infeasible at the bisected load")
 	}
-	s := be.Clone().(*solverState)
+	s := warmCopy(b, ps, be.Basis())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // solverState is the revised simplex core shared by every Backend: a
@@ -42,6 +43,17 @@ import (
 // rows. ftranColumn sets and clears the Workspace marks that build the
 // pattern itself, so no caller ever sees a set mark.
 //
+// On the sparse backend the rows are partitioned. A row whose own slack is
+// basic in it is an implicit-slack row (the set S, every other row is in
+// W); the eta file factors only the W block and holds no entry in an S row
+// (see etaFile). ftranColumn and ftran fill the S rows in from the matrix
+// after the eta file's ops, and btran and btranUnit fold them into W first.
+// A refactorization resets S to the rows it places a slack in; a pivot whose
+// leaving row is in S appends a row eta and moves the row to W, so S only
+// shrinks in between. On the scheduling LPs most rows are x ≤ y rows whose
+// slack stays basic, and no FTRAN or BTRAN replays them. The dense inverse
+// keeps S empty.
+//
 // Dantzig pricing switches to Bland's rule after a stall, as in the legacy
 // tableau solver, so degenerate instances cannot cycle forever.
 type solverState struct {
@@ -52,6 +64,20 @@ type solverState struct {
 	basis  []int       // column basic in each row
 	status []varStatus // per column
 	xB     []float64   // values of the basic variables (ws-backed)
+
+	// The row partition (ws-backed). implicit marks the rows of S and
+	// nImplicit counts them; partitioned is false on the dense backend,
+	// which keeps S empty. wRows lists the W rows in ascending order. pos[j]
+	// is the row structural column j is basic in, −1 when it is nonbasic:
+	// the fold reaches the W rows of a basic column through it. colW is the
+	// number of W rows at the head of the pattern ftranColumn returned
+	// last; the S rows follow them.
+	partitioned bool
+	implicit    []bool
+	nImplicit   int
+	pos         []int32
+	wRows       []int32
+	colW        int
 
 	// d holds the phase-2 reduced costs (ws-backed, 0 on basic columns)
 	// and dAge the pivots since they were last recomputed; −1 means d is
@@ -97,16 +123,15 @@ func newSolverState(kind BackendKind, p *Problem, ws *Workspace, scale bool) *so
 		s.inv = &denseInverse{}
 	} else {
 		s.inv = &etaFile{}
+		s.partitioned = true
 	}
-	s.inv.reset(s.sf.m)
 	s.d = growF(&ws.d, s.sf.n)
 	s.initColumn()
 	s.basis = make([]int, s.sf.m)
 	s.status = make([]varStatus, s.sf.n)
-	for r := 0; r < s.sf.m; r++ {
-		s.basis[r] = s.sf.nv + r
-		s.status[s.sf.nv+r] = basic
-	}
+	s.implicit = growBool(&ws.implicit, s.sf.m)
+	s.pos = growI32(&ws.pos, s.sf.nv)
+	s.coldReset()
 	return s
 }
 
@@ -137,18 +162,6 @@ func (s *solverState) SetVarUpper(v int, upper float64) {
 		// A nonbasic variable cannot sit at an infinite bound.
 		s.status[v] = atLower
 	}
-}
-
-func (s *solverState) Clone() Backend {
-	c := &solverState{ws: NewWorkspace(), dualOK: s.dualOK, fromStart: s.fromStart, dAge: s.dAge, info: s.info}
-	c.sf.copyFrom(&s.sf, c.ws)
-	c.initColumn()
-	c.d = growF(&c.ws.d, c.sf.n)
-	copy(c.d, s.d)
-	c.basis = append([]int(nil), s.basis...)
-	c.status = append([]varStatus(nil), s.status...)
-	c.inv = s.inv.clone()
-	return c
 }
 
 func (s *solverState) Basis() *Basis {
@@ -281,7 +294,7 @@ func (s *solverState) Solve() (*Solution, error) {
 
 // --- state maintenance -------------------------------------------------------
 
-// coldReset reinstalls the all-slack identity basis.
+// coldReset reinstalls the all-slack identity basis, every row in S.
 func (s *solverState) coldReset() {
 	for j := range s.status {
 		s.status[j] = atLower
@@ -291,6 +304,10 @@ func (s *solverState) coldReset() {
 		s.status[s.sf.nv+r] = basic
 	}
 	s.inv.reset(s.sf.m)
+	for r := range s.implicit {
+		s.implicit[r] = s.partitioned
+	}
+	s.partition()
 	s.dualOK = false
 	s.fromStart = false
 	s.dAge = -1
@@ -308,8 +325,17 @@ func (s *solverState) computeXB() {
 			}
 		}
 	}
-	s.inv.ftran(rhsEff)
+	s.ftran(rhsEff)
 	copy(s.xB, rhsEff)
+}
+
+// ftran overwrites the dense vector v with B⁻¹·v: the eta file's ops, then
+// the fill-in of the implicit rows.
+func (s *solverState) ftran(v []float64) {
+	s.inv.ftran(v)
+	if s.nImplicit > 0 {
+		s.fillImplicit(v, s.wRows, nil, nil)
+	}
 }
 
 // refactorPivRel is the relative threshold of the sparsity-driven pivot
@@ -328,10 +354,13 @@ const refactorPivRel = 0.1
 //   - slacks first: a basic slack is the unit column of its own row, and
 //     placing it there against the identity that reset installs changes
 //     nothing — no ftran, no pivot scan, no eta. Every such row is retired
-//     before the structural columns are looked at, which leaves only the
-//     structural bump (~232 of the 1110 basic columns at the M=10/N=100/
-//     K=8 scheduling anchor) for the stages below. Entries of structural
-//     columns in slack rows never pivot and stay out of the row counts.
+//     before the structural columns are looked at and becomes the new
+//     implicit-slack set S, which leaves only the structural bump (~232 of
+//     the 1110 basic columns at the M=10/N=100/K=8 scheduling anchor) for
+//     the stages below. Entries of structural columns in S rows never
+//     pivot and are never stored: they stay out of the row counts, the
+//     sparsity key and the etas (on the sparse backend; the dense inverse
+//     keeps S empty and factors every row).
 //   - row singletons next: whenever some live row is hit by exactly one
 //     unplaced column, that column is placed with that row as preferred
 //     pivot. A chain of such placements is a permuted triangle and
@@ -352,8 +381,8 @@ func (s *solverState) refactor() error {
 	m, nv := s.sf.m, s.sf.nv
 	s.refactors++
 
-	// Slack-first: retire every basic slack's own row (rc −1) and gather
-	// the structural columns — the bump — into cols.
+	// Slack-first: retire every basic slack's own row (rc −1), which joins
+	// S, and gather the structural columns — the bump — into cols.
 	rc := growInt(&s.ws.rc, m)
 	for r := range rc {
 		rc[r] = 0
@@ -367,13 +396,15 @@ func (s *solverState) refactor() error {
 		}
 	}
 	nb := len(cols)
+	for r := range rc {
+		s.implicit[r] = s.partitioned && rc[r] < 0
+	}
 
-	// cnt[i] = stored nonzeros of column cols[i], the sparsest-first key.
-	// Entries in slack rows never pivot but still ride along in the
-	// column's eta and in every later column that hits its pivot row, so
-	// they count. −1 marks placed. Row → column-position CSR over the bump
-	// pattern in live rows (CSC duplicates count with multiplicity), so
-	// retiring a pivot row decrements exactly the columns it touches.
+	// cnt[i] = stored nonzeros of column cols[i] in the live rows, the
+	// sparsest-first key (its entries in S rows never reach an eta). −1
+	// marks placed. Row → column-position CSR over the bump pattern in
+	// live rows (CSC duplicates count with multiplicity), so retiring a
+	// pivot row decrements exactly the columns it touches.
 	cnt := growInt(&s.ws.cnt, nb)
 	rowPtr := growI32(&s.ws.rowPtr, m+1)
 	for r := range rowPtr {
@@ -381,16 +412,17 @@ func (s *solverState) refactor() error {
 	}
 	maxCnt, nnz := 0, 0
 	for i, j := range cols {
-		c := s.sf.colNNZ(j)
-		cnt[i] = c
-		if c > maxCnt {
-			maxCnt = c
-		}
+		c := 0
 		for k := s.sf.colPtr[j]; k < s.sf.colPtr[j+1]; k++ {
 			if r := s.sf.colRow[k]; rc[r] >= 0 {
 				rowPtr[r+1]++
-				nnz++
+				c++
 			}
+		}
+		cnt[i] = c
+		nnz += c
+		if c > maxCnt {
+			maxCnt = c
 		}
 	}
 	for r := 0; r < m; r++ {
@@ -484,7 +516,7 @@ func (s *solverState) refactor() error {
 			}
 		}
 		cnt[i] = -1
-		w, pat := s.ftranColumn(j)
+		w, pat := s.ftranRows(j, false)
 		// Numerically largest live pivot first; then, among live rows
 		// within refactorPivRel of it, the row hit by the fewest live
 		// columns (larger magnitude, then the lower row, breaks ties) — the
@@ -523,8 +555,31 @@ func (s *solverState) refactor() error {
 		rc[best] = -1 // retire the pivot row
 	}
 	s.ws.rowStack = stack[:0]
+	s.partition()
 	s.inv.markRefactored()
 	return nil
+}
+
+// partition rebuilds wRows, nImplicit and pos from the implicit marks and
+// the basis.
+func (s *solverState) partition() {
+	sf := &s.sf
+	s.wRows = s.ws.wRows[:0]
+	for r, in := range s.implicit {
+		if !in {
+			s.wRows = append(s.wRows, int32(r))
+		}
+	}
+	s.ws.wRows = s.wRows
+	s.nImplicit = sf.m - len(s.wRows)
+	for j := range s.pos {
+		s.pos[j] = -1
+	}
+	for r, j := range s.basis {
+		if j < sf.nv {
+			s.pos[j] = int32(r)
+		}
+	}
 }
 
 // initColumn sizes the FTRAN column scratch (ws.w, ws.colMark) for the m
@@ -544,43 +599,136 @@ func (s *solverState) initColumn() {
 }
 
 // ftranColumn loads column j in current basis coordinates into ws.w and
-// returns it with its pattern: the rows that the column or an eta's fill
-// touched, each once, in order of first touch. Every nonzero of w lies on
-// the pattern (a row can be on it and hold 0 after cancellation or an
-// eta's pivot). The values are bit-identical to a dense scatter + ftran.
+// returns it with its pattern: the rows that the column, an eta's fill or
+// the implicit rows' fill-in touched, each once. The W rows come first, in
+// order of first touch, and number s.colW; the S rows follow. Every nonzero
+// of w lies on the pattern (a row can be on it and hold 0 after
+// cancellation or an eta's pivot). On the W rows the values are
+// bit-identical to a dense scatter + eta-file ftran; an S row s gets
+// w_s = a_s − Σ_{i∈W} A(s, basis[i])·w_i, walking only the columns basic in
+// the W rows with w_i ≠ 0.
 //
 // The returned slices stay valid until the next call, which zeroes w over
 // the old pattern only: w is zero off the pattern and no caller writes it.
 // The marks are clear again whenever ftranColumn is not running, so an
 // early return by the caller (a singular refactor) leaves nothing stale.
 func (s *solverState) ftranColumn(j int) ([]float64, []int32) {
+	return s.ftranRows(j, true)
+}
+
+// ftranRows is ftranColumn; with fill false it computes the W rows only
+// and leaves every S row zero and off the pattern, which is all a
+// refactorization's placements read.
+func (s *solverState) ftranRows(j int, fill bool) ([]float64, []int32) {
 	w, mark := s.ws.w, s.ws.colMark
 	for _, i := range s.ws.colPat {
 		w[i] = 0
 	}
-	pat := s.ws.colPat[:0]
 	sf := &s.sf
-	if j >= sf.nv {
-		r := int32(j - sf.nv)
-		w[r] = 1
-		mark[r] = true
-		pat = append(pat, r)
-	} else {
-		for k := sf.colPtr[j]; k < sf.colPtr[j+1]; k++ {
-			r := sf.colRow[k]
-			w[r] += sf.colVal[k]
+	slack := [1]int32{int32(j - sf.nv)}
+	rows, vals := slack[:], []float64{1}
+	if j < sf.nv {
+		rows, vals = sf.colRow[sf.colPtr[j]:sf.colPtr[j+1]], sf.colVal[sf.colPtr[j]:sf.colPtr[j+1]]
+	}
+	pat := s.scatterRows(w, s.ws.colPat[:0], rows, vals, false)
+	pat = s.inv.ftranSparse(w, mark, pat)
+	s.colW = len(pat)
+	if fill && s.nImplicit > 0 {
+		pat = s.scatterRows(w, pat, rows, vals, true)
+		pat = s.fillImplicit(w, pat[:s.colW], mark, pat)
+	}
+	for _, i := range pat {
+		mark[i] = false
+	}
+	s.ws.colPat = pat
+	return w, pat
+}
+
+// scatterRows adds vals into w on those of rows that are implicit exactly
+// when implicit is set, appending each row it marks first to pat.
+func (s *solverState) scatterRows(w []float64, pat, rows []int32, vals []float64, implicit bool) []int32 {
+	mark := s.ws.colMark
+	for q, r := range rows {
+		if s.implicit[r] == implicit {
+			w[r] += vals[q]
 			if !mark[r] {
 				mark[r] = true
 				pat = append(pat, r)
 			}
 		}
 	}
-	pat = s.inv.ftranSparse(w, mark, pat)
-	for _, i := range pat {
-		mark[i] = false
+	return pat
+}
+
+// fillImplicit subtracts A(s, basis[i])·v_i from v on every implicit row
+// s, for the W rows i listed in rows. With mark set it appends each
+// implicit row it marks first to pat. A slack basic in a W row is zero on
+// every implicit row (each of those holds its own slack).
+func (s *solverState) fillImplicit(v []float64, rows []int32, mark []bool, pat []int32) []int32 {
+	sf := &s.sf
+	for _, i := range rows {
+		vi, c := v[i], s.basis[i]
+		if vi == 0 || c >= sf.nv {
+			continue
+		}
+		for k := sf.colPtr[c]; k < sf.colPtr[c+1]; k++ {
+			if r := sf.colRow[k]; s.implicit[r] {
+				if mark != nil && !mark[r] {
+					mark[r] = true
+					pat = append(pat, r)
+				}
+				v[r] -= sf.colVal[k] * vi
+			}
+		}
 	}
-	s.ws.colPat = pat
-	return w, pat
+	return pat
+}
+
+// btran overwrites y with yᵀ·B⁻¹: every implicit row with y_s ≠ 0 folds
+// into W first (y_W −= y_s·A(s, basis[W])), then the eta file's ops run
+// newest→oldest. Phase-2 duals cost nothing here: a basic slack's cost is
+// 0, so y is zero on every S row.
+func (s *solverState) btran(y []float64) {
+	if s.nImplicit > 0 {
+		for r, ys := range y {
+			if ys != 0 && s.implicit[r] {
+				s.foldRow(r, ys, y)
+			}
+		}
+	}
+	s.inv.btran(y)
+}
+
+// btranUnit overwrites y with row r of B⁻¹ (eᵣᵀ·B⁻¹).
+func (s *solverState) btranUnit(r int, y []float64) {
+	for i := range y {
+		y[i] = 0
+	}
+	y[r] = 1
+	if s.implicit[r] {
+		s.foldRow(r, 1, y)
+	}
+	s.inv.btran(y)
+}
+
+// foldRow subtracts ys·A(r, j) from y in the row of every basic structural
+// column j (all in W: an S row holds its slack), read from the row-wise
+// copy through pos.
+func (s *solverState) foldRow(r int, ys float64, y []float64) {
+	sf := s.rowCopy()
+	for k := sf.rowPtr[r]; k < sf.rowPtr[r+1]; k++ {
+		if p := s.pos[sf.rowCol[k]]; p >= 0 {
+			y[p] -= ys * sf.rowVal[k]
+		}
+	}
+}
+
+// rowCopy returns the standard form with its row-wise copy built.
+func (s *solverState) rowCopy() *standardForm {
+	if s.sf.rowPtr == nil {
+		s.sf.buildRows(s.ws)
+	}
+	return &s.sf
 }
 
 // dualsFor computes y = c_Bᵀ·B⁻¹ for the given phase into ws.y. The
@@ -608,7 +756,7 @@ func (s *solverState) dualsFor(phase2 bool) ([]float64, bool) {
 		}
 	}
 	if !zero {
-		s.inv.btran(y)
+		s.btran(y)
 	}
 	return y, zero
 }
@@ -662,14 +810,12 @@ func (s *solverState) dualFeasible() bool {
 }
 
 // pivotRow computes the pivot row α = ρᵀ·[A I] for ρ = e_rᵀB⁻¹ from the
-// row-wise copy of A, visiting only the rows where ρ is nonzero. It returns
-// the columns whose entry was touched (each once); their values are in
-// s.alpha until updateDuals or clearRow resets the scratch.
-func (s *solverState) pivotRow(rho []float64) []int32 {
-	sf := &s.sf
-	if sf.rowPtr == nil {
-		sf.buildRows(s.ws)
-	}
+// row-wise copy of A, visiting only the rows where ρ is nonzero: ρ is zero
+// on every implicit row but r, so only r and the W rows are scanned. It
+// returns the columns whose entry was touched (each once); their values
+// are in s.alpha until updateDuals or clearRow resets the scratch.
+func (s *solverState) pivotRow(r int, rho []float64) []int32 {
+	sf := s.rowCopy()
 	if s.alpha == nil {
 		s.alpha = growF(&s.ws.alpha, sf.n)
 		for j := range s.alpha {
@@ -680,26 +826,35 @@ func (s *solverState) pivotRow(rho []float64) []int32 {
 			s.mark[j] = false
 		}
 	}
-	alpha, mark := s.alpha, s.mark
 	touched := s.ws.touched[:0]
-	for i, ri := range rho {
-		if ri == 0 {
-			continue
-		}
-		alpha[sf.nv+i] = ri // the slack column of row i
-		touched = append(touched, int32(sf.nv+i))
-		cols := sf.rowCol[sf.rowPtr[i]:sf.rowPtr[i+1]]
-		vals := sf.rowVal[sf.rowPtr[i]:sf.rowPtr[i+1]]
-		vals = vals[:len(cols)]
-		for k, c := range cols {
-			if !mark[c] {
-				mark[c] = true
-				touched = append(touched, c)
-			}
-			alpha[c] += ri * vals[k]
+	if s.implicit[r] {
+		touched = s.addPivotRow(r, rho[r], touched)
+	}
+	for _, i := range s.wRows {
+		if ri := rho[i]; ri != 0 {
+			touched = s.addPivotRow(int(i), ri, touched)
 		}
 	}
 	s.ws.touched = touched
+	return touched
+}
+
+// addPivotRow adds ri times row i of [A I] into the pivot row, appending
+// the columns it touches first to touched.
+func (s *solverState) addPivotRow(i int, ri float64, touched []int32) []int32 {
+	sf, alpha, mark := &s.sf, s.alpha, s.mark
+	alpha[sf.nv+i] = ri // the slack column of row i
+	touched = append(touched, int32(sf.nv+i))
+	cols := sf.rowCol[sf.rowPtr[i]:sf.rowPtr[i+1]]
+	vals := sf.rowVal[sf.rowPtr[i]:sf.rowPtr[i+1]]
+	vals = vals[:len(cols)]
+	for k, c := range cols {
+		if !mark[c] {
+			mark[c] = true
+			touched = append(touched, c)
+		}
+		alpha[c] += ri * vals[k]
+	}
 	return touched
 }
 
@@ -818,8 +973,8 @@ func (s *solverState) primal(phase2 bool, maxIters int) (Status, error) {
 		} else {
 			if phase2 && !s.sf.objZero {
 				rho := growF(&s.ws.rho, s.sf.m)
-				s.inv.btranUnit(leave, rho)
-				s.updateDuals(s.pivotRow(rho), j, leave, w[leave])
+				s.btranUnit(leave, rho)
+				s.updateDuals(s.pivotRow(leave, rho), j, leave, w[leave])
 			}
 			s.applyPivot(j, dir, w, pat, leave, leaveAt, t)
 		}
@@ -954,7 +1109,8 @@ func (s *solverState) applyFlip(j int, dir float64, w []float64, pat []int32) {
 
 // applyPivot performs the basis exchange: entering j (moving dir·t) for
 // the basic variable of row leave, which exits at leaveAt. w is the
-// entering column, nonzero on pat only.
+// entering column as ftranColumn returned it, nonzero on pat only; the new
+// eta stores its W rows.
 func (s *solverState) applyPivot(j int, dir float64, w []float64, pat []int32, leave int, leaveAt varStatus, t float64) {
 	if t != 0 {
 		for _, i := range pat {
@@ -967,13 +1123,54 @@ func (s *solverState) applyPivot(j int, dir float64, w []float64, pat []int32, l
 	if dir < 0 {
 		enterVal = s.sf.ub[j] - t
 	}
+	if s.implicit[leave] {
+		s.leaveImplicit(leave, pat)
+	}
 	old := s.basis[leave]
 	s.status[old] = leaveAt
 	s.basis[leave] = j
 	s.status[j] = basic
+	if old < s.sf.nv {
+		s.pos[old] = -1
+	}
+	if j < s.sf.nv {
+		s.pos[j] = int32(leave)
+	}
 	s.xB[leave] = enterVal
-	s.inv.update(leave, w, pat)
+	s.inv.update(leave, w, pat[:s.colW])
 	s.iters++
+}
+
+// leaveImplicit moves the implicit row r into W ahead of a pivot on it. It
+// appends the row eta v_r −= Σ_{i∈W} A(r, basis[i])·v_i, read from the
+// row-wise copy through pos, so the eta file's ops now produce row r
+// themselves; and it moves r, which the entering column's fill-in put in
+// the S tail of pat, to the end of the W head, so the column eta stores it.
+func (s *solverState) leaveImplicit(r int, pat []int32) {
+	sf := s.rowCopy()
+	idx, val := s.ws.rowEtaIdx[:0], s.ws.rowEtaVal[:0]
+	for k := sf.rowPtr[r]; k < sf.rowPtr[r+1]; k++ {
+		if p := s.pos[sf.rowCol[k]]; p >= 0 {
+			idx = append(idx, p)
+			val = append(val, sf.rowVal[k])
+		}
+	}
+	if len(idx) > 0 {
+		s.inv.addRow(r, idx, val)
+	}
+	s.ws.rowEtaIdx, s.ws.rowEtaVal = idx, val
+	s.implicit[r] = false
+	s.nImplicit--
+	q, _ := slices.BinarySearch(s.wRows, int32(r))
+	s.wRows = slices.Insert(s.wRows, q, int32(r))
+	s.ws.wRows = s.wRows
+	for q := s.colW; q < len(pat); q++ {
+		if pat[q] == int32(r) {
+			pat[q], pat[s.colW] = pat[s.colW], pat[q]
+			break
+		}
+	}
+	s.colW++
 }
 
 // --- dual simplex (the warm-restart workhorse) -------------------------------
@@ -1038,8 +1235,8 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 		// costs zero) keeps every reduced cost at exactly zero: every
 		// sign-eligible column ties at ratio 0 and the stability tie-break
 		// picks among them.
-		s.inv.btranUnit(r, rho)
-		touched := s.pivotRow(rho)
+		s.btranUnit(r, rho)
+		touched := s.pivotRow(r, rho)
 		e, dirE := -1, 1.0
 		bestRatio, bestAbs := math.Inf(1), 0.0
 		for _, c32 := range touched {

@@ -259,47 +259,6 @@ func TestPresolveWarmTrajectoryEquivalence(t *testing.T) {
 	}
 }
 
-// TestPresolveCloneIndependence: clones of a scaled backend must not share
-// mutable clamp state — divergent SetVarUpper trajectories on parent and
-// clone must both match their raw twins.
-func TestPresolveCloneIndependence(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	ps := schedSpec(rng, 3, 12, 2, 12)
-	on, err := NewBackend(Sparse, ps.build(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := on.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	cl := on.Clone()
-	// Parent clamps column 0, clone clamps column 1.
-	on.SetVarUpper(0, 0)
-	cl.SetVarUpper(1, 0)
-	for i, be := range []Backend{on, cl} {
-		psi := ps.clone()
-		psi.ub[i] = 0
-		ref, err := NewBackend(Sparse, psi.build(), nil, WithPresolve(false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := be.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Status != want.Status {
-			t.Fatalf("backend %d: status %v, want %v", i, got.Status, want.Status)
-		}
-		if got.Status == Optimal && math.Abs(got.Objective-want.Objective) > 1e-6 {
-			t.Fatalf("backend %d: objective %v, want %v", i, got.Objective, want.Objective)
-		}
-	}
-}
-
 // TestRuizScalingEquilibrates: on wildly unbalanced coefficients a scaled
 // build must leave every row and column max |a| near 1.
 func TestRuizScalingEquilibrates(t *testing.T) {

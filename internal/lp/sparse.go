@@ -200,40 +200,6 @@ func equilibrated(maxes []float64) bool {
 	return true
 }
 
-// copyFrom deep-copies src into sf using ws-backed storage, so the copy
-// shares no mutable state with the source (Backend.Clone's substrate).
-func (sf *standardForm) copyFrom(src *standardForm, ws *Workspace) {
-	sf.m, sf.nv, sf.n, sf.objZero = src.m, src.nv, src.n, src.objZero
-	sf.obj = growF(&ws.sfObj, len(src.obj))
-	copy(sf.obj, src.obj)
-	sf.ub = growF(&ws.sfUB, len(src.ub))
-	copy(sf.ub, src.ub)
-	sf.rhs = growF(&ws.sfRHS, len(src.rhs))
-	copy(sf.rhs, src.rhs)
-	sf.rowMul = growF(&ws.sfRowMul, len(src.rowMul))
-	copy(sf.rowMul, src.rowMul)
-	sf.colScale = nil
-	if src.colScale != nil {
-		sf.colScale = growF(&ws.sfColScale, len(src.colScale))
-		copy(sf.colScale, src.colScale)
-	}
-	sf.colPtr = growI32(&ws.sfPtr, len(src.colPtr))
-	copy(sf.colPtr, src.colPtr)
-	sf.colRow = growI32(&ws.sfRow, len(src.colRow))
-	copy(sf.colRow, src.colRow)
-	sf.colVal = growF(&ws.sfVal, len(src.colVal))
-	copy(sf.colVal, src.colVal)
-	sf.rowPtr, sf.rowCol, sf.rowVal = nil, nil, nil
-	if src.rowPtr != nil {
-		sf.rowPtr = growI32(&ws.sfRowPtr, len(src.rowPtr))
-		copy(sf.rowPtr, src.rowPtr)
-		sf.rowCol = growI32(&ws.sfRowCol, len(src.rowCol))
-		copy(sf.rowCol, src.rowCol)
-		sf.rowVal = growF(&ws.sfRowVal, len(src.rowVal))
-		copy(sf.rowVal, src.rowVal)
-	}
-}
-
 // buildRows builds the row-wise copy of the structural columns into
 // ws-backed storage (a transpose of the CSC arrays, O(nnz)).
 func (sf *standardForm) buildRows(ws *Workspace) {
@@ -303,12 +269,15 @@ func (sf *standardForm) objAt(j int) float64 {
 }
 
 // basisRep abstracts the representation of the basis inverse B⁻¹. The
-// solver core drives it through four operations; the dense backend keeps an
-// explicit m×m inverse, the sparse backend a product-form eta file.
+// solver core drives it through the operations below. The dense backend
+// keeps an explicit m×m inverse of the whole basis. The sparse backend's
+// eta file inverts only the basis block on the rows outside the
+// implicit-slack set S (see etaFile); solverState fills in and folds the S
+// rows around it, so with S empty the two mean the same thing.
 type basisRep interface {
 	// reset reinstalls the identity (the all-slack basis).
 	reset(m int)
-	// ftran overwrites v with B⁻¹·v.
+	// ftran overwrites v with B⁻¹·v (the eta file: the W-block ops only).
 	ftran(v []float64)
 	// ftranSparse is ftran for a v whose nonzeros lie in the rows of pat,
 	// each listed once and set in mark. It appends every row that fills to
@@ -317,13 +286,14 @@ type basisRep interface {
 	ftranSparse(v []float64, mark []bool, pat []int32) []int32
 	// btran overwrites y with yᵀ·B⁻¹ (y is treated as a row vector).
 	btran(y []float64)
-	// btranUnit overwrites y with row r of B⁻¹ (eᵣᵀ·B⁻¹).
-	btranUnit(r int, y []float64)
 	// update records a basis change at row r whose entering column, in
 	// current basis coordinates, is w (so w[r] is the pivot element). pat
-	// lists, once each, rows that cover every nonzero of w (r among them);
-	// the eta file reads w over pat only.
+	// lists, once each, the rows of w to store (r among them); the eta file
+	// reads w over pat only.
 	update(r int, w []float64, pat []int32)
+	// addRow records a row op, v_r −= Σ_q val[q]·v_idx[q], ahead of a pivot
+	// on a row r that leaves the implicit-slack set.
+	addRow(r int, idx []int32, val []float64)
 	// shouldRefactor reports that the representation has grown stale
 	// (e.g. the eta file is long) and a refactorization would pay off.
 	shouldRefactor() bool
@@ -331,21 +301,32 @@ type basisRep interface {
 	// since the last reset constitute a fresh factorization (so its size
 	// is the new staleness baseline, not accumulated churn).
 	markRefactored()
-	// clone returns an independent deep copy: applying updates to either
-	// copy never perturbs the other (Backend.Clone's substrate).
-	clone() basisRep
 }
 
 // etaDropTol drops negligible eta entries; values this small are far below
 // the solver's pivot tolerance and only bloat the file.
 const etaDropTol = 1e-13
 
-// etaFile is the product-form inverse: B⁻¹ = E_K···E_1 where each eta
-// matrix E is the identity with column pivRow replaced by the stored
-// entries. ftran applies etas oldest→newest, btran newest→oldest.
+// etaFile is the sparse backend's partitioned product-form inverse. The
+// rows split into the implicit-slack rows S, each holding its own slack,
+// and the rest W. The basis is then block triangular, [B_WW 0; B_SW I], so
+//
+//	B⁻¹ = M_S · O_K ⋯ O_1,
+//
+// where the ops O_k stored here invert B_WW and never read or write an S
+// row, and M_S sets v_s −= Σ_{i∈W} A(s, basis[i])·v_i from the matrix
+// itself (solverState.ftranColumn and ftran; btran folds S first). Bisschop
+// & Meeraus, "Matrix augmentation and partitioning in the updating of the
+// basis inverse", Math. Prog. 13 (1977).
+//
+// An op is a column eta, the identity with column pivRow replaced by the
+// stored entries, or a row eta, stored with pivRow = ^r, which sets
+// v_r −= Σ b_i·v_i as row r leaves S. ftran applies the ops oldest→newest,
+// btran newest→oldest. S is fixed at each refactorization and only shrinks
+// between them; with S empty the file is the plain product-form inverse.
 //
 // No per-column operation scans all m rows: ftranSparse grows the column's
-// pattern as etas fill it, and update stores an eta from that pattern
+// pattern as ops fill it, and update stores an eta from that pattern
 // alone, in pattern order. The marks ftranSparse sets belong to the caller
 // (solverState.ftranColumn clears them before it returns).
 type etaFile struct {
@@ -375,10 +356,14 @@ func (e *etaFile) reset(m int) {
 	e.baseEtas = 0
 }
 
-// ftran and btran re-slice each eta's idx/val to the same length, so the
+// ftran and btran re-slice each op's idx/val to the same length, so the
 // inner loops index them without bounds checks.
 func (e *etaFile) ftran(v []float64) {
 	for k, r := range e.pivRow {
+		if r < 0 {
+			e.applyRow(k, v)
+			continue
+		}
 		t := v[r]
 		if t == 0 {
 			continue
@@ -395,6 +380,13 @@ func (e *etaFile) ftran(v []float64) {
 
 func (e *etaFile) ftranSparse(v []float64, mark []bool, pat []int32) []int32 {
 	for k, r := range e.pivRow {
+		if r < 0 {
+			if r = ^r; e.applyRow(k, v) != 0 && !mark[r] {
+				mark[r] = true
+				pat = append(pat, r)
+			}
+			continue
+		}
 		t := v[r]
 		if t == 0 {
 			continue
@@ -416,25 +408,39 @@ func (e *etaFile) ftranSparse(v []float64, mark []bool, pat []int32) []int32 {
 	return pat
 }
 
+// applyRow applies the row eta k to v and returns the new v_r.
+func (e *etaFile) applyRow(k int, v []float64) float64 {
+	r := ^e.pivRow[k]
+	idx := e.idx[e.start[k]:e.start[k+1]]
+	val := e.val[e.start[k]:e.start[k+1]]
+	val = val[:len(idx)]
+	t := v[r]
+	for q, i := range idx {
+		t -= val[q] * v[i]
+	}
+	v[r] = t
+	return t
+}
+
 func (e *etaFile) btran(y []float64) {
 	for k := len(e.pivRow) - 1; k >= 0; k-- {
 		idx := e.idx[e.start[k]:e.start[k+1]]
 		val := e.val[e.start[k]:e.start[k+1]]
 		val = val[:len(idx)]
+		if r := e.pivRow[k]; r < 0 {
+			if t := y[^r]; t != 0 {
+				for q, i := range idx {
+					y[i] -= t * val[q]
+				}
+			}
+			continue
+		}
 		s := 0.0
 		for q, i := range idx {
 			s += y[i] * val[q]
 		}
 		y[e.pivRow[k]] = s
 	}
-}
-
-func (e *etaFile) btranUnit(r int, y []float64) {
-	for i := range y {
-		y[i] = 0
-	}
-	y[r] = 1
-	e.btran(y)
 }
 
 func (e *etaFile) update(r int, w []float64, pat []int32) {
@@ -460,6 +466,14 @@ func (e *etaFile) update(r int, w []float64, pat []int32) {
 	e.start = append(e.start, int32(len(e.idx)))
 }
 
+func (e *etaFile) addRow(r int, idx []int32, val []float64) {
+	e.pivRow = append(e.pivRow, ^int32(r))
+	e.idx = append(e.idx, idx...)
+	e.val = append(e.val, val...)
+	e.nnz += len(idx)
+	e.start = append(e.start, int32(len(e.idx)))
+}
+
 func (e *etaFile) shouldRefactor() bool {
 	// Refactorizing replays one ftran+update per basic column; it pays off
 	// once the accumulated churn (file growth beyond the post-refactor
@@ -474,17 +488,4 @@ func (e *etaFile) shouldRefactor() bool {
 func (e *etaFile) markRefactored() {
 	e.baseNNZ = e.nnz
 	e.baseEtas = len(e.pivRow)
-}
-
-func (e *etaFile) clone() basisRep {
-	return &etaFile{
-		m:        e.m,
-		pivRow:   append([]int32(nil), e.pivRow...),
-		start:    append([]int32(nil), e.start...),
-		idx:      append([]int32(nil), e.idx...),
-		val:      append([]float64(nil), e.val...),
-		nnz:      e.nnz,
-		baseNNZ:  e.baseNNZ,
-		baseEtas: e.baseEtas,
-	}
 }

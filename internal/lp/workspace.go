@@ -31,6 +31,13 @@ type Workspace struct {
 	// row marks that build it, clear between ftranColumn calls
 	colPat  []int32
 	colMark []bool
+	// the row partition: implicit-slack row marks (m), the other rows,
+	// the row of each basic structural column (nv), and a row eta's scratch
+	implicit  []bool
+	wRows     []int32
+	pos       []int32
+	rowEtaIdx []int32
+	rowEtaVal []float64
 	// solution output (nv)
 	x []float64
 	// refactorization scratch: the structural basic columns (the bump),
