@@ -24,6 +24,14 @@ type fracItem struct {
 // (speed, load, flag) triples, and jobs within one (group, class) list are
 // processed in fixed non-increasing size order, which makes the position
 // index an exact stand-in for the multiset ι.
+//
+// The memo holds the canonical keys of states whose whole subtree failed.
+// A key is built when a state is marked failed and, once the memo holds a
+// key, on every node's lookup; before the first mark no key is built. On
+// the perfbench uniform-ptas mix (n=200/m=16/K=10, ε=0.1) every guess
+// succeeds without backtracking out of a failed state, so the memo stays
+// empty there; it matters on tight instances whose rejected guesses
+// explore and mark some 10⁵ states.
 type dp struct {
 	s   *simp
 	cap int64
@@ -203,8 +211,8 @@ func (d *dp) rec(g, ci, ji int, xi bool, l1, l2, l3 float64) bool {
 		d.capped = true
 		return false
 	}
-	// Poll the context every 4096 nodes: cheap relative to the state-key
-	// hashing below, frequent enough that a deadline stops in-flight
+	// Poll the context every 4096 nodes: cheap relative to a node's
+	// expansion, frequent enough that a deadline stops in-flight
 	// expansion within milliseconds. Once cancelled, every further rec
 	// call fails immediately so the whole recursion unwinds.
 	if d.cancelled {
@@ -369,7 +377,9 @@ func maxf(a, b float64) float64 {
 }
 
 // encodeState writes the canonical binary state key into d.keyBuf (reused
-// across calls, so it stays allocation-free once grown). Machine symmetry
+// across calls, so it stays allocation-free once grown). It runs for every
+// markFailed and, once the memo is non-empty, for every failedState lookup;
+// with an empty memo no key is built. Machine symmetry
 // is factored out by sorting the (speed, load, flag) triples of the
 // *group-relevant* machines (machines of groups > g have load 0 and flag
 // false; machines of earlier groups never change again but their loads
@@ -427,9 +437,16 @@ func cellLess(a, b memoCell) bool {
 	return !a.flag && b.flag
 }
 
-// failedState reports whether the state is memoized as failed. The
-// string(keyBuf) map index compiles to an allocation-free lookup.
+// failedState reports whether the state is memoized as failed. While the
+// memo is empty every key misses, so the key is not built: a search that
+// never backtracks out of a failed state (every solve of the perfbench
+// uniform-ptas mix) encodes no key at all. Once a state is marked, every
+// lookup encodes its key; the string(keyBuf) map index compiles to an
+// allocation-free lookup.
 func (d *dp) failedState(g, ci, ji int, xi bool, l1, l2, l3 float64) bool {
+	if len(d.memo) == 0 {
+		return false
+	}
 	d.encodeState(g, ci, ji, xi, l1, l2, l3)
 	return d.memo[string(d.keyBuf)]
 }
