@@ -7,9 +7,10 @@
 package baseline
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -92,7 +93,7 @@ func lemma21(in *core.Instance, placeholders bool) (*core.Schedule, error) {
 	// Step 2: LPT ignoring classes and setups. Sort by non-increasing size
 	// (stable tie-break on job index for reproducibility) and put each item
 	// on the machine where it finishes first.
-	sort.SliceStable(items, func(a, b int) bool { return items[a].size > items[b].size })
+	slices.SortStableFunc(items, func(a, b lptItem) int { return cmp.Compare(b.size, a.size) })
 	loads := make([]float64, in.M) // load in *size* units per machine
 	where := make([]int, len(items))
 	for idx, it := range items {
@@ -170,7 +171,7 @@ func Greedy(in *core.Instance) (*core.Schedule, error) {
 		}
 		key[j] = best
 	}
-	sort.SliceStable(order, func(a, b int) bool { return key[order[a]] > key[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(key[b], key[a]) })
 
 	sched := core.NewSchedule(in.N)
 	loads := make([]float64, in.M)

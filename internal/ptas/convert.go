@@ -1,6 +1,9 @@
 package ptas
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // convert turns a relaxed schedule (integral assignment + fractional items)
 // into a complete assignment of simplified jobs to simplified machines,
@@ -52,7 +55,6 @@ func convert(s *simp, assign []int, fracs []fracItem) []int {
 	type item struct {
 		group int
 		jobs  []int
-		order int // stable tie-break
 	}
 	var queue []item
 	deferred := map[int][]int{} // class -> F1 core jobs
@@ -72,7 +74,8 @@ func convert(s *simp, assign []int, fracs []fracItem) []int {
 		switch {
 		case total > s.setup[k]/s.eps:
 			// F3: large chunk, jobs go individually (class-contiguous
-			// since they share one item each but adjacent order values).
+			// since they take adjacent queue positions and the sort below
+			// is stable).
 			for _, f := range items {
 				queue = append(queue, item{group: f.group, jobs: []int{f.job}})
 			}
@@ -91,15 +94,7 @@ func convert(s *simp, assign []int, fracs []fracItem) []int {
 			queue = append(queue, item{group: items[0].group, jobs: jobs})
 		}
 	}
-	for n := range queue {
-		queue[n].order = n
-	}
-	sort.SliceStable(queue, func(a, b int) bool {
-		if queue[a].group != queue[b].group {
-			return queue[a].group < queue[b].group
-		}
-		return queue[a].order < queue[b].order
-	})
+	slices.SortStableFunc(queue, func(a, b item) int { return cmp.Compare(a.group, b.group) })
 
 	// Greedy fill: machines ascending by speed; machine i absorbs pending
 	// items of groups ≤ leave(i)−2 while its load is below capacity.

@@ -1,9 +1,11 @@
 package ptas
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -179,7 +181,7 @@ func newDP(s *simp, nodeCap int64) *dp {
 }
 
 func sortDescBySize(s *simp, jobs []int) {
-	sort.SliceStable(jobs, func(a, b int) bool { return s.size[jobs[a]] > s.size[jobs[b]] })
+	slices.SortStableFunc(jobs, func(a, b int) int { return cmp.Compare(s.size[b], s.size[a]) })
 }
 
 // solve searches for a relaxed schedule; on success the integral
@@ -245,9 +247,20 @@ func (d *dp) rec(g, ci, ji int, xi bool, l1, l2, l3 float64) bool {
 	// Placement edges: one per distinct (speed, load, flag) cell among the
 	// group's machines. A machine matching an earlier machine's cell leads
 	// to an isomorphic subtree (capacity is a function of speed alone), so
-	// only the first is expanded.
+	// only the first is expanded. Equal cells also agree on the setup delta
+	// and the capacity test, so testing capacity before the duplicate scan
+	// skips exactly the same machines.
 	group := d.machines[g]
 	for mi, i := range group {
+		delta := p
+		setFlag := false
+		if isCore && !d.mFlag[i] {
+			delta += d.s.setup[k]
+			setFlag = true
+		}
+		if d.mLoad[i]+delta > d.s.capacity(i)+core.Eps {
+			continue
+		}
 		dup := false
 		for _, i2 := range group[:mi] {
 			if d.s.speed[i2] == d.s.speed[i] && d.mLoad[i2] == d.mLoad[i] && d.mFlag[i2] == d.mFlag[i] {
@@ -256,15 +269,6 @@ func (d *dp) rec(g, ci, ji int, xi bool, l1, l2, l3 float64) bool {
 			}
 		}
 		if dup {
-			continue
-		}
-		delta := p
-		setFlag := false
-		if isCore && !d.mFlag[i] {
-			delta += d.s.setup[k]
-			setFlag = true
-		}
-		if d.mLoad[i]+delta > d.s.capacity(i)+core.Eps {
 			continue
 		}
 		d.mLoad[i] += delta

@@ -35,6 +35,38 @@ func TestRoundSizeUp(t *testing.T) {
 	}
 }
 
+// TestRoundSizeUpPowerOfTwoBits checks that roundSizeUp's 2^e, built with
+// math.Ldexp, has the same bits as math.Pow(2, e) for e = ⌊log₂ t⌋ on every
+// power of two from 2^-30 to 2^30, on each one's floating-point neighbours
+// and on random sizes, and that the rounded result is unchanged with it.
+func TestRoundSizeUpPowerOfTwoBits(t *testing.T) {
+	var ts []float64
+	for e := -30; e <= 30; e++ {
+		p := math.Ldexp(1, e)
+		ts = append(ts, p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 10000 {
+		ts = append(ts, math.Ldexp(rng.Float64(), rng.Intn(61)-30))
+	}
+	for _, x := range ts {
+		if x <= 0 {
+			continue
+		}
+		e := math.Floor(math.Log2(x))
+		if got, want := math.Ldexp(1, int(e)), math.Pow(2, e); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("t=%v: Ldexp(1, %v) = %v, Pow(2, %v) = %v", x, e, got, e, want)
+		}
+		for _, eps := range []float64{0.1, 0.25, 0.5} {
+			base := math.Pow(2, e)
+			want := base + math.Ceil((x-base)/(eps*base))*eps*base
+			if got := roundSizeUp(x, eps); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("roundSizeUp(%v, %v) = %v, the math.Pow form gives %v", x, eps, got, want)
+			}
+		}
+	}
+}
+
 func TestRoundSpeedDown(t *testing.T) {
 	eps := 0.5
 	for _, v := range []float64{1, 1.4, 2, 3.7, 9} {

@@ -231,7 +231,7 @@ func roundSizeUp(t, eps float64) float64 {
 		return 0
 	}
 	e := math.Floor(math.Log2(t))
-	base := math.Pow(2, e)
+	base := math.Ldexp(1, int(e)) // 2^e, bit-identical to math.Pow(2, e)
 	l := math.Ceil((t - base) / (eps * base))
 	return base + l*eps*base
 }
