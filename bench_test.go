@@ -101,6 +101,38 @@ func BenchmarkPTAS(b *testing.B) {
 	}
 }
 
+// BenchmarkPTASAnchor is the identical/uniform PTAS anchor: one op solves
+// the uniform-ptas mix at ε=0.1, two uniform and six identical
+// n=200/m=16/K=10 instances (the anchor rows of TestPTASPins), each cold
+// through ptas.Schedule. nodes/op and guesses/op are the DP's work per op
+// and repeat exactly.
+func BenchmarkPTASAnchor(b *testing.B) {
+	p := gen.Params{N: 200, M: 16, K: 10}
+	var pool []*Instance
+	for s := int64(1); s <= 2; s++ {
+		pool = append(pool, gen.Uniform(rand.New(rand.NewSource(s)), p))
+	}
+	for s := int64(1); s <= 6; s++ {
+		pool = append(pool, gen.Identical(rand.New(rand.NewSource(s)), p))
+	}
+	var nodes int64
+	guesses := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range pool {
+			_, st, err := ptas.Schedule(context.Background(), in, ptas.Options{Eps: 0.1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			nodes += st.Nodes
+			guesses += st.Guesses
+		}
+	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+	b.ReportMetric(float64(guesses)/float64(b.N), "guesses/op")
+}
+
 // BenchmarkRoundingLPSolve times SolveLP at the greedy bound: a fresh
 // Relaxation built at T and one cold solve of it.
 func BenchmarkRoundingLPSolve(b *testing.B) {
