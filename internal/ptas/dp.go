@@ -30,10 +30,10 @@ type fracItem struct {
 // The memo holds the canonical keys of states whose whole subtree failed.
 // A key is built when a state is marked failed and, once the memo holds a
 // key, on every node's lookup; before the first mark no key is built. On
-// the perfbench uniform-ptas mix (n=200/m=16/K=10, ε=0.1) every guess
-// succeeds without backtracking out of a failed state, so the memo stays
-// empty there; it matters on tight instances whose rejected guesses
-// explore and mark some 10⁵ states.
+// the perfbench uniform-ptas pool (n=200/m=16/K=10, ε=0.1; seeds 1 and 7)
+// no guess backtracks out of a failed state, so the memo stays empty
+// there; it matters on tight instances whose rejected guesses explore and
+// mark some 10⁵ states.
 type dp struct {
 	s   *simp
 	cap int64
@@ -443,8 +443,8 @@ func cellLess(a, b memoCell) bool {
 
 // failedState reports whether the state is memoized as failed. While the
 // memo is empty every key misses, so the key is not built: a search that
-// never backtracks out of a failed state (every solve of the perfbench
-// uniform-ptas mix) encodes no key at all. Once a state is marked, every
+// never backtracks out of a failed state (as on the perfbench uniform-ptas
+// pool) encodes no key at all. Once a state is marked, every
 // lookup encodes its key; the string(keyBuf) map index compiles to an
 // allocation-free lookup.
 func (d *dp) failedState(g, ci, ji int, xi bool, l1, l2, l3 float64) bool {
