@@ -107,9 +107,9 @@ func TestEngineCallPins(t *testing.T) {
 		{"rounding", func(t *testing.T, seed int64) pinRow {
 			return pinOf(pinSolve(t, gen.Unrelated(rngFor(seed), small), WithAlgorithm(AlgoRounding), WithSeed(1)))
 		}, []pinRow{
-			{Makespan: 178, LowerBound: 123.69840325230145, LPIters: 32},
-			{Makespan: 181, LowerBound: 139.09045165240562, LPIters: 43},
-			{Makespan: 135, LowerBound: 94.31956320294589, LPIters: 27},
+			{Makespan: 178, LowerBound: 123.69840325230143, LPIters: 29},
+			{Makespan: 181, LowerBound: 139.0904516524056, LPIters: 32},
+			{Makespan: 135, LowerBound: 94.31956320294584, LPIters: 27},
 		}},
 		{"optimal", func(t *testing.T, seed int64) pinRow {
 			return exactSolve(t, gen.Unrelated(rngFor(seed), exactShape))

@@ -246,6 +246,27 @@ func BenchmarkRoundingAnchor(b *testing.B) {
 	b.ReportMetric(float64(refactors)/float64(b.N), "refactors/op")
 }
 
+// BenchmarkRoundingRestricted is BenchmarkRoundingAnchor on the restricted
+// assignment shape (gen.Restricted, M=10/N=100/K=8, seed 1), the slowest
+// machine environment of the rounding: one cold rounding.ScheduleDetailed,
+// with the simplex pivots (lp-iters/op) and refactorizations it costs.
+func BenchmarkRoundingRestricted(b *testing.B) {
+	in := gen.Restricted(rand.New(rand.NewSource(1)), gen.Params{N: 100, M: 10, K: 8})
+	iters, refactors := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, det, err := rounding.ScheduleDetailed(context.Background(), in, rounding.Options{Rng: rand.New(rand.NewSource(1))})
+		if err != nil {
+			b.Fatal(err)
+		}
+		iters += det.LPIterations
+		refactors += det.LPRefactors
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "lp-iters/op")
+	b.ReportMetric(float64(refactors)/float64(b.N), "refactors/op")
+}
+
 // BenchmarkLPBackend compares a single cold solve of the rounding
 // relaxation at T=ub on the dense backend (the tests' reference) and the
 // sparse revised backend.
@@ -286,9 +307,10 @@ func BenchmarkLPBackend(b *testing.B) {
 }
 
 // BenchmarkColdBuildLarge is the anchor shape of the LP-backend acceptance
-// run (M=20, N=200, K=12 — 4220 rows): one relaxation build plus the cold
-// solve at T=ub, with equilibration scaling on and off. It tracks how the sparse
-// simplex scales past the M=10/N=100/K=8 anchor.
+// run (M=20, N=200, K=12 — 220 rows plus 4000 variable upper bounds): one
+// relaxation build plus the cold solve at T=ub, with equilibration scaling
+// on and off. It tracks how the sparse simplex scales past the
+// M=10/N=100/K=8 anchor.
 func BenchmarkColdBuildLarge(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	in := gen.Unrelated(rng, gen.Params{N: 200, M: 20, K: 12})

@@ -107,11 +107,5 @@ func (d *denseInverse) update(r int, w []float64, _ []int32) {
 	}
 }
 
-// addRow is never called: the dense inverse inverts the whole basis, so
-// solverState keeps its implicit-slack set empty.
-func (d *denseInverse) addRow(int, []int32, []float64) {
-	panic("lp: the dense inverse keeps no implicit-slack rows")
-}
-
 func (d *denseInverse) shouldRefactor() bool { return false }
 func (d *denseInverse) markRefactored()      {}

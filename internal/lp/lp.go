@@ -92,6 +92,11 @@ type Problem struct {
 	tRow  []int32
 	tVar  []int32
 	tCoef []float64
+
+	// Variable upper bounds x ≤ y (AddVUB), one entry per pair, and each
+	// variable's part in them (0 none, 1 bounded, 2 key), grown on demand.
+	vubX, vubY []int32
+	vubRole    []int8
 }
 
 // rowMeta is the per-constraint metadata (the coefficients live in the
@@ -169,6 +174,47 @@ func (p *Problem) AddTerm(row int, t Term) {
 	p.tVar = append(p.tVar, int32(t.Var))
 	p.tCoef = append(p.tCoef, t.Coef)
 }
+
+// AddVUB declares the variable upper bound x ≤ y. The backends keep no
+// row for it: x at its upper bound sits at y, and y's column carries x's
+// while it moves (Schrage, "Implicit representation of variable upper
+// bounds in linear programming", Math. Prog. Study 4, 1975). Problem.Solve
+// expands every pair into the row x − y ≤ 0.
+//
+// x's own upper bound becomes a switch: 0 fixes x at 0 (SetVarUpper(x, 0)
+// clamps it), any other value leaves x ≤ y alone. A variable has at most
+// one key, and a key is bounded by none.
+func (p *Problem) AddVUB(x, y int) {
+	for len(p.vubRole) < len(p.obj) {
+		p.vubRole = append(p.vubRole, 0)
+	}
+	if x < 0 || y < 0 || x >= len(p.obj) || y >= len(p.obj) || x == y || p.vubRole[x] != 0 || p.vubRole[y] == 1 {
+		panic(fmt.Sprintf("lp: invalid AddVUB(%d, %d)", x, y))
+	}
+	p.vubRole[x], p.vubRole[y] = 1, 2
+	p.vubX, p.vubY = append(p.vubX, int32(x)), append(p.vubY, int32(y))
+}
+
+// withVUBRows returns p with every pair as the row x − y ≤ 0 and x's switch
+// read as 0 or +∞: the form the tableau solves. p is not changed.
+func (p *Problem) withVUBRows() *Problem {
+	if len(p.vubX) == 0 {
+		return p
+	}
+	q := *p
+	q.rows, q.tRow, q.tVar, q.tCoef = clip(p.rows), clip(p.tRow), clip(p.tVar), clip(p.tCoef)
+	q.ub = append([]float64(nil), p.ub...)
+	for k, x := range p.vubX {
+		if q.ub[x] != 0 {
+			q.ub[x] = math.Inf(1)
+		}
+		q.AddConstraint(LE, 0, Term{int(x), 1}, Term{int(p.vubY[k]), -1})
+	}
+	return &q
+}
+
+// clip caps s at its length, so an append copies it.
+func clip[T any](s []T) []T { return s[:len(s):len(s)] }
 
 // Solution is the result of Solve.
 type Solution struct {

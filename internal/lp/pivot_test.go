@@ -233,7 +233,7 @@ func (c *dualsCheck) update(r int, w []float64, pat []int32) {
 	for i, j := range s.basis {
 		y[i] = s.sf.objAt(j)
 	}
-	s.btran(y)
+	s.inv.btran(y)
 	for j, got := range s.d {
 		want := 0.0
 		if s.status[j] != basic {

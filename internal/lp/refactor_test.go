@@ -9,14 +9,11 @@ import (
 )
 
 // refactorStaticOrder replicates the pre-Markowitz refactorization — the
-// static sparsest-column-first sort with a full-row pivot scan per column,
-// every row factored (S empty) — as the differential baseline for the
-// dynamic bucket ordering in solverState.refactor.
+// static sparsest-column-first sort with a full-row pivot scan per column
+// — as the differential baseline for the dynamic bucket ordering in
+// solverState.refactor.
 func refactorStaticOrder(s *solverState) error {
 	m := s.sf.m
-	for r := range s.implicit {
-		s.implicit[r] = false
-	}
 	cols := append([]int(nil), s.basis...)
 	order := make([]int, m)
 	for i := range order {
@@ -54,7 +51,7 @@ func refactorStaticOrder(s *solverState) error {
 		s.basis[best] = j
 		s.inv.update(best, w, pat)
 	}
-	s.partition()
+	s.setPos()
 	s.inv.markRefactored()
 	return nil
 }
@@ -257,9 +254,8 @@ func TestRefactorPreservesWarmVerdicts(t *testing.T) {
 // scheduling-shaped bases that mix basic slacks with basic structural
 // columns hitting those same rows: the sparse eta file must hold exactly
 // one eta per basic structural column (none for slacks, which sit on the
-// identity in their own row), the implicit-slack set must be exactly the
-// slack rows, no eta may hold an entry in one of them, and on both
-// representations ftran of every basic column must return its unit vector.
+// identity in their own row), and on both representations ftran of every
+// basic column must return its unit vector.
 func TestRefactorSlackFirstInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	mixed := 0
@@ -302,25 +298,9 @@ func TestRefactorSlackFirstInvariant(t *testing.T) {
 			if etas := len(e.pivRow); etas != structural {
 				t.Fatalf("trial %d step %d: %d etas for %d basic structural columns", trial, step, etas, structural)
 			}
-			if a.nImplicit != a.sf.m-structural {
-				t.Fatalf("trial %d step %d: %d implicit rows for %d basic slacks", trial, step, a.nImplicit, a.sf.m-structural)
-			}
 			for r, j := range a.basis {
 				if j >= a.sf.nv && j-a.sf.nv != r {
 					t.Fatalf("trial %d step %d: slack %d placed in row %d", trial, step, j-a.sf.nv, r)
-				}
-				if a.implicit[r] != (j >= a.sf.nv) {
-					t.Fatalf("trial %d step %d: row %d holds column %d, implicit %v", trial, step, r, j, a.implicit[r])
-				}
-			}
-			for k, r := range e.pivRow {
-				if r < 0 || a.implicit[r] {
-					t.Fatalf("trial %d step %d: eta %d pivots on row %d (implicit or a row eta)", trial, step, k, r)
-				}
-				for _, i := range e.idx[e.start[k]:e.start[k+1]] {
-					if a.implicit[i] {
-						t.Fatalf("trial %d step %d: eta %d holds an entry in implicit row %d", trial, step, k, i)
-					}
 				}
 			}
 			checkUnitFtran(t, a, "sparse")

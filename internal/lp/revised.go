@@ -3,7 +3,6 @@ package lp
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // solverState is the revised simplex core shared by every Backend: a
@@ -43,16 +42,15 @@ import (
 // rows. ftranColumn sets and clears the Workspace marks that build the
 // pattern itself, so no caller ever sees a set mark.
 //
-// On the sparse backend the rows are partitioned. A row whose own slack is
-// basic in it is an implicit-slack row (the set S, every other row is in
-// W); the eta file factors only the W block and holds no entry in an S row
-// (see etaFile). ftranColumn and ftran fill the S rows in from the matrix
-// after the eta file's ops, and btran and btranUnit fold them into W first.
-// A refactorization resets S to the rows it places a slack in; a pivot whose
-// leaving row is in S appends a row eta and moves the row to W, so S only
-// shrinks in between. On the scheduling LPs most rows are x ≤ y rows whose
-// slack stays basic, and no FTRAN or BTRAN replays them. The dense inverse
-// keeps S empty.
+// Variable upper bounds (Problem.AddVUB) have no row. A VUB column x with
+// key y (x ≤ r·y in scaled coordinates) at its upper bound sits at r·y, a
+// rider of y: while y is basic the basis holds y's composite column
+// a_y + Σ r·a_x over its riders (parts). d and the pivot row of a nonbasic
+// key are its composite's (d_y + Σ r·d_x). While y is nonbasic at 0, x is
+// parked at the bound its reduced cost asks for, with no pivot
+// (vubCandidates). The ratio tests hold every basic x to r·y while y is
+// basic or entering; when x reaches r·y it leaves at its upper bound and a
+// trivial eta adds a_x to y's column.
 //
 // Dantzig pricing switches to Bland's rule after a stall, as in the legacy
 // tableau solver, so degenerate instances cannot cycle forever.
@@ -65,19 +63,9 @@ type solverState struct {
 	status []varStatus // per column
 	xB     []float64   // values of the basic variables (ws-backed)
 
-	// The row partition (ws-backed). implicit marks the rows of S and
-	// nImplicit counts them; partitioned is false on the dense backend,
-	// which keeps S empty. wRows lists the W rows in ascending order. pos[j]
-	// is the row structural column j is basic in, −1 when it is nonbasic:
-	// the fold reaches the W rows of a basic column through it. colW is the
-	// number of W rows at the head of the pattern ftranColumn returned
-	// last; the S rows follow them.
-	partitioned bool
-	implicit    []bool
-	nImplicit   int
-	pos         []int32
-	wRows       []int32
-	colW        int
+	// pos[j] is the row structural column j is basic in, −1 when it is
+	// nonbasic (ws-backed).
+	pos []int32
 
 	// d holds the phase-2 reduced costs (ws-backed, 0 on basic columns)
 	// and dAge the pivots since they were last recomputed; −1 means d is
@@ -123,13 +111,13 @@ func newSolverState(kind BackendKind, p *Problem, ws *Workspace, scale bool) *so
 		s.inv = &denseInverse{}
 	} else {
 		s.inv = &etaFile{}
-		s.partitioned = true
 	}
 	s.d = growF(&ws.d, s.sf.n)
 	s.initColumn()
 	s.basis = make([]int, s.sf.m)
 	s.status = make([]varStatus, s.sf.n)
-	s.implicit = growBool(&ws.implicit, s.sf.m)
+	clear(growF(&ws.etaCol, s.sf.m))
+	clear(ws.normSig) // key norms are the last build's
 	s.pos = growI32(&ws.pos, s.sf.nv)
 	s.coldReset()
 	return s
@@ -158,6 +146,12 @@ func (s *solverState) SetVarUpper(v int, upper float64) {
 		upper /= s.sf.colScale[v]
 	}
 	s.sf.ub[v] = upper
+	if y, r := s.sf.vub(v); y >= 0 {
+		if upper == 0 && s.status[v] == atUpper {
+			s.clampVUB(v, y, r)
+		}
+		return
+	}
 	if s.status[v] == atUpper && math.IsInf(upper, 1) {
 		// A nonbasic variable cannot sit at an infinite bound.
 		s.status[v] = atLower
@@ -186,6 +180,9 @@ func (s *solverState) Warm(b *Basis) error {
 		case BasicVar:
 			nBasic++
 		case NonbasicUpper:
+			if y, _ := s.sf.vub(j); y >= 0 {
+				break
+			}
 			if math.IsInf(s.sf.ub[j], 1) {
 				return fmt.Errorf("lp: Warm basis puts column %d at an infinite upper bound", j)
 			}
@@ -210,6 +207,9 @@ func (s *solverState) Warm(b *Basis) error {
 	copy(s.basis, b.Cols)
 	for j, st := range b.Status {
 		s.status[j] = varStatus(st)
+		if y, _ := s.sf.vub(j); y >= 0 && st == NonbasicUpper && s.sf.ub[j] == 0 {
+			s.status[j] = atLower // a clamped VUB column sits at 0
+		}
 	}
 	s.dAge = -1
 	if err := s.refactor(); err != nil {
@@ -294,7 +294,7 @@ func (s *solverState) Solve() (*Solution, error) {
 
 // --- state maintenance -------------------------------------------------------
 
-// coldReset reinstalls the all-slack identity basis, every row in S.
+// coldReset reinstalls the all-slack identity basis.
 func (s *solverState) coldReset() {
 	for j := range s.status {
 		s.status[j] = atLower
@@ -304,10 +304,7 @@ func (s *solverState) coldReset() {
 		s.status[s.sf.nv+r] = basic
 	}
 	s.inv.reset(s.sf.m)
-	for r := range s.implicit {
-		s.implicit[r] = s.partitioned
-	}
-	s.partition()
+	s.setPos()
 	s.dualOK = false
 	s.fromStart = false
 	s.dAge = -1
@@ -320,22 +317,18 @@ func (s *solverState) computeXB() {
 	copy(rhsEff, s.sf.rhs)
 	for j := 0; j < s.sf.n; j++ {
 		if s.status[j] == atUpper {
+			if y, _ := s.sf.vub(j); y >= 0 {
+				continue // at r·x_y: part of its key's column
+			}
 			if u := s.sf.ub[j]; u != 0 {
-				s.sf.scatterColumn(j, -u, rhsEff)
+				for _, c := range s.parts(j) {
+					s.sf.scatterColumn(int(c), -u*s.partScale(j, c), rhsEff)
+				}
 			}
 		}
 	}
-	s.ftran(rhsEff)
+	s.inv.ftran(rhsEff)
 	copy(s.xB, rhsEff)
-}
-
-// ftran overwrites the dense vector v with B⁻¹·v: the eta file's ops, then
-// the fill-in of the implicit rows.
-func (s *solverState) ftran(v []float64) {
-	s.inv.ftran(v)
-	if s.nImplicit > 0 {
-		s.fillImplicit(v, s.wRows, nil, nil)
-	}
 }
 
 // refactorPivRel is the relative threshold of the sparsity-driven pivot
@@ -354,13 +347,10 @@ const refactorPivRel = 0.1
 //   - slacks first: a basic slack is the unit column of its own row, and
 //     placing it there against the identity that reset installs changes
 //     nothing — no ftran, no pivot scan, no eta. Every such row is retired
-//     before the structural columns are looked at and becomes the new
-//     implicit-slack set S, which leaves only the structural bump (~232 of
-//     the 1110 basic columns at the M=10/N=100/K=8 scheduling anchor) for
-//     the stages below. Entries of structural columns in S rows never
-//     pivot and are never stored: they stay out of the row counts, the
-//     sparsity key and the etas (on the sparse backend; the dense inverse
-//     keeps S empty and factors every row).
+//     before the structural columns are looked at, which leaves only the
+//     structural bump for the stages below. Entries of structural columns
+//     in slack rows never pivot: they stay out of the row counts and the
+//     sparsity key.
 //   - row singletons next: whenever some live row is hit by exactly one
 //     unplaced column, that column is placed with that row as preferred
 //     pivot. A chain of such placements is a permuted triangle and
@@ -381,8 +371,8 @@ func (s *solverState) refactor() error {
 	m, nv := s.sf.m, s.sf.nv
 	s.refactors++
 
-	// Slack-first: retire every basic slack's own row (rc −1), which joins
-	// S, and gather the structural columns — the bump — into cols.
+	// Slack-first: retire every basic slack's own row (rc −1) and gather
+	// the structural columns — the bump — into cols.
 	rc := growInt(&s.ws.rc, m)
 	for r := range rc {
 		rc[r] = 0
@@ -396,12 +386,9 @@ func (s *solverState) refactor() error {
 		}
 	}
 	nb := len(cols)
-	for r := range rc {
-		s.implicit[r] = s.partitioned && rc[r] < 0
-	}
 
 	// cnt[i] = stored nonzeros of column cols[i] in the live rows, the
-	// sparsest-first key (its entries in S rows never reach an eta). −1
+	// sparsest-first key. −1
 	// marks placed. Row → column-position CSR over the bump pattern in
 	// live rows (CSC duplicates count with multiplicity), so retiring a
 	// pivot row decrements exactly the columns it touches.
@@ -413,10 +400,12 @@ func (s *solverState) refactor() error {
 	maxCnt, nnz := 0, 0
 	for i, j := range cols {
 		c := 0
-		for k := s.sf.colPtr[j]; k < s.sf.colPtr[j+1]; k++ {
-			if r := s.sf.colRow[k]; rc[r] >= 0 {
-				rowPtr[r+1]++
-				c++
+		for _, pc := range s.parts(j) {
+			for k := s.sf.colPtr[pc]; k < s.sf.colPtr[pc+1]; k++ {
+				if r := s.sf.colRow[k]; rc[r] >= 0 {
+					rowPtr[r+1]++
+					c++
+				}
 			}
 		}
 		cnt[i] = c
@@ -432,10 +421,12 @@ func (s *solverState) refactor() error {
 	fill := growI32(&s.ws.rowFill, m)
 	copy(fill, rowPtr[:m])
 	for i, j := range cols {
-		for k := s.sf.colPtr[j]; k < s.sf.colPtr[j+1]; k++ {
-			if r := s.sf.colRow[k]; rc[r] >= 0 {
-				rowCol[fill[r]] = int32(i)
-				fill[r]++
+		for _, pc := range s.parts(j) {
+			for k := s.sf.colPtr[pc]; k < s.sf.colPtr[pc+1]; k++ {
+				if r := s.sf.colRow[k]; rc[r] >= 0 {
+					rowCol[fill[r]] = int32(i)
+					fill[r]++
+				}
 			}
 		}
 	}
@@ -508,15 +499,17 @@ func (s *solverState) refactor() error {
 		j := cols[i]
 		// Retire the column structurally: live rows it touched lose one
 		// live column, minting a singleton candidate at count 1.
-		for k := s.sf.colPtr[j]; k < s.sf.colPtr[j+1]; k++ {
-			if r := s.sf.colRow[k]; rc[r] > 0 {
-				if rc[r]--; rc[r] == 1 {
-					stack = append(stack, int(r))
+		for _, pc := range s.parts(j) {
+			for k := s.sf.colPtr[pc]; k < s.sf.colPtr[pc+1]; k++ {
+				if r := s.sf.colRow[k]; rc[r] > 0 {
+					if rc[r]--; rc[r] == 1 {
+						stack = append(stack, int(r))
+					}
 				}
 			}
 		}
 		cnt[i] = -1
-		w, pat := s.ftranRows(j, false)
+		w, pat := s.ftranColumn(j)
 		// Numerically largest live pivot first; then, among live rows
 		// within refactorPivRel of it, the row hit by the fewest live
 		// columns (larger magnitude, then the lower row, breaks ties) — the
@@ -555,28 +548,18 @@ func (s *solverState) refactor() error {
 		rc[best] = -1 // retire the pivot row
 	}
 	s.ws.rowStack = stack[:0]
-	s.partition()
+	s.setPos()
 	s.inv.markRefactored()
 	return nil
 }
 
-// partition rebuilds wRows, nImplicit and pos from the implicit marks and
-// the basis.
-func (s *solverState) partition() {
-	sf := &s.sf
-	s.wRows = s.ws.wRows[:0]
-	for r, in := range s.implicit {
-		if !in {
-			s.wRows = append(s.wRows, int32(r))
-		}
-	}
-	s.ws.wRows = s.wRows
-	s.nImplicit = sf.m - len(s.wRows)
+// setPos rebuilds pos from the basis.
+func (s *solverState) setPos() {
 	for j := range s.pos {
 		s.pos[j] = -1
 	}
 	for r, j := range s.basis {
-		if j < sf.nv {
+		if j < s.sf.nv {
 			s.pos[j] = int32(r)
 		}
 	}
@@ -598,45 +581,22 @@ func (s *solverState) initColumn() {
 	s.ws.colPat = s.ws.colPat[:0]
 }
 
-// ftranColumn loads column j in current basis coordinates into ws.w and
-// returns it with its pattern: the rows that the column, an eta's fill or
-// the implicit rows' fill-in touched, each once. The W rows come first, in
-// order of first touch, and number s.colW; the S rows follow. Every nonzero
-// of w lies on the pattern (a row can be on it and hold 0 after
-// cancellation or an eta's pivot). On the W rows the values are
-// bit-identical to a dense scatter + eta-file ftran; an S row s gets
-// w_s = a_s − Σ_{i∈W} A(s, basis[i])·w_i, walking only the columns basic in
-// the W rows with w_i ≠ 0.
+// ftranColumn loads column j, as the basis holds it, in current basis
+// coordinates into ws.w and returns it with its pattern: the rows that the
+// column or an eta's fill touched, each once. Every nonzero of w lies on
+// the pattern (a row can be on it and hold 0 after cancellation or an eta's
+// pivot), and the values are bit-identical to a dense scatter + ftran.
 //
 // The returned slices stay valid until the next call, which zeroes w over
 // the old pattern only: w is zero off the pattern and no caller writes it.
 // The marks are clear again whenever ftranColumn is not running, so an
 // early return by the caller (a singular refactor) leaves nothing stale.
 func (s *solverState) ftranColumn(j int) ([]float64, []int32) {
-	return s.ftranRows(j, true)
-}
-
-// ftranRows is ftranColumn; with fill false it computes the W rows only
-// and leaves every S row zero and off the pattern, which is all a
-// refactorization's placements read.
-func (s *solverState) ftranRows(j int, fill bool) ([]float64, []int32) {
 	w, mark := s.ws.w, s.ws.colMark
 	for _, i := range s.ws.colPat {
 		w[i] = 0
 	}
-	sf := &s.sf
-	slack := [1]int32{int32(j - sf.nv)}
-	rows, vals := slack[:], []float64{1}
-	if j < sf.nv {
-		rows, vals = sf.colRow[sf.colPtr[j]:sf.colPtr[j+1]], sf.colVal[sf.colPtr[j]:sf.colPtr[j+1]]
-	}
-	pat := s.scatterRows(w, s.ws.colPat[:0], rows, vals, false)
-	pat = s.inv.ftranSparse(w, mark, pat)
-	s.colW = len(pat)
-	if fill && s.nImplicit > 0 {
-		pat = s.scatterRows(w, pat, rows, vals, true)
-		pat = s.fillImplicit(w, pat[:s.colW], mark, pat)
-	}
+	pat := s.inv.ftranSparse(w, mark, s.scatterCol(w, s.ws.colPat[:0], j))
 	for _, i := range pat {
 		mark[i] = false
 	}
@@ -644,13 +604,21 @@ func (s *solverState) ftranRows(j int, fill bool) ([]float64, []int32) {
 	return w, pat
 }
 
-// scatterRows adds vals into w on those of rows that are implicit exactly
-// when implicit is set, appending each row it marks first to pat.
-func (s *solverState) scatterRows(w []float64, pat, rows []int32, vals []float64, implicit bool) []int32 {
-	mark := s.ws.colMark
-	for q, r := range rows {
-		if s.implicit[r] == implicit {
-			w[r] += vals[q]
+// scatterCol adds column j as the basis holds it (a key's composite) into
+// w, appending each row it marks first to pat.
+func (s *solverState) scatterCol(w []float64, pat []int32, j int) []int32 {
+	sf, mark := &s.sf, s.ws.colMark
+	if j >= sf.nv {
+		j -= sf.nv
+		w[j]++
+		mark[j] = true
+		return append(pat, int32(j))
+	}
+	for _, c := range s.parts(j) {
+		sc := s.partScale(j, c)
+		for k := sf.colPtr[c]; k < sf.colPtr[c+1]; k++ {
+			r := sf.colRow[k]
+			w[r] += sc * sf.colVal[k]
 			if !mark[r] {
 				mark[r] = true
 				pat = append(pat, r)
@@ -660,67 +628,16 @@ func (s *solverState) scatterRows(w []float64, pat, rows []int32, vals []float64
 	return pat
 }
 
-// fillImplicit subtracts A(s, basis[i])·v_i from v on every implicit row
-// s, for the W rows i listed in rows. With mark set it appends each
-// implicit row it marks first to pat. A slack basic in a W row is zero on
-// every implicit row (each of those holds its own slack).
-func (s *solverState) fillImplicit(v []float64, rows []int32, mark []bool, pat []int32) []int32 {
-	sf := &s.sf
-	for _, i := range rows {
-		vi, c := v[i], s.basis[i]
-		if vi == 0 || c >= sf.nv {
-			continue
-		}
-		for k := sf.colPtr[c]; k < sf.colPtr[c+1]; k++ {
-			if r := sf.colRow[k]; s.implicit[r] {
-				if mark != nil && !mark[r] {
-					mark[r] = true
-					pat = append(pat, r)
-				}
-				v[r] -= sf.colVal[k] * vi
-			}
-		}
-	}
-	return pat
-}
-
-// btran overwrites y with yᵀ·B⁻¹: every implicit row with y_s ≠ 0 folds
-// into W first (y_W −= y_s·A(s, basis[W])), then the eta file's ops run
-// newest→oldest. Phase-2 duals cost nothing here: a basic slack's cost is
-// 0, so y is zero on every S row.
-func (s *solverState) btran(y []float64) {
-	if s.nImplicit > 0 {
-		for r, ys := range y {
-			if ys != 0 && s.implicit[r] {
-				s.foldRow(r, ys, y)
-			}
-		}
-	}
-	s.inv.btran(y)
-}
-
-// btranUnit overwrites y with row r of B⁻¹ (eᵣᵀ·B⁻¹).
-func (s *solverState) btranUnit(r int, y []float64) {
-	for i := range y {
-		y[i] = 0
-	}
+// btranPair overwrites y with (eᵣ − c·e_q)ᵀ·B⁻¹: row r of B⁻¹ when q < 0,
+// else the pivot row of a VUB pair whose column is basic in row r and its
+// key in row q.
+func (s *solverState) btranPair(r, q int, c float64, y []float64) {
+	clear(y)
 	y[r] = 1
-	if s.implicit[r] {
-		s.foldRow(r, 1, y)
+	if q >= 0 {
+		y[q] = -c
 	}
 	s.inv.btran(y)
-}
-
-// foldRow subtracts ys·A(r, j) from y in the row of every basic structural
-// column j (all in W: an S row holds its slack), read from the row-wise
-// copy through pos.
-func (s *solverState) foldRow(r int, ys float64, y []float64) {
-	sf := s.rowCopy()
-	for k := sf.rowPtr[r]; k < sf.rowPtr[r+1]; k++ {
-		if p := s.pos[sf.rowCol[k]]; p >= 0 {
-			y[p] -= ys * sf.rowVal[k]
-		}
-	}
 }
 
 // rowCopy returns the standard form with its row-wise copy built.
@@ -741,12 +658,21 @@ func (s *solverState) dualsFor(phase2 bool) ([]float64, bool) {
 	for i := 0; i < s.sf.m; i++ {
 		var c float64
 		if phase2 {
-			c = s.sf.objAt(s.basis[i])
+			for _, pc := range s.parts(s.basis[i]) {
+				c += s.partScale(s.basis[i], pc) * s.sf.objAt(int(pc))
+			}
 		} else {
 			switch {
 			case s.xB[i] < -feasTol:
+				// A key below 0 also crosses the bounds 0 ≤ x ≤ r·y of
+				// each of its nonbasic columns, by r·|y| each.
 				c = -1
-			case s.xB[i] > s.sf.ub[s.basis[i]]+feasTol:
+				for _, x := range s.sf.keyXs(s.basis[i]) {
+					if s.status[x] != basic && s.sf.ub[x] != 0 {
+						c -= s.sf.vubR[x]
+					}
+				}
+			case s.xB[i] > s.upper(s.basis[i])+feasTol:
 				c = 1
 			}
 		}
@@ -755,8 +681,16 @@ func (s *solverState) dualsFor(phase2 bool) ([]float64, bool) {
 			zero = false
 		}
 	}
+	if !phase2 && s.sf.nVUB > 0 {
+		// A violated pair x > r·y with y basic also costs −r on y.
+		for i, c := range y[:s.sf.m] {
+			if q, r := s.pairRow(i); q >= 0 && c > 0 {
+				y[q] -= r
+			}
+		}
+	}
 	if !zero {
-		s.btran(y)
+		s.inv.btran(y)
 	}
 	return y, zero
 }
@@ -781,6 +715,36 @@ func (s *solverState) price(phase2 bool) {
 		}
 		d[j] = c
 	}
+	if s.sf.nVUB > 0 {
+		for _, x := range s.sf.keyX {
+			if y := s.sf.vubKey[x]; s.status[x] == atUpper && s.status[y] != basic {
+				d[y] += s.sf.vubR[x] * d[x]
+			}
+		}
+		for i, b := range s.basis {
+			if phase2 {
+				break
+			}
+			// Phase 1: raising a nonbasic key lifts the bound r·y of a
+			// basic x above it; a key below 0 crosses 0 ≤ x ≤ r·y for its
+			// nonbasic columns, whose violation x − r·y (at 0) or −x (at
+			// r·y) then moves with x (dualsFor prices the y part).
+			y, r := s.sf.vub(b)
+			if y >= 0 && s.status[y] != basic && s.sf.ub[b] != 0 && s.xB[i] > s.upper(b)+feasTol {
+				d[y] -= r
+			}
+			for _, x := range s.sf.keyXs(b) {
+				if s.xB[i] >= -feasTol || s.status[x] == basic || s.sf.ub[x] == 0 {
+					continue
+				}
+				if s.status[x] == atLower {
+					d[x]++
+				} else {
+					d[x]--
+				}
+			}
+		}
+	}
 	if phase2 {
 		s.dAge = 0
 	} else {
@@ -794,6 +758,10 @@ func (s *solverState) dualFeasible() bool {
 	s.price(true)
 	if s.sf.objZero {
 		return true // all reduced costs are identically zero
+	}
+	if s.sf.nVUB > 0 {
+		// Park the columns of keys at 0 first; the chooser takes no offer.
+		s.vubCandidates(&chooser{best: -1, score: math.Inf(1)})
 	}
 	for j, d := range s.d {
 		if s.status[j] == basic || s.sf.ub[j] == 0 {
@@ -810,10 +778,9 @@ func (s *solverState) dualFeasible() bool {
 }
 
 // pivotRow computes the pivot row α = ρᵀ·[A I] for ρ = e_rᵀB⁻¹ from the
-// row-wise copy of A, visiting only the rows where ρ is nonzero: ρ is zero
-// on every implicit row but r, so only r and the W rows are scanned. It
-// returns the columns whose entry was touched (each once); their values
-// are in s.alpha until updateDuals or clearRow resets the scratch.
+// row-wise copy of A, visiting only the rows where ρ is nonzero. It returns
+// the columns whose entry was touched (each once); their values are in
+// s.alpha until updateDuals or clearRow resets the scratch.
 func (s *solverState) pivotRow(r int, rho []float64) []int32 {
 	sf := s.rowCopy()
 	if s.alpha == nil {
@@ -827,13 +794,13 @@ func (s *solverState) pivotRow(r int, rho []float64) []int32 {
 		}
 	}
 	touched := s.ws.touched[:0]
-	if s.implicit[r] {
-		touched = s.addPivotRow(r, rho[r], touched)
-	}
-	for _, i := range s.wRows {
-		if ri := rho[i]; ri != 0 {
-			touched = s.addPivotRow(int(i), ri, touched)
+	for i, ri := range rho {
+		if ri != 0 {
+			touched = s.addPivotRow(i, ri, touched)
 		}
+	}
+	if s.sf.nVUB > 0 {
+		touched = s.foldRiders(touched)
 	}
 	s.ws.touched = touched
 	return touched
@@ -858,6 +825,26 @@ func (s *solverState) addPivotRow(i int, ri float64, touched []int32) []int32 {
 	return touched
 }
 
+// foldRiders adds r·α_x into α_y for every rider x (at its upper bound
+// under a nonbasic key y) on the pivot row: the composite column's entry.
+func (s *solverState) foldRiders(touched []int32) []int32 {
+	sf, alpha, mark := &s.sf, s.alpha, s.mark
+	nv := int32(sf.nv)
+	for _, x := range touched {
+		if x >= nv || s.status[x] != atUpper {
+			continue
+		}
+		if y := sf.vubKey[x]; y >= 0 && s.status[y] != basic {
+			if !mark[y] {
+				mark[y] = true
+				touched = append(touched, y)
+			}
+			alpha[y] += sf.vubR[x] * alpha[x]
+		}
+	}
+	return touched
+}
+
 // clearRow resets the pivot-row scratch pivotRow filled.
 func (s *solverState) clearRow(touched []int32) {
 	for _, j := range touched {
@@ -868,21 +855,31 @@ func (s *solverState) clearRow(touched []int32) {
 	}
 }
 
-// updateDuals moves the reduced costs across the basis change in which
+// pivotDuals moves the reduced costs across the basis change in which
 // column q enters in row r with pivot element arq = α_rq: d_j −= θ·α_rj
 // with θ = d_q/α_rq over the pivot row's support, d_q = 0, and the leaving
 // column (α_rp = 1) gets −θ. It consumes the pivot row (clearRow) and must
 // run before the basis change is applied.
-func (s *solverState) updateDuals(touched []int32, q, r int, arq float64) {
+func (s *solverState) pivotDuals(touched []int32, q, r int, arq float64) {
 	theta := s.d[q] / arq
+	s.updateDuals(touched, theta)
+	s.d[q] = 0
+	s.d[s.basis[r]] = -theta
+}
+
+// updateDuals applies d_j −= θ·α_j to the nonbasic columns of the pivot
+// row in s.alpha and consumes it.
+func (s *solverState) updateDuals(touched []int32, theta float64) {
+	nv := int32(s.sf.nv)
 	for _, j := range touched {
 		if s.status[j] != basic {
 			s.d[j] -= theta * s.alpha[j]
 		}
+		s.alpha[j] = 0 // clearRow, in the same pass
+		if j < nv {
+			s.mark[j] = false
+		}
 	}
-	s.clearRow(touched)
-	s.d[q] = 0
-	s.d[s.basis[r]] = -theta
 	s.dAge++
 }
 
@@ -893,7 +890,7 @@ func (s *solverState) violation() (sum, max float64) {
 		var excess float64
 		if v < 0 {
 			excess = -v
-		} else if ubB := s.sf.ub[s.basis[i]]; v > ubB {
+		} else if ubB := s.upper(s.basis[i]); v > ubB {
 			excess = v - ubB
 		}
 		if excess > 0 {
@@ -969,12 +966,21 @@ func (s *solverState) primal(phase2 bool, maxIters int) (Status, error) {
 			return 0, fmt.Errorf("lp: phase 1 found an unblocked ray (violation %g)", vSum)
 		}
 		if flip {
-			s.applyFlip(j, dir, w, pat)
+			if y, r := s.sf.vub(j); y >= 0 && s.status[y] == basic && phase2 && !s.sf.objZero {
+				// y's column gains or loses a_x: a column change in y's row
+				// q, with pivot element 1 ± r·w_q (see applyFlip).
+				q := int(s.pos[y])
+				rho := growF(&s.ws.rho, s.sf.m)
+				s.btranPair(q, -1, 0, rho)
+				s.updateDuals(s.pivotRow(q, rho), dir*r*s.d[j]/(1+dir*r*w[q]))
+			}
+			s.applyFlip(j, dir, w, pat, t)
 		} else {
+			piv, q, r := s.pivotElem(j, leave, leaveAt, w)
 			if phase2 && !s.sf.objZero {
 				rho := growF(&s.ws.rho, s.sf.m)
-				s.btranUnit(leave, rho)
-				s.updateDuals(s.pivotRow(leave, rho), j, leave, w[leave])
+				s.btranPair(leave, q, r, rho)
+				s.pivotDuals(s.pivotRow(leave, rho), j, leave, piv)
 			}
 			s.applyPivot(j, dir, w, pat, leave, leaveAt, t)
 		}
@@ -997,54 +1003,166 @@ func (s *solverState) primal(phase2 bool, maxIters int) (Status, error) {
 // chooseEntering picks a nonbasic column whose move improves the phase
 // objective, by the reduced costs in d: at lower bound with d < −tol, or at
 // upper bound with d > tol. Dantzig (largest |d|) normally, first eligible
-// index under Bland's rule. Fixed columns (upper bound 0) never enter.
+// index under Bland's rule. Fixed columns (upper bound 0) never enter. A
+// key with riders scores |d| over its composite column's norm: by |d|
+// alone the heavy composites win for steps their riders block at once.
 // Returns (-1,0,0) at phase optimality.
 func (s *solverState) chooseEntering(bland bool) (j int, dir, dj float64) {
-	best, bestScore, bestDir, bestD := -1, tol, 1.0, 0.0
-	for c, d := range s.d {
+	ch := chooser{best: -1, bland: bland}
+	vub := s.sf.nVUB > 0
+	if vub {
+		s.vubCandidates(&ch)
+	}
+	for _, c32 := range s.sf.plain {
+		c := int(c32)
 		st := s.status[c]
 		if st == basic || s.sf.ub[c] == 0 {
 			continue
 		}
-		var score float64
-		var dr float64
+		rate := s.d[c]
 		if st == atLower {
-			score, dr = -d, 1
-		} else {
-			score, dr = d, -1
+			rate = -rate
 		}
-		if score > bestScore {
-			if bland {
-				return c, dr, d
-			}
-			best, bestScore, bestDir, bestD = c, score, dr, d
+		score := rate
+		if vub && c < s.sf.nv && s.ws.riders[c] > 0 && !bland && rate > tol {
+			score /= s.keyNorm(c)
+		}
+		if ch.offer(c, rate, score); bland && ch.best == c {
+			break // the plain columns ascend
 		}
 	}
-	return best, bestDir, bestD
+	if ch.best < 0 {
+		return -1, 0, 0
+	}
+	if s.status[ch.best] == atLower {
+		return ch.best, 1, s.d[ch.best]
+	}
+	return ch.best, -1, s.d[ch.best]
+}
+
+// chooser is chooseEntering's running choice: the best score, or under
+// Bland's rule the lowest index, among columns improving at rate > tol.
+type chooser struct {
+	best  int
+	score float64
+	bland bool
+}
+
+func (ch *chooser) offer(c int, rate, score float64) {
+	if rate > tol && (ch.bland && (ch.best < 0 || c < ch.best) || !ch.bland && score > ch.score) {
+		ch.best, ch.score = c, score
+	}
+}
+
+// vubCandidates offers the VUB columns and counts each nonbasic key's
+// riders (its columns at their upper bound) with a signature of the set. A
+// column whose key is nonbasic at 0, where both its bounds are 0, is parked
+// instead, with no pivot, where its reduced cost asks: at r·y (riding along
+// when y enters) for d < −tol. d of the key follows.
+func (s *solverState) vubCandidates(ch *chooser) {
+	ws, sf, d, status := s.ws, &s.sf, s.d, s.status
+	if len(ws.keySig) != sf.nv {
+		ws.riders, ws.keyNorm = make([]int32, sf.nv), make([]float64, sf.nv)
+		ws.keySig, ws.normSig = make([]uint64, sf.nv), make([]uint64, sf.nv)
+	}
+	for _, y := range sf.keys {
+		n, sig, nonbasic := int32(0), uint64(0), status[y] != basic
+		parked := nonbasic && s.keyVal(int(y)) == 0
+		for _, x := range sf.keyX[sf.keyPtr[y]:sf.keyPtr[y+1]] {
+			st, dx := status[x], d[x]
+			switch {
+			case st == basic || sf.ub[x] == 0:
+				continue
+			case !parked:
+				if st == atLower {
+					dx = -dx
+				}
+				if dx > ch.score {
+					ch.offer(int(x), dx, dx)
+				}
+			case dx < -tol && st == atLower:
+				st, status[x], d[y] = atUpper, atUpper, d[y]+sf.vubR[x]*dx
+			case dx > tol && st == atUpper:
+				st, status[x], d[y] = atLower, atLower, d[y]-sf.vubR[x]*dx
+			}
+			if st == atUpper && nonbasic {
+				n++
+				sig += uint64(x+1) * uint64(x+1)
+			}
+		}
+		ws.riders[y], ws.keySig[y] = n, sig+uint64(n)<<48
+	}
+}
+
+// keyNorm returns the 2-norm of key y's composite column, recomputed when
+// its rider set changed.
+func (s *solverState) keyNorm(y int) float64 {
+	ws := s.ws
+	if ws.normSig[y] != ws.keySig[y] {
+		v := ws.etaCol
+		pat := s.scatterCol(v, ws.normRows[:0], y)
+		n2 := 0.0
+		for _, r := range pat {
+			n2 += v[r] * v[r]
+			v[r], ws.colMark[r] = 0, false
+		}
+		ws.normRows, ws.normSig[y], ws.keyNorm[y] = pat, ws.keySig[y], math.Sqrt(n2)
+	}
+	return ws.keyNorm[y]
 }
 
 // ratioTest finds the maximum step t for entering column j moving in
 // direction dir (+1 from lower bound, −1 from upper), with column w =
 // B⁻¹a_j and its pattern pat (the only rows it visits). allowViolated
 // enables the phase-1 rules: an out-of-bounds basic does not block until
-// it reaches the bound it violates (from outside), and blocks there. Returns the leaving row and the bound it leaves at, or
-// flip=true when the entering column's own opposite bound is the binding
-// limit. leave<0 && !flip means unblocked (unbounded ray).
+// it reaches the bound it violates (from outside), and blocks there. Returns
+// the leaving row and the bound it leaves at, or flip=true when the
+// entering column's own opposite bound is the binding limit (a VUB column
+// under a basic key: reaching r·y from below, or 0 from r·y). leave<0 &&
+// !flip means unblocked (unbounded ray).
 func (s *solverState) ratioTest(j int, dir float64, w []float64, pat []int32, allowViolated, bland bool) (leave int, leaveAt varStatus, t float64, flip bool) {
-	limit := math.Inf(1)
-	if u := s.sf.ub[j]; !math.IsInf(u, 1) {
+	limit, leave, bestAbs := math.Inf(1), -1, 0.0
+	if y, r := s.sf.vub(j); y >= 0 && s.status[y] == basic {
+		// r·y below 0 (a phase-1 violation) is no bound x can reach.
+		q := s.pos[y]
+		if g, den := r*s.xB[q], 1+dir*r*w[q]; g >= -feasTol && den > pivTol {
+			limit, flip = max(g, 0)/den, true
+		}
+	} else if u := s.upper(j); !math.IsInf(u, 1) {
 		limit, flip = u, true
 	}
-	leave = -1
+	// take offers row i at step ti with pivot piv. Near-tie between rows:
+	// Bland prefers the smallest basic index (anti-cycling); otherwise take
+	// the larger pivot, and on an exact tie the lower row, whatever the
+	// pattern's order.
+	take := func(i int, ti, piv float64, at varStatus) {
+		ti = max(ti, 0) // degeneracy: a basic variable slightly past its bound
+		ok := ti < limit-tol
+		if !ok && ti < limit+tol && leave >= 0 {
+			if bland {
+				ok = s.basis[i] < s.basis[leave]
+			} else {
+				a := math.Abs(piv)
+				ok = a > bestAbs || (a == bestAbs && i < leave)
+			}
+		}
+		if ok {
+			limit, leave, leaveAt, flip, bestAbs = ti, i, at, false, math.Abs(piv)
+		}
+	}
 	for _, i32 := range pat {
 		i := int(i32)
 		wi := w[i]
 		if wi > -pivTol && wi < pivTol {
 			continue
 		}
+		b := s.basis[i]
+		ubB := s.upper(b)
+		if y, _ := s.sf.vub(b); y >= 0 && s.sf.ub[b] != 0 && (y == j || s.status[y] == basic) {
+			ubB = math.Inf(1) // the pair pass below holds x to r·y
+		}
 		delta := -wi * dir // d(xB[i])/dt
 		v := s.xB[i]
-		ubB := s.sf.ub[s.basis[i]]
 		var ti float64
 		var at varStatus
 		switch {
@@ -1067,37 +1185,46 @@ func (s *solverState) ratioTest(j int, dir float64, w []float64, pat []int32, al
 				continue
 			}
 		}
-		if ti < 0 {
-			ti = 0 // degeneracy: a basic variable slightly past its bound
+		take(i, ti, wi, at)
+	}
+	// Pairs: a basic VUB column x under a basic or entering key y leaves at
+	// its upper bound when g = x − r·y reaches 0 (from above in phase 1).
+	for i, x := range s.basis {
+		y, r := s.sf.vub(x)
+		if y < 0 || s.sf.ub[x] == 0 || (y != j && s.status[y] != basic) {
+			continue
 		}
-		take := ti < limit-tol
-		if !take && ti < limit+tol && leave >= 0 {
-			// Near-tie between rows: Bland prefers the smallest basic
-			// index (anti-cycling); otherwise take the larger pivot, and on
-			// an exact tie the lower row, whatever the pattern's order.
-			if bland {
-				take = s.basis[i] < s.basis[leave]
-			} else {
-				a, b := math.Abs(wi), math.Abs(w[leave])
-				take = a > b || (a == b && i < leave)
+		dy := dir // rate of y
+		if y != j {
+			dy = -w[s.pos[y]] * dir
+		}
+		g, slope := s.xB[i]-r*s.keyVal(y), -w[i]*dir-r*dy
+		if allowViolated && g > feasTol {
+			if slope < -pivTol {
+				take(i, g/-slope, slope, atUpper)
 			}
-		}
-		if take {
-			limit, leave, leaveAt, flip = ti, i, at, false
+		} else if slope > pivTol {
+			take(i, -g/slope, slope, atUpper)
 		}
 	}
 	return leave, leaveAt, limit, flip
 }
 
-// applyFlip moves entering column j across to its opposite bound without a
-// basis change; w is nonzero on pat only.
-func (s *solverState) applyFlip(j int, dir float64, w []float64, pat []int32) {
-	if u := s.sf.ub[j]; u != 0 {
+// applyFlip moves entering column j across to its opposite bound, a step
+// of t, without a basis change; w is nonzero on pat only. A VUB column
+// under a basic key joins or leaves the key's column instead (foldEta).
+func (s *solverState) applyFlip(j int, dir float64, w []float64, pat []int32, t float64) {
+	if t != 0 {
 		for _, i := range pat {
 			if wi := w[i]; wi != 0 {
-				s.xB[i] -= wi * dir * u
+				s.xB[i] -= wi * dir * t
 			}
 		}
+	}
+	if y, r := s.sf.vub(j); y >= 0 && s.status[y] == basic {
+		s.foldEta(int(s.pos[y]), dir*r, w, pat)
+	} else if y >= 0 {
+		s.d[y] += dir * r * s.d[j]
 	}
 	if s.status[j] == atLower {
 		s.status[j] = atUpper
@@ -1109,8 +1236,9 @@ func (s *solverState) applyFlip(j int, dir float64, w []float64, pat []int32) {
 
 // applyPivot performs the basis exchange: entering j (moving dir·t) for
 // the basic variable of row leave, which exits at leaveAt. w is the
-// entering column as ftranColumn returned it, nonzero on pat only; the new
-// eta stores its W rows.
+// entering column as ftranColumn returned it, nonzero on pat only. A VUB
+// column leaving at r·y joins y's column, and one entering from r·y leaves
+// it (trivialEta).
 func (s *solverState) applyPivot(j int, dir float64, w []float64, pat []int32, leave int, leaveAt varStatus, t float64) {
 	if t != 0 {
 		for _, i := range pat {
@@ -1121,12 +1249,28 @@ func (s *solverState) applyPivot(j int, dir float64, w []float64, pat []int32, l
 	}
 	enterVal := t
 	if dir < 0 {
-		enterVal = s.sf.ub[j] - t
-	}
-	if s.implicit[leave] {
-		s.leaveImplicit(leave, pat)
+		enterVal = s.upper(j) - t
 	}
 	old := s.basis[leave]
+	if y, _ := s.sf.vub(old); y >= 0 && s.sf.ub[old] == 0 {
+		leaveAt = atLower // a clamped VUB column rests at 0, in no key's column
+	}
+	if y, r := s.sf.vub(old); y >= 0 && leaveAt == atUpper {
+		// old leaves at r·y: y's column picks up a_old, whose coordinates
+		// are e_leave.
+		switch {
+		case y == j:
+			pat = s.onPattern(pat, leave)
+			w[leave] += r
+		case s.status[y] == basic:
+			q := int(s.pos[y])
+			s.trivialEta(q, leave, r)
+			pat = s.onPattern(pat, leave)
+			w[leave] -= r * w[q]
+		default:
+			s.d[y] += r * s.d[old]
+		}
+	}
 	s.status[old] = leaveAt
 	s.basis[leave] = j
 	s.status[j] = basic
@@ -1137,40 +1281,11 @@ func (s *solverState) applyPivot(j int, dir float64, w []float64, pat []int32, l
 		s.pos[j] = int32(leave)
 	}
 	s.xB[leave] = enterVal
-	s.inv.update(leave, w, pat[:s.colW])
+	s.inv.update(leave, w, pat)
+	if y, r := s.sf.vub(j); y >= 0 && dir < 0 && s.status[y] == basic {
+		s.trivialEta(int(s.pos[y]), leave, -r) // j left y's column
+	}
 	s.iters++
-}
-
-// leaveImplicit moves the implicit row r into W ahead of a pivot on it. It
-// appends the row eta v_r −= Σ_{i∈W} A(r, basis[i])·v_i, read from the
-// row-wise copy through pos, so the eta file's ops now produce row r
-// themselves; and it moves r, which the entering column's fill-in put in
-// the S tail of pat, to the end of the W head, so the column eta stores it.
-func (s *solverState) leaveImplicit(r int, pat []int32) {
-	sf := s.rowCopy()
-	idx, val := s.ws.rowEtaIdx[:0], s.ws.rowEtaVal[:0]
-	for k := sf.rowPtr[r]; k < sf.rowPtr[r+1]; k++ {
-		if p := s.pos[sf.rowCol[k]]; p >= 0 {
-			idx = append(idx, p)
-			val = append(val, sf.rowVal[k])
-		}
-	}
-	if len(idx) > 0 {
-		s.inv.addRow(r, idx, val)
-	}
-	s.ws.rowEtaIdx, s.ws.rowEtaVal = idx, val
-	s.implicit[r] = false
-	s.nImplicit--
-	q, _ := slices.BinarySearch(s.wRows, int32(r))
-	s.wRows = slices.Insert(s.wRows, q, int32(r))
-	s.ws.wRows = s.wRows
-	for q := s.colW; q < len(pat); q++ {
-		if pat[q] == int32(r) {
-			pat[q], pat[s.colW] = pat[s.colW], pat[q]
-			break
-		}
-	}
-	s.colW++
 }
 
 // --- dual simplex (the warm-restart workhorse) -------------------------------
@@ -1207,7 +1322,7 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 		vSum := 0.0
 		for i := 0; i < m; i++ {
 			v := s.xB[i]
-			ubB := s.sf.ub[s.basis[i]]
+			ubB := s.upper(s.basis[i])
 			if excess := -v; excess > worst {
 				worst, r, below = excess, i, true
 			} else if excess := v - ubB; excess > worst {
@@ -1235,10 +1350,25 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 		// costs zero) keeps every reduced cost at exactly zero: every
 		// sign-eligible column ties at ratio 0 and the stability tie-break
 		// picks among them.
-		s.btranUnit(r, rho)
+		// A VUB column leaving at r·y joins y's column: the pair's row when
+		// y is basic, and r more on y's α when y is nonbasic.
+		q, rq, yLeave := -1, 0.0, -1
+		if y, ry := s.sf.vub(s.basis[r]); y >= 0 && !below && s.sf.ub[s.basis[r]] != 0 {
+			if s.status[y] == basic {
+				q, rq = int(s.pos[y]), ry
+			} else {
+				yLeave, rq = y, ry
+			}
+		}
+		s.btranPair(r, q, rq, rho)
 		touched := s.pivotRow(r, rho)
 		e, dirE := -1, 1.0
 		bestRatio, bestAbs := math.Inf(1), 0.0
+		if yLeave >= 0 && !s.mark[yLeave] {
+			s.mark[yLeave] = true
+			touched = append(touched, int32(yLeave))
+			s.ws.touched = touched
+		}
 		for _, c32 := range touched {
 			c := int(c32)
 			st := s.status[c]
@@ -1246,6 +1376,9 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 				continue
 			}
 			alpha := s.alpha[c]
+			if c == yLeave {
+				alpha += rq
+			}
 			if alpha > -pivTol && alpha < pivTol {
 				continue
 			}
@@ -1279,15 +1412,16 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 			return Infeasible, nil
 		}
 		w, pat := s.ftranColumn(e)
-		if math.Abs(w[r]) < pivTol {
+		target, leaveAt := 0.0, atLower
+		if !below {
+			target, leaveAt = s.upper(s.basis[r]), atUpper
+		}
+		piv, _, _ := s.pivotElem(e, r, leaveAt, w)
+		if math.Abs(piv) < pivTol {
 			s.clearRow(touched)
 			return 0, fmt.Errorf("lp: dual pivot element vanished (row %d, col %d)", r, e)
 		}
-		target, leaveAt := 0.0, atLower
-		if !below {
-			target, leaveAt = s.sf.ub[s.basis[r]], atUpper
-		}
-		t := (s.xB[r] - target) / (w[r] * dirE)
+		t := (s.xB[r] - target) / (piv * dirE)
 		if t < 0 {
 			if t < -feasTol {
 				s.clearRow(touched)
@@ -1303,7 +1437,7 @@ func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 		// iteration to absorb only |alpha|·u of violation), and a search
 		// that churns anyway is best abandoned to the stall guard above —
 		// the caller's cold re-solve is cheaper than grinding out flips.
-		s.updateDuals(touched, e, r, w[r])
+		s.pivotDuals(touched, e, r, piv)
 		s.applyPivot(e, dirE, w, pat, r, leaveAt, t)
 	}
 }
@@ -1325,7 +1459,7 @@ func (s *solverState) finish(st Status) *Solution {
 	x := growF(&s.ws.x, s.sf.nv)
 	for j := 0; j < s.sf.nv; j++ {
 		if s.status[j] == atUpper {
-			x[j] = s.sf.ub[j]
+			x[j] = s.upper(j)
 		} else {
 			x[j] = 0
 		}
@@ -1349,7 +1483,132 @@ func (s *solverState) finish(st Status) *Solution {
 			x[j] = max(x[j]*C[j], 0)
 		}
 	}
+	for _, c := range s.sf.keyX[:s.sf.nVUB] {
+		x[c] = min(x[c], x[s.sf.vubKey[c]]) // nor x above its key
+	}
 	s.sol.X = x
 	s.sol.Objective = obj
 	return &s.sol
+}
+
+// --- variable upper bounds ---------------------------------------------------
+
+// parts returns the columns that make up column j as the basis holds it:
+// j and, for a key, its riders, each scaled by partScale. Scratch, valid
+// until the next call.
+func (s *solverState) parts(j int) []int32 {
+	ps := append(s.ws.parts[:0], int32(j))
+	for _, x := range s.sf.keyXs(j) {
+		if s.status[x] == atUpper {
+			ps = append(ps, x)
+		}
+	}
+	s.ws.parts = ps
+	return ps
+}
+
+func (s *solverState) partScale(j int, c int32) float64 {
+	if int(c) == j {
+		return 1
+	}
+	return s.sf.vubR[c]
+}
+
+// keyVal returns the current value of column y.
+func (s *solverState) keyVal(y int) float64 {
+	switch s.status[y] {
+	case basic:
+		return s.xB[s.pos[y]]
+	case atUpper:
+		return s.sf.ub[y]
+	}
+	return 0
+}
+
+// upper returns column j's current upper bound: u_j, or r·y for a VUB
+// column that is not clamped.
+func (s *solverState) upper(j int) float64 {
+	if y, r := s.sf.vub(j); y >= 0 && s.sf.ub[j] != 0 {
+		return r * s.keyVal(y)
+	}
+	return s.sf.ub[j]
+}
+
+// pairRow returns the row and ratio of the basic key of the VUB column
+// basic in row i, or (−1, 0).
+func (s *solverState) pairRow(i int) (int, float64) {
+	if y, r := s.sf.vub(s.basis[i]); y >= 0 && s.sf.ub[s.basis[i]] != 0 && s.status[y] == basic {
+		return int(s.pos[y]), r
+	}
+	return -1, 0
+}
+
+// pivotElem returns the pivot element of entering j in row leave, whose
+// column exits at bound at: w_leave, or for a VUB column leaving at r·y the
+// rate of x − r·y, w_leave − r·w_q with y basic in row q (q and r returned
+// for btranPair) or w_leave + r when y is j.
+func (s *solverState) pivotElem(j, leave int, at varStatus, w []float64) (float64, int, float64) {
+	if at == atUpper {
+		if q, r := s.pairRow(leave); q >= 0 {
+			return w[leave] - r*w[q], q, r
+		}
+		if y, r := s.sf.vub(s.basis[leave]); y == j && s.sf.ub[s.basis[leave]] != 0 {
+			return w[leave] + r, -1, 0
+		}
+	}
+	return w[leave], -1, 0
+}
+
+// clampVUB takes x, just clamped to 0, off its upper bound; under a basic
+// key y in row q, y's column drops a_x. When y's column without a_x would
+// be singular (eta pivot 1 − r·w_q ≈ 0), x takes row q instead, basic
+// above its bound 0, and y leaves at 0; the next Solve repairs both.
+func (s *solverState) clampVUB(x, y int, r float64) {
+	s.dAge = -1
+	if s.status[y] != basic {
+		s.status[x] = atLower
+		return
+	}
+	w, pat := s.ftranColumn(x)
+	q := int(s.pos[y])
+	if math.Abs(1-r*w[q]) >= pivTol {
+		s.status[x] = atLower
+		s.foldEta(q, -r, w, pat)
+		return
+	}
+	s.inv.update(q, w, pat)
+	s.basis[q], s.status[x], s.status[y] = x, basic, atLower
+	s.pos[x], s.pos[y] = int32(q), -1
+}
+
+// foldEta adds c·a_x to the column basic in row q, where w = B⁻¹a_x with
+// pattern pat: an eta whose column is e_q + c·w. It overwrites w.
+func (s *solverState) foldEta(q int, c float64, w []float64, pat []int32) {
+	pat = s.onPattern(pat, q)
+	for _, i := range pat {
+		w[i] *= c
+	}
+	w[q]++
+	s.inv.update(q, w, pat)
+}
+
+// trivialEta adds c times the column basic in row i to the one basic in
+// row q: an eta whose column is e_q + c·e_i.
+func (s *solverState) trivialEta(q, i int, c float64) {
+	v := s.ws.etaCol
+	v[q], v[i] = 1, c
+	pat := [2]int32{int32(q), int32(i)}
+	s.inv.update(q, v, pat[:])
+	v[q], v[i] = 0, 0
+}
+
+// onPattern adds row i to the last FTRAN'd column's pattern, if missing.
+func (s *solverState) onPattern(pat []int32, i int) []int32 {
+	for _, r := range pat {
+		if int(r) == i {
+			return pat
+		}
+	}
+	s.ws.colPat = append(pat, int32(i))
+	return s.ws.colPat
 }

@@ -52,6 +52,7 @@ type tableau struct {
 func (p *Problem) Solve() (*Solution, error) {
 	SolveGauge.enter()
 	defer SolveGauge.exit()
+	p = p.withVUBRows()
 	t := newTableau(p)
 	// Phase 1: minimize the sum of artificials.
 	if t.nArt > 0 {

@@ -45,6 +45,15 @@ type standardForm struct {
 	colScale []float64
 
 	objZero bool // every objective coefficient is 0 (a feasibility LP)
+
+	// Variable upper bounds (Problem.AddVUB): column x ≤ vubR[x]·column
+	// vubKey[x] in scaled coordinates (vubKey −1: none), with vubR = C_y/C_x.
+	// keyX[keyPtr[y]:keyPtr[y+1]] lists the columns key y bounds, keys the
+	// keys, and plain every other column, ascending.
+	nVUB                       int
+	vubKey, keyPtr, keyX, keys []int32
+	vubR                       []float64
+	plain                      []int32
 }
 
 // build populates the standard form from a Problem, reusing ws buffers.
@@ -118,7 +127,66 @@ func (sf *standardForm) build(p *Problem, ws *Workspace, scale bool) int {
 	for r, row := range p.rows {
 		sf.rhs[r] = sf.rowMul[r] * row.rhs
 	}
+	sf.buildVUB(p, ws)
 	return passes
+}
+
+// buildVUB lays out the variable upper bounds after scaling, and the
+// columns that are no VUB column (plain).
+func (sf *standardForm) buildVUB(p *Problem, ws *Workspace) {
+	nv := sf.nv
+	sf.nVUB = len(p.vubX)
+	sf.vubKey, sf.vubR = growI32(&ws.sfVubKey, nv), growF(&ws.sfVubR, nv)
+	sf.keyPtr, sf.keyX = growI32(&ws.sfKeyPtr, nv+1), growI32(&ws.sfKeyX, sf.nVUB)
+	for j := range sf.keyPtr {
+		sf.keyPtr[j] = 0
+		if j < nv {
+			sf.vubKey[j] = -1
+		}
+	}
+	for k, x := range p.vubX {
+		y := p.vubY[k]
+		sf.vubKey[x], sf.vubR[x] = y, 1
+		if C := sf.colScale; C != nil {
+			sf.vubR[x] = C[y] / C[x]
+		}
+		sf.keyPtr[y+1]++
+	}
+	sf.keys, sf.plain = ws.sfKeys[:0], ws.sfPlain[:0]
+	for j := 0; j < sf.n; j++ {
+		if j >= nv || sf.vubKey[j] < 0 {
+			sf.plain = append(sf.plain, int32(j))
+		}
+		if j < nv && sf.keyPtr[j+1] > 0 {
+			sf.keys = append(sf.keys, int32(j))
+		}
+		if j < nv {
+			sf.keyPtr[j+1] += sf.keyPtr[j]
+		}
+	}
+	ws.sfKeys, ws.sfPlain = sf.keys, sf.plain
+	next := growI32(&ws.sfNext, nv)
+	copy(next, sf.keyPtr[:nv])
+	for k, x := range p.vubX {
+		sf.keyX[next[p.vubY[k]]] = x
+		next[p.vubY[k]]++
+	}
+}
+
+// keyXs returns the columns that column j bounds as a key (nil for none).
+func (sf *standardForm) keyXs(j int) []int32 {
+	if sf.nVUB == 0 || j >= sf.nv {
+		return nil
+	}
+	return sf.keyX[sf.keyPtr[j]:sf.keyPtr[j+1]]
+}
+
+// vub returns the key of column j and its ratio r (x_j ≤ r·x_key), or −1.
+func (sf *standardForm) vub(j int) (int, float64) {
+	if sf.nVUB == 0 || j >= sf.nv || sf.vubKey[j] < 0 {
+		return -1, 0
+	}
+	return int(sf.vubKey[j]), sf.vubR[j]
 }
 
 // ruizMaxPasses caps the equilibration passes of a scaled build.
@@ -270,14 +338,11 @@ func (sf *standardForm) objAt(j int) float64 {
 
 // basisRep abstracts the representation of the basis inverse B⁻¹. The
 // solver core drives it through the operations below. The dense backend
-// keeps an explicit m×m inverse of the whole basis. The sparse backend's
-// eta file inverts only the basis block on the rows outside the
-// implicit-slack set S (see etaFile); solverState fills in and folds the S
-// rows around it, so with S empty the two mean the same thing.
+// keeps an explicit m×m inverse, the sparse backend an eta file.
 type basisRep interface {
 	// reset reinstalls the identity (the all-slack basis).
 	reset(m int)
-	// ftran overwrites v with B⁻¹·v (the eta file: the W-block ops only).
+	// ftran overwrites v with B⁻¹·v.
 	ftran(v []float64)
 	// ftranSparse is ftran for a v whose nonzeros lie in the rows of pat,
 	// each listed once and set in mark. It appends every row that fills to
@@ -291,9 +356,6 @@ type basisRep interface {
 	// lists, once each, the rows of w to store (r among them); the eta file
 	// reads w over pat only.
 	update(r int, w []float64, pat []int32)
-	// addRow records a row op, v_r −= Σ_q val[q]·v_idx[q], ahead of a pivot
-	// on a row r that leaves the implicit-slack set.
-	addRow(r int, idx []int32, val []float64)
 	// shouldRefactor reports that the representation has grown stale
 	// (e.g. the eta file is long) and a refactorization would pay off.
 	shouldRefactor() bool
@@ -307,23 +369,10 @@ type basisRep interface {
 // the solver's pivot tolerance and only bloat the file.
 const etaDropTol = 1e-13
 
-// etaFile is the sparse backend's partitioned product-form inverse. The
-// rows split into the implicit-slack rows S, each holding its own slack,
-// and the rest W. The basis is then block triangular, [B_WW 0; B_SW I], so
-//
-//	B⁻¹ = M_S · O_K ⋯ O_1,
-//
-// where the ops O_k stored here invert B_WW and never read or write an S
-// row, and M_S sets v_s −= Σ_{i∈W} A(s, basis[i])·v_i from the matrix
-// itself (solverState.ftranColumn and ftran; btran folds S first). Bisschop
-// & Meeraus, "Matrix augmentation and partitioning in the updating of the
-// basis inverse", Math. Prog. 13 (1977).
-//
-// An op is a column eta, the identity with column pivRow replaced by the
-// stored entries, or a row eta, stored with pivRow = ^r, which sets
-// v_r −= Σ b_i·v_i as row r leaves S. ftran applies the ops oldest→newest,
-// btran newest→oldest. S is fixed at each refactorization and only shrinks
-// between them; with S empty the file is the plain product-form inverse.
+// etaFile is the sparse backend's product-form inverse: B⁻¹ = E_K ⋯ E_1,
+// each eta the identity with column pivRow replaced by the stored entries.
+// ftran applies the etas oldest→newest, btran newest→oldest. A basic slack
+// placed by a refactorization sits on the identity and stores no eta.
 //
 // No per-column operation scans all m rows: ftranSparse grows the column's
 // pattern as ops fill it, and update stores an eta from that pattern
@@ -360,10 +409,6 @@ func (e *etaFile) reset(m int) {
 // inner loops index them without bounds checks.
 func (e *etaFile) ftran(v []float64) {
 	for k, r := range e.pivRow {
-		if r < 0 {
-			e.applyRow(k, v)
-			continue
-		}
 		t := v[r]
 		if t == 0 {
 			continue
@@ -380,13 +425,6 @@ func (e *etaFile) ftran(v []float64) {
 
 func (e *etaFile) ftranSparse(v []float64, mark []bool, pat []int32) []int32 {
 	for k, r := range e.pivRow {
-		if r < 0 {
-			if r = ^r; e.applyRow(k, v) != 0 && !mark[r] {
-				mark[r] = true
-				pat = append(pat, r)
-			}
-			continue
-		}
 		t := v[r]
 		if t == 0 {
 			continue
@@ -408,33 +446,11 @@ func (e *etaFile) ftranSparse(v []float64, mark []bool, pat []int32) []int32 {
 	return pat
 }
 
-// applyRow applies the row eta k to v and returns the new v_r.
-func (e *etaFile) applyRow(k int, v []float64) float64 {
-	r := ^e.pivRow[k]
-	idx := e.idx[e.start[k]:e.start[k+1]]
-	val := e.val[e.start[k]:e.start[k+1]]
-	val = val[:len(idx)]
-	t := v[r]
-	for q, i := range idx {
-		t -= val[q] * v[i]
-	}
-	v[r] = t
-	return t
-}
-
 func (e *etaFile) btran(y []float64) {
 	for k := len(e.pivRow) - 1; k >= 0; k-- {
 		idx := e.idx[e.start[k]:e.start[k+1]]
 		val := e.val[e.start[k]:e.start[k+1]]
 		val = val[:len(idx)]
-		if r := e.pivRow[k]; r < 0 {
-			if t := y[^r]; t != 0 {
-				for q, i := range idx {
-					y[i] -= t * val[q]
-				}
-			}
-			continue
-		}
 		s := 0.0
 		for q, i := range idx {
 			s += y[i] * val[q]
@@ -463,14 +479,6 @@ func (e *etaFile) update(r int, w []float64, pat []int32) {
 		e.val = append(e.val, v)
 		e.nnz++
 	}
-	e.start = append(e.start, int32(len(e.idx)))
-}
-
-func (e *etaFile) addRow(r int, idx []int32, val []float64) {
-	e.pivRow = append(e.pivRow, ^int32(r))
-	e.idx = append(e.idx, idx...)
-	e.val = append(e.val, val...)
-	e.nnz += len(idx)
 	e.start = append(e.start, int32(len(e.idx)))
 }
 

@@ -16,6 +16,9 @@ type Workspace struct {
 	sfCnt, sfPtr, sfRow, sfNext         []int32
 	sfRowPtr, sfRowCol                  []int32
 	sfRowVal                            []float64
+	// variable upper bounds: key and ratio per column, keys' column lists
+	sfVubKey, sfKeyPtr, sfKeyX, sfKeys, sfPlain []int32
+	sfVubR                                      []float64
 	// equilibration factors and their per-pass maxima
 	sfRowScale, sfColScale, sfRowMax, sfColMax []float64
 
@@ -31,13 +34,17 @@ type Workspace struct {
 	// row marks that build it, clear between ftranColumn calls
 	colPat  []int32
 	colMark []bool
-	// the row partition: implicit-slack row marks (m), the other rows,
-	// the row of each basic structural column (nv), and a row eta's scratch
-	implicit  []bool
-	wRows     []int32
-	pos       []int32
-	rowEtaIdx []int32
-	rowEtaVal []float64
+	// the row of each basic structural column (nv); a trivial eta's dense
+	// column (m, zero between uses) and a composite column's parts
+	pos    []int32
+	etaCol []float64
+	parts  []int32
+	// per key: its riders (vubCandidates) and its composite column's norm
+	// with the rider-set signature that norm is for
+	riders          []int32
+	keyNorm         []float64
+	keySig, normSig []uint64
+	normRows        []int32
 	// solution output (nv)
 	x []float64
 	// refactorization scratch: the structural basic columns (the bump),

@@ -271,6 +271,7 @@ func (d *dp) rec(g, ci, ji int, xi bool, l1, l2, l3 float64) bool {
 		if dup {
 			continue
 		}
+		old := d.mLoad[i]
 		d.mLoad[i] += delta
 		if setFlag {
 			d.mFlag[i] = true
@@ -283,7 +284,7 @@ func (d *dp) rec(g, ci, ji int, xi bool, l1, l2, l3 float64) bool {
 		if setFlag {
 			d.mFlag[i] = false
 		}
-		d.mLoad[i] -= delta
+		d.mLoad[i] = old // restore, not subtract: (a+b)−b need not be a
 	}
 
 	// Fractional edge: push the job's volume up. Jobs from groups G−1 and

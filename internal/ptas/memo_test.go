@@ -39,7 +39,7 @@ func TestRejectedGuessHitsMemo(t *testing.T) {
 	if hits < 1 {
 		t.Fatalf("no memo hit: nodes=%d marks=%d", d.nodes, marks)
 	}
-	if d.nodes != 114540 || marks != 99879 {
-		t.Errorf("nodes=%d marks=%d hits=%d, want nodes=114540 marks=99879 hits=14661", d.nodes, marks, hits)
+	if d.nodes != 17650 || marks != 15665 {
+		t.Errorf("nodes=%d marks=%d hits=%d, want nodes=17650 marks=15665 hits=1985", d.nodes, marks, hits)
 	}
 }

@@ -173,7 +173,7 @@ func (rel *Relaxation) patchMachineRemove(d core.Delta, newIn *core.Instance) er
 // addXVar appends a fresh x_ij variable with all its constraint presence:
 // the machine's load row (created on demand), job j's assignment row
 // (asgRow < 0 means the caller builds the row itself afterwards), and its
-// own setup-domination row (4).
+// setup domination (4) as a variable upper bound.
 func (rel *Relaxation) addXVar(i, j int, p float64, yv int, asgRow int) int {
 	prob := rel.mdl.prob
 	v := prob.AddVar(0, 1)
@@ -183,7 +183,7 @@ func (rel *Relaxation) addXVar(i, j int, p float64, yv int, asgRow int) int {
 	if asgRow >= 0 {
 		prob.AddTerm(asgRow, lp.Term{Var: v, Coef: 1})
 	}
-	prob.AddConstraint(lp.LE, 0, lp.Term{Var: v, Coef: 1}, lp.Term{Var: yv, Coef: -1})
+	prob.AddVUB(v, yv)
 	rel.mdl.xv = append(rel.mdl.xv, relaxVar{v: v, j: j, p: p})
 	rel.banned = append(rel.banned, false)
 	return v
@@ -246,7 +246,7 @@ func (rel *Relaxation) patchArrive(d core.Delta, newIn *core.Instance) error {
 		return fmt.Errorf("rounding: arriving job has no machine at the envelope %g", rel.envelope)
 	}
 	// New columns first (load-row coefficient included), then the job's
-	// assignment row over all of them, then the (4) rows — addXVar is told
+	// assignment row over all of them, then the (4) bounds — addXVar is told
 	// to skip the assignment row so it can be built as one EQ constraint.
 	vars := make([]int, len(cands))
 	asgTerms := make([]lp.Term, len(cands))
@@ -261,7 +261,7 @@ func (rel *Relaxation) patchArrive(d core.Delta, newIn *core.Instance) error {
 	mdl.asgRow = append(mdl.asgRow, mdl.prob.NumRows())
 	mdl.prob.AddConstraint(lp.EQ, 1, asgTerms...)
 	for c, cd := range cands {
-		mdl.prob.AddConstraint(lp.LE, 0, lp.Term{Var: vars[c], Coef: 1}, lp.Term{Var: cd.yv, Coef: -1})
+		mdl.prob.AddVUB(vars[c], cd.yv)
 		mdl.xv = append(mdl.xv, relaxVar{v: vars[c], j: jn, p: cd.p})
 		rel.banned = append(rel.banned, false)
 	}
@@ -279,7 +279,7 @@ func (rel *Relaxation) patchArrive(d core.Delta, newIn *core.Instance) error {
 }
 
 // patchMachineAdd grows the model by the new machine's x and y columns,
-// its load row, and its (4) rows, appending assignment-row terms in place.
+// its load row, and its (4) bounds, appending assignment-row terms in place.
 func (rel *Relaxation) patchMachineAdd(newIn *core.Instance) error {
 	mdl, in := rel.mdl, rel.in
 	if newIn.M != in.M+1 || newIn.N != in.N {
@@ -326,7 +326,7 @@ func (rel *Relaxation) patchMachineAdd(newIn *core.Instance) error {
 		mdl.addLoadRow(i0, loadTerms...)
 	}
 	for _, f := range fours {
-		prob.AddConstraint(lp.LE, 0, lp.Term{Var: f.v, Coef: 1}, lp.Term{Var: f.yv, Coef: -1})
+		prob.AddVUB(f.v, f.yv)
 	}
 	mdl.xIdx = append(mdl.xIdx, xRow)
 	mdl.yIdx = append(mdl.yIdx, yRow)

@@ -13,18 +13,20 @@
 //	x_ij = 0                            ∀i,j: p_ij > T (5)
 //
 // and the paper's feasibility LP at T is feasible exactly when τ*(T) ≤ T.
-// The optimal fractional solution is rounded: in each of c·log n
-// iterations every (machine, class) pair opens with probability y*_ik, and
-// an open pair claims each of its class's jobs independently with
+// (4) is no row but a set of variable upper bounds x_ij ≤ y_i,k_j
+// (lp.Problem.AddVUB), which the simplex keeps out of its basis; the rows
+// are (1) and (2) only. The optimal fractional solution is rounded: in each
+// of c·log n iterations every (machine, class) pair opens with probability
+// y*_ik, and an open pair claims each of its class's jobs independently with
 // probability x*_ij/y*_ik. Jobs assigned multiple times keep their first
 // assignment; jobs never assigned fall back to argmin_i p_ij. Theorem 3.3:
 // rounding a solution of the relaxation at T yields O(T(log n + log m)) with
-// high probability. One solve at the top of the search bracket returns
-// τ0 = τ*(ub); clamps only shrink the feasible region, so every guess below
-// τ0 is infeasible and τ0 ≤ Opt. When the optimum puts no weight on an x_ij
-// with p_ij > τ0 it is itself feasible at T = τ0, Theorem 3.3 applies there,
-// and no binary search runs; otherwise the binary search over T (package
-// dual) decides the remaining bracket [τ0, ub].
+// high probability. One solve at the top of the search bracket returns τ0 =
+// τ*(ub); clamps only shrink the feasible region, so every guess below τ0 is
+// infeasible and τ0 ≤ Opt. When the optimum puts no weight on an x_ij with
+// p_ij > τ0 it is itself feasible at T = τ0, Theorem 3.3 applies there, and
+// no binary search runs; otherwise the binary search over T (package dual)
+// decides the remaining bracket [τ0, ub].
 package rounding
 
 import (
@@ -131,8 +133,8 @@ func SolveLP(in *core.Instance, T float64) (*Fractional, error) {
 	return rel.ReSolve(T)
 }
 
-// ilpModel is the LP relaxation of ILP-UM — rows (1), (2), (4) —
-// materialized at an envelope T: a variable exists for every (machine,
+// ilpModel is the LP relaxation of ILP-UM — rows (1) and (2), and (4) as
+// variable upper bounds — materialized at an envelope T: a variable exists for every (machine,
 // job) pair assignable at T, and the makespan column τ (cost 1) bounds every
 // load row, so the load rows have RHS 0. Relaxation builds it once and
 // clamps variable bounds in place for smaller guesses.
@@ -227,16 +229,12 @@ func buildILPModel(in *core.Instance, T float64) *ilpModel {
 		p.AddConstraint(lp.EQ, 1, terms...)
 	}
 	// (4) setup dominates assignment (y exists whenever x does: the x
-	// variable required a finite setup time).
+	// variable required a finite setup time): a variable upper bound, no row.
 	for i := 0; i < in.M; i++ {
 		for j := 0; j < in.N; j++ {
-			if mdl.xIdx[i][j] < 0 {
-				continue
+			if mdl.xIdx[i][j] >= 0 {
+				p.AddVUB(mdl.xIdx[i][j], mdl.yIdx[i][in.Class[j]])
 			}
-			terms = append(terms[:0],
-				lp.Term{Var: mdl.xIdx[i][j], Coef: 1},
-				lp.Term{Var: mdl.yIdx[i][in.Class[j]], Coef: -1})
-			p.AddConstraint(lp.LE, 0, terms...)
 		}
 	}
 	return mdl

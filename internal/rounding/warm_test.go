@@ -249,11 +249,12 @@ func TestRelaxationEnvelopeDefaults(t *testing.T) {
 }
 
 // TestAnchorBisectionRefactors drives the M=10/N=100/K=8 anchor (the
-// relaxation has 1110 rows) through a bisection of makespan guesses on
-// the sparse and dense backends side by side. The verdicts must agree at
-// every step, and the sparse backend must refactorize at least once along
-// the way, so the slack-first factorization is exercised at production
-// shape; ScheduleDetailed must surface the count in Detail.LPRefactors.
+// relaxation has 110 rows and 1000 variable upper bounds) through a
+// bisection of makespan guesses on the sparse and dense backends side by
+// side. The verdicts must agree at every step, and the sparse backend must
+// refactorize at least once along the way, so the slack-first
+// factorization is exercised at production shape; ScheduleDetailed must
+// surface the count in Detail.LPRefactors.
 func TestAnchorBisectionRefactors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	in := gen.Unrelated(rng, gen.Params{N: 100, M: 10, K: 8})

@@ -11,11 +11,12 @@ import (
 )
 
 // TestPresolveAnchorReductions pins equilibration scaling on the
-// LP-backend anchor shape (M=20, N=200, K=12 — 4220 rows, the
-// BenchmarkColdBuildLarge instance). At the envelope T=ub no x_ij is
-// clamped, so no row or column could be eliminated; the measured cold
-// speedup of the scaled build comes from Ruiz equilibration cutting solver
-// iterations, and this test asserts the scaling engaged.
+// LP-backend anchor shape (M=20, N=200, K=12 — 220 rows plus 4000
+// variable upper bounds, the BenchmarkColdBuildLarge instance). At the
+// envelope T=ub no x_ij is clamped, so no row or column could be
+// eliminated; the measured cold speedup of the scaled build comes from Ruiz
+// equilibration cutting solver iterations, and this test asserts the
+// scaling engaged.
 func TestPresolveAnchorReductions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("anchor-sized LP build")

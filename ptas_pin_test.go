@@ -50,8 +50,8 @@ func TestPTASPins(t *testing.T) {
 		{"anchor/identical/4", gen.Identical(rngFor(4), anchor), 0.1, nil, ptasPin{767, 656.9375, 3, 636}},
 		{"anchor/identical/5", gen.Identical(rngFor(5), anchor), 0.1, nil, ptasPin{741, 623.5625, 4, 848}},
 		{"anchor/identical/6", gen.Identical(rngFor(6), anchor), 0.1, nil, ptasPin{761, 644.625, 4, 844}},
-		{"tight/uniform/673", gen.Uniform(rngFor(673), tight), 0.1, nil, ptasPin{176, 159.7032605375511, 5, 114640}},
-		{"tight/identical/137", gen.Identical(rngFor(137), tight), 0.1, nil, ptasPin{233, 220.15777794649185, 4, 263859}},
+		{"tight/uniform/673", gen.Uniform(rngFor(673), tight), 0.1, nil, ptasPin{176, 159.7032605375511, 5, 17750}},
+		{"tight/identical/137", gen.Identical(rngFor(137), tight), 0.1, nil, ptasPin{233, 220.15777794649185, 4, 4877}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -132,31 +132,31 @@ func TestDualSearchGolden(t *testing.T) {
 	}{
 		{"rounding/unrelated-anchor/1", func(t *testing.T) goldenRow {
 			return goldenRounding(t, gen.Unrelated(rngFor(1), anchor), nil)
-		}, goldenRow{Makespan: 249, LowerBound: 185.63758810833303, LPIters: 388, Accepted: 185.63777374610677}},
+		}, goldenRow{Makespan: 249, LowerBound: 185.637588108333, LPIters: 300, Accepted: 185.63777374610675}},
 		{"rounding/unrelated-anchor/2", func(t *testing.T) goldenRow {
 			return goldenRounding(t, gen.Unrelated(rngFor(2), anchor), nil)
-		}, goldenRow{Makespan: 237, LowerBound: 192.62670589798887, LPIters: 335, Accepted: 192.6268985248874}},
+		}, goldenRow{Makespan: 237, LowerBound: 192.62670589798896, LPIters: 242, Accepted: 192.62689852488748}},
 		{"rounding/restricted-anchor/1", func(t *testing.T) goldenRow {
 			return goldenRounding(t, gen.Restricted(rngFor(1), anchor), nil)
-		}, goldenRow{Makespan: 679, LowerBound: 568.6418321474443, LPIters: 968, Accepted: 568.6424007898452}},
+		}, goldenRow{Makespan: 679, LowerBound: 568.6418321474445, LPIters: 554, Accepted: 568.6424007898453}},
 		{"rounding/restricted-anchor/2", func(t *testing.T) goldenRow {
 			return goldenRounding(t, gen.Restricted(rngFor(2), anchor), nil)
-		}, goldenRow{Makespan: 573, LowerBound: 506.5593648108031, LPIters: 1296, Accepted: 506.5598713706745}},
+		}, goldenRow{Makespan: 573, LowerBound: 506.55936481080295, LPIters: 647, Accepted: 506.55987137067433}},
 		{"rounding/unrelated-tiny/3", func(t *testing.T) goldenRow {
 			return goldenRounding(t, gen.Unrelated(rngFor(3), tiny), nil)
-		}, goldenRow{Makespan: 59, LowerBound: 46, LPIters: 52, Guesses: 3, Accepted: 47.453647970964596}},
+		}, goldenRow{Makespan: 59, LowerBound: 46, LPIters: 36, Guesses: 3, Accepted: 47.453647970964596}},
 		{"rounding/unrelated-tiny/4", func(t *testing.T) goldenRow {
 			return goldenRounding(t, gen.Unrelated(rngFor(4), tiny), nil)
-		}, goldenRow{Makespan: 86, LowerBound: 55, LPIters: 78, Guesses: 4, Accepted: 56.55827752440132}},
+		}, goldenRow{Makespan: 86, LowerBound: 55, LPIters: 71, Guesses: 4, Accepted: 56.55827752440132}},
 		{"rounding/restricted-tiny/5", func(t *testing.T) goldenRow {
 			return goldenRounding(t, gen.Restricted(rngFor(5), tiny), nil)
-		}, goldenRow{Makespan: 173, LowerBound: 135, LPIters: 74, Accepted: 111.36757283594285}},
+		}, goldenRow{Makespan: 173, LowerBound: 135, LPIters: 43, Accepted: 111.36757283594282}},
 		{"rounding/unrelated-tiny-bus/3", func(t *testing.T) goldenRow {
 			return goldenRounding(t, gen.Unrelated(rngFor(3), tiny), seededBus(50))
-		}, goldenRow{Makespan: 59, LowerBound: 46, LPIters: 52, Guesses: 2, Accepted: 47.453647970964596, Lowers: 2, Uppers: 4}},
+		}, goldenRow{Makespan: 59, LowerBound: 46, LPIters: 36, Guesses: 2, Accepted: 47.453647970964596, Lowers: 2, Uppers: 4}},
 		{"rounding/unrelated-anchor-bus/1", func(t *testing.T) goldenRow {
 			return goldenRounding(t, gen.Unrelated(rngFor(1), anchor), seededBus(1e18))
-		}, goldenRow{Makespan: 249, LowerBound: 185.63758810833303, LPIters: 388, Accepted: 185.63777374610677, Lowers: 2, Uppers: 2}},
+		}, goldenRow{Makespan: 249, LowerBound: 185.637588108333, LPIters: 300, Accepted: 185.63777374610675, Lowers: 2, Uppers: 2}},
 		{"ptas/uniform/1", func(t *testing.T) goldenRow {
 			return goldenPTAS(t, gen.Uniform(rngFor(1), ptasShape), 0.25, nil)
 		}, goldenRow{Makespan: 168, LowerBound: 119.75, Guesses: 3}},
@@ -192,7 +192,7 @@ func TestDualSearchGolden(t *testing.T) {
 		}, goldenRow{Makespan: 347, LowerBound: 251.84653938380714}},
 		{"engine/rounding-anchor/3", func(t *testing.T) goldenRow {
 			return goldenEngine(t, gen.Unrelated(rngFor(3), anchor), WithAlgorithm(AlgoRounding), WithSeed(3))
-		}, goldenRow{Makespan: 235, LowerBound: 192.86452215276654, LPIters: 354}},
+		}, goldenRow{Makespan: 235, LowerBound: 192.8645221527664, LPIters: 247}},
 		{"engine/ptas/4", func(t *testing.T) goldenRow {
 			return goldenEngine(t, gen.Uniform(rngFor(4), ptasShape), WithAlgorithm(AlgoPTAS), WithEps(0.25))
 		}, goldenRow{Makespan: 177.33333333333334, LowerBound: 122.17647058823529}},
