@@ -107,14 +107,7 @@ func BenchmarkPTAS(b *testing.B) {
 // through ptas.Schedule. nodes/op and guesses/op are the DP's work per op
 // and repeat exactly.
 func BenchmarkPTASAnchor(b *testing.B) {
-	p := gen.Params{N: 200, M: 16, K: 10}
-	var pool []*Instance
-	for s := int64(1); s <= 2; s++ {
-		pool = append(pool, gen.Uniform(rand.New(rand.NewSource(s)), p))
-	}
-	for s := int64(1); s <= 6; s++ {
-		pool = append(pool, gen.Identical(rand.New(rand.NewSource(s)), p))
-	}
+	pool := ptasAnchorPool()
 	var nodes int64
 	guesses := 0
 	b.ReportAllocs()
@@ -131,6 +124,42 @@ func BenchmarkPTASAnchor(b *testing.B) {
 	}
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 	b.ReportMetric(float64(guesses)/float64(b.N), "guesses/op")
+}
+
+// BenchmarkEngineUniformPTAS runs the BenchmarkPTASAnchor mix through cold
+// Engine.Solve, as perfbench's uniform-ptas operation does: on top of the
+// PTAS it times the engine's dispatch, fingerprint, bound-cache store and
+// similarity key.
+func BenchmarkEngineUniformPTAS(b *testing.B) {
+	pool := ptasAnchorPool()
+	eng, err := New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := []SolveOption{WithoutWarmStart(), WithSeed(1), WithEps(0.1)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range pool {
+			if _, err := eng.Solve(context.Background(), in, opts...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// ptasAnchorPool is the PTAS anchor mix: two uniform and six identical
+// n=200/m=16/K=10 instances at seeds 1–2 and 1–6.
+func ptasAnchorPool() []*Instance {
+	p := gen.Params{N: 200, M: 16, K: 10}
+	var pool []*Instance
+	for s := int64(1); s <= 2; s++ {
+		pool = append(pool, gen.Uniform(rand.New(rand.NewSource(s)), p))
+	}
+	for s := int64(1); s <= 6; s++ {
+		pool = append(pool, gen.Identical(rand.New(rand.NewSource(s)), p))
+	}
+	return pool
 }
 
 // BenchmarkRoundingLPSolve times SolveLP at the greedy bound: a fresh

@@ -55,15 +55,16 @@ func lemma21(in *core.Instance, placeholders bool) (*core.Schedule, error) {
 	if in.Kind != core.Identical && in.Kind != core.Uniform {
 		return nil, fmt.Errorf("baseline: Lemma 2.1 LPT requires identical or uniform machines, got %v", in.Kind)
 	}
-	speed := func(i int) float64 {
+	speed := make([]float64, in.M)
+	for i := range speed {
+		speed[i] = 1
 		if in.Kind == core.Uniform {
-			return in.Speed[i]
+			speed[i] = in.Speed[i]
 		}
-		return 1
 	}
 
 	// Step 1: split jobs into kept jobs and per-class small-job pools.
-	items := []lptItem{}
+	items := make([]lptItem, 0, in.N)
 	smallJobs := make([][]int, in.K) // per class, jobs replaced by placeholders
 	for j := 0; j < in.N; j++ {
 		k := in.Class[j]
@@ -90,21 +91,34 @@ func lemma21(in *core.Instance, placeholders bool) (*core.Schedule, error) {
 		}
 	}
 
-	// Step 2: LPT ignoring classes and setups. Sort by non-increasing size
-	// (stable tie-break on job index for reproducibility) and put each item
-	// on the machine where it finishes first.
-	slices.SortStableFunc(items, func(a, b lptItem) int { return cmp.Compare(b.size, a.size) })
+	// Step 2: LPT ignoring classes and setups. Take the items by
+	// non-increasing size (ties by position, as a stable sort would) and
+	// put each on the machine where it finishes first.
+	size := make([]float64, len(items))
+	order := make([]int, len(items))
+	for idx, it := range items {
+		size[idx], order[idx] = it.size, idx
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		switch {
+		case size[a] > size[b]: // sizes are never NaN
+			return -1
+		case size[a] < size[b]:
+			return 1
+		}
+		return a - b
+	})
 	loads := make([]float64, in.M) // load in *size* units per machine
 	where := make([]int, len(items))
-	for idx, it := range items {
+	for _, idx := range order {
 		best, bestDone := -1, math.Inf(1)
 		for i := 0; i < in.M; i++ {
-			done := (loads[i] + it.size) / speed(i)
+			done := (loads[i] + size[idx]) / speed[i]
 			if done < bestDone-core.Eps {
 				best, bestDone = i, done
 			}
 		}
-		loads[best] += it.size
+		loads[best] += size[idx]
 		where[idx] = best
 	}
 
@@ -112,12 +126,12 @@ func lemma21(in *core.Instance, placeholders bool) (*core.Schedule, error) {
 	// of class k over that class's placeholders greedily, over-packing each
 	// machine by at most one job.
 	sched := core.NewSchedule(in.N)
-	placeholderCount := make(map[[2]int]int) // (machine, class) -> count
+	placeholderCount := make([]int, in.M*in.K) // [machine·K + class] -> count
 	for idx, it := range items {
 		if it.job >= 0 {
 			sched.Assign[it.job] = where[idx]
 		} else {
-			placeholderCount[[2]int{where[idx], it.class}]++
+			placeholderCount[where[idx]*in.K+it.class]++
 		}
 	}
 	for k, jobs := range smallJobs {
@@ -131,7 +145,7 @@ func lemma21(in *core.Instance, placeholders bool) (*core.Schedule, error) {
 		}
 		var slots []slot
 		for i := 0; i < in.M; i++ {
-			if c := placeholderCount[[2]int{i, k}]; c > 0 {
+			if c := placeholderCount[i*in.K+k]; c > 0 {
 				slots = append(slots, slot{i, float64(c) * in.SetupSize[k]})
 			}
 		}

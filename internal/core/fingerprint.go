@@ -24,32 +24,37 @@ const fingerprintVersion = "sched/instance/v1"
 // fingerprint-identical instance warm-start from the bounds (and best
 // schedule) established by earlier solves.
 func (in *Instance) Fingerprint() string {
+	// The encoding goes through one fixed buffer that is hashed whenever
+	// it fills: few Write calls, and no allocation that grows with the
+	// instance (the whole encoding is 8·(4+n+m·n+m·K) bytes).
 	h := sha256.New()
-	var buf [8]byte
-	putU := func(u uint64) {
-		binary.LittleEndian.PutUint64(buf[:], u)
-		h.Write(buf[:])
+	buf := make([]byte, 0, 1024)
+	put := func(u uint64) {
+		if len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, u)
 	}
-	putF := func(f float64) { putU(math.Float64bits(f)) }
-
 	h.Write([]byte(fingerprintVersion))
-	putU(uint64(in.Kind))
-	putU(uint64(in.N))
-	putU(uint64(in.M))
-	putU(uint64(in.K))
+	put(uint64(in.Kind))
+	put(uint64(in.N))
+	put(uint64(in.M))
+	put(uint64(in.K))
 	for _, c := range in.Class {
-		putU(uint64(c))
+		put(uint64(c))
 	}
 	for _, row := range in.P {
 		for _, v := range row {
-			putF(v)
+			put(math.Float64bits(v))
 		}
 	}
 	for _, row := range in.S {
 		for _, v := range row {
-			putF(v)
+			put(math.Float64bits(v))
 		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -71,36 +76,37 @@ const similarityVersion = "sched/simkey/v1"
 // engine.BoundCache.LookupSimilar). Bucket boundaries make the grouping
 // best-effort — a 95%-similar pair can still land in adjacent buckets.
 func (in *Instance) SimilarityKey() string {
-	h := sha256.New()
-	var buf [8]byte
-	putU := func(u uint64) {
-		binary.LittleEndian.PutUint64(buf[:], u)
-		h.Write(buf[:])
+	// Per-job minimum over the machines, P scanned row by row.
+	best := make([]float64, in.N)
+	for j := range best {
+		best[j] = Inf
 	}
-	h.Write([]byte(similarityVersion))
-	putU(uint64(in.Kind))
-	putU(uint64(in.K))
-	putU(uint64(logBucket(float64(in.M), 2)))
-
-	count := make([]int, in.K)
-	vol := make([]float64, in.K)
-	for j := 0; j < in.N; j++ {
-		count[in.Class[j]]++
-		best := Inf
-		for i := 0; i < in.M; i++ {
-			if in.P[i][j] < best {
-				best = in.P[i][j]
+	for _, row := range in.P {
+		for j, p := range row {
+			if p < best[j] {
+				best[j] = p
 			}
 		}
-		if IsFinite(best) {
-			vol[in.Class[j]] += best
+	}
+	count := make([]int, in.K)
+	vol := make([]float64, in.K)
+	for j, b := range best {
+		count[in.Class[j]]++
+		if IsFinite(b) {
+			vol[in.Class[j]] += b
 		}
 	}
+	buf := make([]byte, 0, len(similarityVersion)+8*(3+2*in.K))
+	buf = append(buf, similarityVersion...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(in.Kind))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(in.K))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(logBucket(float64(in.M), 2)))
 	for k := 0; k < in.K; k++ {
-		putU(uint64(logBucket(float64(count[k]), 2)))
-		putU(uint64(logBucket(vol[k], 1.25)))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(logBucket(float64(count[k]), 2)))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(logBucket(vol[k], 1.25)))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // logBucket buckets x > 0 as floor(log_base(x)) shifted to stay

@@ -12,7 +12,8 @@ import (
 // algorithms (e.g. the uniform-machines PTAS) need not reverse-engineer them.
 //
 // Instances are treated as immutable by all algorithms in this module; use
-// Clone before mutating a shared instance.
+// Clone before mutating a shared instance. NewIdentical gives all machines
+// one shared row of P and of S; Clone copies every row separately.
 type Instance struct {
 	// Kind is the machine environment.
 	Kind Kind
@@ -44,18 +45,22 @@ type Instance struct {
 
 // NewIdentical builds an identical-machines instance from job sizes p (len
 // n), job classes class (len n, values in [0,K)), setup sizes s (len K) and a
-// machine count m.
+// machine count m. Every machine's row of P is p and every row of S is s, so
+// all rows of each matrix share one backing row.
 func NewIdentical(p []float64, class []int, s []float64, m int) (*Instance, error) {
-	speeds := make([]float64, m)
-	for i := range speeds {
-		speeds[i] = 1
-	}
-	inst, err := NewUniform(p, class, s, speeds)
+	inst, err := NewUniform(p, class, s, []float64{1})
 	if err != nil {
 		return nil, err
 	}
-	inst.Kind = Identical
-	inst.Speed = nil
+	if m <= 0 {
+		return nil, fmt.Errorf("core: no machines")
+	}
+	inst.Kind, inst.M, inst.Speed = Identical, m, nil
+	rowP, rowS := inst.P[0], inst.S[0]
+	inst.P, inst.S = make([][]float64, m), make([][]float64, m)
+	for i := 0; i < m; i++ {
+		inst.P[i], inst.S[i] = rowP, rowS
+	}
 	return inst, nil
 }
 

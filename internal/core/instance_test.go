@@ -162,6 +162,16 @@ func TestCloneIndependence(t *testing.T) {
 	if in.P[0][0] == 99 || in.Class[0] == 1 || in.Speed[1] == 7 {
 		t.Error("Clone shares memory with original")
 	}
+	// An identical instance's machines share one row; its Clone does not.
+	id, err := NewIdentical([]float64{1, 2}, []int{0, 1}, []float64{1, 1}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp = id.Clone()
+	cp.P[0][0], cp.S[0][0] = 99, 99
+	if id.P[0][0] == 99 || id.S[0][0] == 99 || cp.P[1][0] == 99 || cp.S[1][0] == 99 {
+		t.Error("Clone of an identical instance shares a row")
+	}
 }
 
 func TestJobsOfClass(t *testing.T) {

@@ -327,21 +327,31 @@ func sameProfile(s *searcher, a, b int) bool {
 // For unrelated machines the volume term uses per-job minima, which remains
 // valid (any schedule processes j somewhere at cost ≥ min_i p_{ij}).
 func VolumeLowerBound(in *core.Instance) float64 {
-	// Cheapest single placement.
+	// Cheapest single placement. P is scanned row by row; best[j] is the
+	// running minimum over the machines seen so far.
+	best := make([]float64, in.N)
+	for j := range best {
+		best[j] = math.Inf(1)
+	}
+	for i, row := range in.P {
+		for j, p := range row {
+			s := in.S[i][in.Class[j]]
+			if core.IsFinite(p) && core.IsFinite(s) && p+s < best[j] {
+				best[j] = p + s
+			}
+		}
+	}
 	lb := 0.0
-	for j := 0; j < in.N; j++ {
-		best := math.Inf(1)
-		for i := 0; i < in.M; i++ {
-			if !core.IsFinite(in.P[i][j]) || !core.IsFinite(in.S[i][in.Class[j]]) {
-				continue
-			}
-			if v := in.P[i][j] + in.S[i][in.Class[j]]; v < best {
-				best = v
-			}
+	for _, v := range best {
+		if v > lb {
+			lb = v
 		}
-		if best > lb {
-			lb = best
-		}
+	}
+	// The classes with at least one job, summed in class order so that
+	// the float sum is the same on every call.
+	used := make([]bool, in.K)
+	for _, k := range in.Class {
+		used[k] = true
 	}
 	// Volume: total minimal work plus one minimal setup per class, spread
 	// over the machines. For uniform machines, "capacity" per unit time is
@@ -357,39 +367,40 @@ func VolumeLowerBound(in *core.Instance) float64 {
 		for _, pj := range in.JobSize {
 			vol += pj
 		}
-		used := map[int]bool{}
-		for _, k := range in.Class {
-			used[k] = true
-		}
-		for k := range used {
-			vol += in.SetupSize[k]
+		for k, u := range used {
+			if u {
+				vol += in.SetupSize[k]
+			}
 		}
 		if v := vol / totalSpeed; v > lb {
 			lb = v
 		}
 	default:
+		for j := range best {
+			best[j] = math.Inf(1)
+		}
+		for _, row := range in.P {
+			for j, p := range row {
+				if p < best[j] {
+					best[j] = p
+				}
+			}
+		}
 		vol := 0.0
-		for j := 0; j < in.N; j++ {
-			best := math.Inf(1)
+		for _, v := range best {
+			vol += v
+		}
+		for k, u := range used {
+			if !u {
+				continue
+			}
+			minS := math.Inf(1)
 			for i := 0; i < in.M; i++ {
-				if in.P[i][j] < best {
-					best = in.P[i][j]
+				if in.S[i][k] < minS {
+					minS = in.S[i][k]
 				}
 			}
-			vol += best
-		}
-		used := map[int]bool{}
-		for _, k := range in.Class {
-			used[k] = true
-		}
-		for k := range used {
-			best := math.Inf(1)
-			for i := 0; i < in.M; i++ {
-				if in.S[i][k] < best {
-					best = in.S[i][k]
-				}
-			}
-			vol += best
+			vol += minS
 		}
 		if v := vol / float64(in.M); v > lb {
 			lb = v

@@ -210,3 +210,55 @@ func TestSymmetryPruningStillOptimal(t *testing.T) {
 		t.Errorf("opt = %v (proven=%v), want 13", opt, proven)
 	}
 }
+
+// TestVolumeLowerBoundDeterministic checks that repeated calls return the
+// class-order sum bit for bit on a uniform instance with non-integer
+// setups whose volume bound binds. Summing the setups in Go's map order
+// gave two bit patterns on this instance, each on about half the calls.
+func TestVolumeLowerBoundDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(94))
+	n, m, K := 200, 16, 10
+	p := make([]float64, n)
+	class := make([]int, n)
+	for j := range p {
+		p[j] = 1 + 99*rng.Float64()
+		class[j] = rng.Intn(K)
+	}
+	s := make([]float64, K)
+	for k := range s {
+		s[k] = 1 + 49*rng.Float64()
+	}
+	v := make([]float64, m)
+	for i := range v {
+		v[i] = 1 + 3*rng.Float64()
+	}
+	in, err := core.NewUniform(p, class, s, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reference: the volume term with the used classes' setups in class
+	// order. It binds here, so it is the bound.
+	vol, speed := 0.0, 0.0
+	for _, pj := range p {
+		vol += pj
+	}
+	used := make([]bool, K)
+	for _, k := range class {
+		used[k] = true
+	}
+	for k, u := range used {
+		if u {
+			vol += s[k]
+		}
+	}
+	for _, vi := range v {
+		speed += vi
+	}
+	want := vol / speed
+	for r := 0; r < 100; r++ {
+		if got := VolumeLowerBound(in); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: VolumeLowerBound = %v (bits %x), want the class-order %v (bits %x)",
+				r, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}

@@ -54,10 +54,12 @@ type Basis struct {
 //
 // The result is a valid basis for Warm on a backend built from the grown
 // problem: the basis matrix is block-triangular (old basis over old rows,
-// identity slacks over new rows), hence nonsingular, and for a
-// zero-objective feasibility LP it is dual feasible — a Solve then repairs
-// primal feasibility with a handful of dual-simplex pivots instead of a
-// cold phase-1 run. This is the transplant step of the incremental
+// identity slacks over new rows), hence nonsingular. It need not be dual
+// feasible: the new columns enter at their lower bound whatever their
+// reduced cost, and with an objective (the rounding LP's τ) most
+// transplants are not. The warm Solve tests dual feasibility first; it runs
+// the dual simplex only when the test passes and the primal phases from the
+// transplanted basis otherwise. This is the transplant step of the incremental
 // re-solve pipeline (rounding.Relaxation.ApplyDelta): extend the retained
 // Problem with a delta's rows and columns, rebuild the backend, ExtendBasis
 // the retained snapshot, Warm, Solve.

@@ -1077,7 +1077,10 @@ func (s *solverState) vubCandidates(ch *chooser) {
 				if st == atLower {
 					dx = -dx
 				}
-				if dx > ch.score {
+				// Under Bland every column is offered: the scan goes key
+				// by key, not by ascending index, so a lower index may
+				// come after a larger rate.
+				if ch.bland || dx > ch.score {
 					ch.offer(int(x), dx, dx)
 				}
 			case dx < -tol && st == atLower:

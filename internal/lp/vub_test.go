@@ -184,3 +184,31 @@ func FuzzVUBMatchesTableau(f *testing.F) {
 		}
 	})
 }
+
+// TestBlandTakesLowestVUBColumn checks that Bland's rule offers every
+// eligible VUB column, whatever its rate: the scan visits the columns key
+// by key, not in ascending index order, so a rate prefilter would hide a
+// lower-index column behind a higher-index one with a larger rate. Column 2
+// (key 0, rate 2) is visited before column 1 (key 3, rate 0.5); Bland must
+// still enter column 1.
+func TestBlandTakesLowestVUBColumn(t *testing.T) {
+	p := &Problem{}
+	for j := 0; j < 4; j++ {
+		p.AddVar(0, 1)
+	}
+	p.AddVUB(2, 0)
+	p.AddVUB(1, 3)
+	p.AddConstraint(LE, 1, Term{0, 1}, Term{1, 1}, Term{2, 1}, Term{3, 1})
+	s := newSolverState(Sparse, p, NewWorkspace(), false)
+	for j := range s.status {
+		s.status[j], s.d[j] = basic, 0
+	}
+	s.status[1], s.d[1] = atLower, -0.5
+	s.status[2], s.d[2] = atLower, -2
+	if j, _, _ := s.chooseEntering(true); j != 1 {
+		t.Errorf("Bland entered column %d, want 1 (the lowest eligible index)", j)
+	}
+	if j, _, _ := s.chooseEntering(false); j != 2 {
+		t.Errorf("Dantzig entered column %d, want 2 (the largest rate)", j)
+	}
+}

@@ -23,31 +23,27 @@ import (
 //     accepting items until its load exceeds v_i·T1.
 func convert(s *simp, assign []int, fracs []fracItem) []int {
 	out := append([]int(nil), assign...)
-	m := len(s.speed)
+	m, K := len(s.speed), s.in.K
 
-	// Current loads including setups of classes already present.
+	// Current loads including setups of classes already present;
+	// classOn[i·K+k] reports whether machine i hosts class k.
 	loads := make([]float64, m)
-	classOn := make([]map[int]bool, m)
-	for i := range classOn {
-		classOn[i] = map[int]bool{}
-	}
-	place := func(j, i int) {
-		out[j] = i
+	classOn := make([]bool, m*K)
+	add := func(j, i int) {
 		loads[i] += s.size[j]
 		k := s.class[j]
-		if !classOn[i][k] {
-			classOn[i][k] = true
+		if !classOn[i*K+k] {
+			classOn[i*K+k] = true
 			loads[i] += s.setup[k]
 		}
 	}
+	place := func(j, i int) {
+		out[j] = i
+		add(j, i)
+	}
 	for j, i := range assign {
 		if i >= 0 {
-			loads[i] += s.size[j]
-			k := s.class[j]
-			if !classOn[i][k] {
-				classOn[i][k] = true
-				loads[i] += s.setup[k]
-			}
+			add(j, i)
 		}
 	}
 
@@ -57,8 +53,8 @@ func convert(s *simp, assign []int, fracs []fracItem) []int {
 		jobs  []int
 	}
 	var queue []item
-	deferred := map[int][]int{} // class -> F1 core jobs
-	coreByClass := map[int][]fracItem{}
+	deferred := make([][]int, K) // per class: F1 core jobs
+	coreByClass := make([][]fracItem, K)
 	for _, f := range fracs {
 		if f.isCore {
 			coreByClass[f.class] = append(coreByClass[f.class], f)
@@ -67,6 +63,9 @@ func convert(s *simp, assign []int, fracs []fracItem) []int {
 		queue = append(queue, item{group: f.group, jobs: []int{f.job}})
 	}
 	for k, items := range coreByClass {
+		if len(items) == 0 {
+			continue
+		}
 		total := 0.0
 		for _, f := range items {
 			total += s.size[f.job]
@@ -97,14 +96,10 @@ func convert(s *simp, assign []int, fracs []fracItem) []int {
 	slices.SortStableFunc(queue, func(a, b item) int { return cmp.Compare(a.group, b.group) })
 
 	// Greedy fill: machines ascending by speed; machine i absorbs pending
-	// items of groups ≤ leave(i)−2 while its load is below capacity.
-	leave := make([]int, m)
-	for i := range leave {
-		leave[i] = s.groupHi(i)
-	}
+	// items of groups ≤ hi(i)−2 while its load is below capacity.
 	qi := 0
 	for i := 0; i < m && qi < len(queue); i++ {
-		for qi < len(queue) && queue[qi].group <= leave[i]-2 && loads[i] < s.capacity(i) {
+		for qi < len(queue) && queue[qi].group <= s.hi[i]-2 && loads[i] < s.capacity(i) {
 			for _, j := range queue[qi].jobs {
 				place(j, i)
 			}
@@ -122,6 +117,9 @@ func convert(s *simp, assign []int, fracs []fracItem) []int {
 	// F1 attachment: all deferred core jobs of class k go to a machine
 	// hosting one of k's fringe jobs.
 	for k, jobs := range deferred {
+		if len(jobs) == 0 {
+			continue
+		}
 		host := -1
 		for j, i := range out {
 			if i >= 0 && s.class[j] == k && !s.isCore(j) {

@@ -1,12 +1,9 @@
 package ptas
 
 import (
-	"cmp"
 	"context"
 	"encoding/binary"
 	"math"
-	"slices"
-	"sort"
 
 	"repro/internal/core"
 )
@@ -35,21 +32,29 @@ type fracItem struct {
 // there; it matters on tight instances whose rejected guesses explore and
 // mark some 10⁵ states.
 type dp struct {
-	s   *simp
+	p   *prep // the solve's guess-independent part
+	s   *simp // the current guess's instance
 	cap int64
 	ctx context.Context // optional; nil means never cancelled
 
 	nodes     int64
 	capped    bool
 	cancelled bool
+	// failed is set when a fringe job or core class lies above the last
+	// group: solve then fails at once, with no node.
+	failed bool
 
-	// static structure
-	machines   [][]int // machines of group g (g in [0, G])
-	leaveAt    []int   // per machine: the group after which it leaves
-	dummyJobs  [][]int // per group: fringe jobs with that native group
-	groupClass [][]int // per group: classes with that core group (sorted)
-	coreJobs   [][]int // per class: core jobs, non-increasing size
-	hasFringe  []bool  // per class: does it have at least one fringe job?
+	// static structure, per solve
+	machines [][]int // machines of group g (g in [0, G])
+
+	// structure of the current guess; the slices are reused across guesses
+	dummyJobs  [][]int   // per group: fringe jobs with that native group
+	groupClass [][]int   // per group: classes with that core group (ascending)
+	coreJobs   [][]int   // per class: core jobs, non-increasing size
+	hasFringe  []bool    // per class: does it have at least one fringe job?
+	coreGroup  []int     // per class: its core group
+	group      []int     // per job: native group of a fringe job, or noGroup
+	capacity   []float64 // per machine: v_i·T1
 
 	// start-state fractional volume (groups < 0)
 	startL2, startL3 float64
@@ -60,12 +65,18 @@ type dp struct {
 	mFlag  []bool
 	assign []int // job -> machine (-1: unassigned/fractional)
 	isFrac []bool
+	// flagStack holds the machines whose flags a class or group transition
+	// cleared, innermost transition last.
+	flagStack []int
 
 	memo    map[string]bool // failed states, keyed by their binary encoding
 	keyBuf  []byte          // reused state-key scratch (grown once, then flat)
 	cellBuf []memoCell      // reused machine-cell scratch for key canonicalization
 	ok      bool
 }
+
+// noGroup marks a core job in dp.group.
+const noGroup = math.MaxInt
 
 // memoCell is one (speed, load, flag) machine triple of a state key;
 // sorting the cells factors out machine symmetry.
@@ -74,50 +85,90 @@ type memoCell struct {
 	flag        bool
 }
 
-// newDP builds the DP context; returns a context whose solve() immediately
-// fails if structural preconditions are violated (fringe job or core class
-// above the last group).
-func newDP(s *simp, nodeCap int64) *dp {
+// newSolveDP builds the part of the DP context that every guess of one
+// solve shares; reset prepares it for one guess, after which solve()
+// immediately fails if structural preconditions are violated (fringe job or
+// core class above the last group).
+func newSolveDP(p *prep, nodeCap int64) *dp {
+	m, K := len(p.speed), p.in.K
 	d := &dp{
-		s:    s,
-		cap:  nodeCap,
-		memo: map[string]bool{},
+		p:          p,
+		cap:        nodeCap,
+		memo:       map[string]bool{},
+		machines:   make([][]int, p.G+1),
+		dummyJobs:  make([][]int, p.G+1),
+		groupClass: make([][]int, p.G+1),
+		coreJobs:   make([][]int, K),
+		hasFringe:  make([]bool, K),
+		coreGroup:  make([]int, K),
+		capacity:   make([]float64, m),
+		mLoad:      make([]float64, m),
+		mFlag:      make([]bool, m),
 	}
-	n := len(s.size)
-	m := len(s.speed)
-	d.machines = make([][]int, s.G+1)
-	d.leaveAt = make([]int, m)
-	for i := 0; i < m; i++ {
-		d.leaveAt[i] = s.groupHi(i)
-		for g := 0; g <= s.G; g++ {
-			if s.inGroup(i, g) {
-				d.machines[g] = append(d.machines[g], i)
-			}
+	for i, hi := range p.hi { // machine i belongs to groups hi−1 and hi
+		if hi >= 1 {
+			d.machines[hi-1] = append(d.machines[hi-1], i)
 		}
+		d.machines[hi] = append(d.machines[hi], i)
 	}
-	d.dummyJobs = make([][]int, s.G+1)
-	d.groupClass = make([][]int, s.G+1)
-	d.coreJobs = make([][]int, s.in.K)
-	d.hasFringe = make([]bool, s.in.K)
-	coreGroupOf := make([]int, s.in.K)
-	for k := range coreGroupOf {
-		coreGroupOf[k] = s.coreGroup(k)
+	return d
+}
+
+// reset prepares the DP context for the simplified instance s of one guess.
+// The per-(group, class) job lists are filled in s.order, so they come out
+// in non-increasing size order (ties by index) without a sort.
+func (d *dp) reset(s *simp) {
+	d.s = s
+	d.nodes, d.capped, d.cancelled, d.failed, d.ok = 0, false, false, false, false
+	clear(d.memo)
+	for g := range d.dummyJobs {
+		d.dummyJobs[g] = d.dummyJobs[g][:0]
+		d.groupClass[g] = d.groupClass[g][:0]
 	}
-	structuralFail := false
-	for j := 0; j < n; j++ {
+	for k := range d.coreJobs {
+		d.coreJobs[k] = d.coreJobs[k][:0]
+		d.hasFringe[k] = false
+		d.coreGroup[k] = s.coreGroup(k)
+	}
+	for i := range d.capacity {
+		d.capacity[i] = s.speed[i] * s.T1
+		d.mLoad[i], d.mFlag[i] = 0, false
+	}
+	d.preFrac = d.preFrac[:0]
+	d.startL2, d.startL3 = 0, 0
+	d.flagStack = d.flagStack[:0]
+	n := len(s.size)
+	d.group = resize(d.group, n)
+	d.assign = resize(d.assign, n)
+	d.isFrac = resize(d.isFrac, n)
+
+	// Job lists in s.order. Equal sizes are adjacent there, so the native
+	// group is computed once per distinct size.
+	lastSize, lastGroup := math.NaN(), 0
+	for _, j := range s.order {
+		k := s.class[j]
 		if s.isCore(j) {
-			d.coreJobs[s.class[j]] = append(d.coreJobs[s.class[j]], j)
+			d.coreJobs[k] = append(d.coreJobs[k], j)
+			d.group[j] = noGroup
 			continue
 		}
-		d.hasFringe[s.class[j]] = true
-		g := s.nativeGroup(s.size[j])
+		d.hasFringe[k] = true
+		if s.size[j] != lastSize {
+			lastSize, lastGroup = s.size[j], s.nativeGroup(s.size[j])
+		}
+		g := lastGroup
+		d.group[j] = g
 		switch {
 		case g > s.G:
-			structuralFail = true // cannot be placed or pushed anywhere
+			d.failed = true // cannot be placed or pushed anywhere
 		case g >= 0:
 			d.dummyJobs[g] = append(d.dummyJobs[g], j)
-		default:
-			// Small on every machine: fractional from the start.
+		}
+	}
+	// Fringe jobs small on every machine: fractional from the start, in
+	// index order.
+	for j, g := range d.group {
+		if g < 0 {
 			d.preFrac = append(d.preFrac, fracItem{job: j, class: s.class[j], group: g})
 			if g == -1 {
 				d.startL2 += s.size[j]
@@ -130,19 +181,22 @@ func newDP(s *simp, nodeCap int64) *dp {
 		if len(d.coreJobs[k]) == 0 {
 			continue
 		}
-		g := coreGroupOf[k]
+		g := d.coreGroup[k]
 		switch {
 		case g > s.G:
-			structuralFail = true
+			d.failed = true
 		case g >= 0:
 			d.groupClass[g] = append(d.groupClass[g], k)
 		default:
-			// All core jobs of this class are fractional from the start;
-			// classes without a fringe job additionally carry one setup.
+			// All core jobs of this class are fractional from the start
+			// (in index order); classes without a fringe job additionally
+			// carry one setup.
 			vol := 0.0
-			for _, j := range d.coreJobs[k] {
-				d.preFrac = append(d.preFrac, fracItem{job: j, class: k, group: g, isCore: true})
-				vol += s.size[j]
+			for j, jg := range d.group {
+				if jg == noGroup && s.class[j] == k {
+					d.preFrac = append(d.preFrac, fracItem{job: j, class: k, group: g, isCore: true})
+					vol += s.size[j]
+				}
 			}
 			if !d.hasFringe[k] {
 				vol += s.setup[k]
@@ -154,40 +208,27 @@ func newDP(s *simp, nodeCap int64) *dp {
 			}
 		}
 	}
-	for g := range d.dummyJobs {
-		sortDescBySize(s, d.dummyJobs[g])
-	}
-	for k := range d.coreJobs {
-		sortDescBySize(s, d.coreJobs[k])
-	}
-	for g := range d.groupClass {
-		sort.Ints(d.groupClass[g])
-	}
-	d.mLoad = make([]float64, m)
-	d.mFlag = make([]bool, m)
-	d.assign = make([]int, n)
-	d.isFrac = make([]bool, n)
 	for j := range d.assign {
-		d.assign[j] = -1
+		d.assign[j], d.isFrac[j] = -1, false
 	}
 	for _, f := range d.preFrac {
 		d.isFrac[f.job] = true
 	}
-	if structuralFail {
-		d.cap = 0 // force immediate (capped=false) failure
-		d.memo = nil
-	}
-	return d
 }
 
-func sortDescBySize(s *simp, jobs []int) {
-	slices.SortStableFunc(jobs, func(a, b int) int { return cmp.Compare(s.size[b], s.size[a]) })
+// resize returns s with length n, reusing its storage when large enough.
+// The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // solve searches for a relaxed schedule; on success the integral
 // assignments are in d.assign and the fractional choices in d.isFrac.
 func (d *dp) solve() bool {
-	if d.memo == nil {
+	if d.failed {
 		return false
 	}
 	d.ok = d.rec(0, -1, 0, false, 0, d.startL2, d.startL3)
@@ -258,7 +299,7 @@ func (d *dp) rec(g, ci, ji int, xi bool, l1, l2, l3 float64) bool {
 			delta += d.s.setup[k]
 			setFlag = true
 		}
-		if d.mLoad[i]+delta > d.s.capacity(i)+core.Eps {
+		if d.mLoad[i]+delta > d.capacity[i]+core.Eps {
 			continue
 		}
 		dup := false
@@ -327,7 +368,7 @@ func (d *dp) advance(g, ci int, l1, l2, l3 float64) bool {
 		}
 		free := 0.0
 		for _, i := range d.machines[g] {
-			if f := d.s.capacity(i) - d.mLoad[i]; f > 0 {
+			if f := d.capacity[i] - d.mLoad[i]; f > 0 {
 				free += f
 			}
 		}
@@ -335,9 +376,9 @@ func (d *dp) advance(g, ci int, l1, l2, l3 float64) bool {
 	}
 	// Group transition: machines leaving the window absorb λ3.
 	free := 0.0
-	for i, at := range d.leaveAt {
+	for i, at := range d.s.hi {
 		if at == g {
-			if f := d.s.capacity(i) - d.mLoad[i]; f > 0 {
+			if f := d.capacity[i] - d.mLoad[i]; f > 0 {
 				free += f
 			}
 		}
@@ -351,27 +392,26 @@ func (d *dp) advance(g, ci int, l1, l2, l3 float64) bool {
 	return false
 }
 
-type flagSave struct {
-	idx []int
-	val []bool
-}
-
-func (d *dp) saveFlags(g int) flagSave {
-	var fs flagSave
+// saveFlags clears the flags of group g's machines, pushing the machines
+// whose flag was set onto flagStack, and returns the stack height to
+// restore to.
+func (d *dp) saveFlags(g int) int {
+	top := len(d.flagStack)
 	for _, i := range d.machines[g] {
 		if d.mFlag[i] {
-			fs.idx = append(fs.idx, i)
-			fs.val = append(fs.val, true)
+			d.flagStack = append(d.flagStack, i)
 			d.mFlag[i] = false
 		}
 	}
-	return fs
+	return top
 }
 
-func (d *dp) restoreFlags(fs flagSave) {
-	for n, i := range fs.idx {
-		d.mFlag[i] = fs.val[n]
+// restoreFlags sets the flags saveFlags cleared and pops them.
+func (d *dp) restoreFlags(top int) {
+	for _, i := range d.flagStack[top:] {
+		d.mFlag[i] = true
 	}
+	d.flagStack = d.flagStack[:top]
 }
 
 func maxf(a, b float64) float64 {
@@ -404,7 +444,7 @@ func (d *dp) encodeState(g, ci, ji int, xi bool, l1, l2, l3 float64) {
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(l3))
 	cells := d.cellBuf[:0]
 	for i := range d.mLoad {
-		if d.leaveAt[i] < g {
+		if d.s.hi[i] < g {
 			continue // left the window; its free space is folded into λ3
 		}
 		cells = append(cells, memoCell{d.s.speed[i], d.mLoad[i], d.mFlag[i]})
@@ -478,22 +518,13 @@ func (d *dp) fractionalItems() []fracItem {
 		if !f || d.assign[j] >= 0 {
 			continue
 		}
-		pre := false
-		for _, p := range d.preFrac {
-			if p.job == j {
-				pre = true
-				break
-			}
+		k, g := d.s.class[j], d.group[j]
+		it := fracItem{job: j, class: k, group: g}
+		if g == noGroup {
+			it.isCore, it.group = true, d.coreGroup[k]
 		}
-		if pre {
-			continue
-		}
-		it := fracItem{job: j, class: d.s.class[j]}
-		if d.s.isCore(j) {
-			it.isCore = true
-			it.group = d.s.coreGroup(d.s.class[j])
-		} else {
-			it.group = d.s.nativeGroup(d.s.size[j])
+		if it.group < 0 {
+			continue // fractional from the start: already in preFrac
 		}
 		items = append(items, it)
 	}

@@ -14,3 +14,10 @@ func baselineLPT(in *core.Instance) (float64, error) {
 	}
 	return sched.Makespan(in), nil
 }
+
+// newDP builds the DP context for the simplified instance s of one guess.
+func newDP(s *simp, nodeCap int64) *dp {
+	d := newSolveDP(s.prep, nodeCap)
+	d.reset(s)
+	return d
+}

@@ -124,6 +124,10 @@ func Schedule(ctx context.Context, in *core.Instance, opt Options) (core.Result,
 		guard = &guardedBus{BoundBus: opt.Bounds}
 		bus = guard
 	}
+	// The guess-independent simplification and the DP scratch are built
+	// once; dual.Search tests its guesses one at a time, so every guess
+	// reuses them.
+	d := newSolveDP(prepare(in, opt.Eps), opt.NodeCap)
 	out := dual.Search(ctx, dual.Config{
 		Instance:  in,
 		Lower:     lb,
@@ -132,7 +136,7 @@ func Schedule(ctx context.Context, in *core.Instance, opt Options) (core.Result,
 		Fallback:  lptSched,
 		Bus:       bus,
 	}, func(T float64) (*core.Schedule, bool) {
-		sched, st := decide(ctx, in, T, opt)
+		sched, st := decide(ctx, d, T)
 		stats.Nodes += st.Nodes
 		if st.Capped {
 			stats.Capped = true
@@ -203,14 +207,15 @@ type guessStats struct {
 // decide is the dual approximation decision procedure: it returns a
 // feasible schedule for the original instance whose makespan is (1+O(ε))·T
 // when a schedule with makespan ≤ T exists, and nil when it certifies (or,
-// if Capped/Cancelled, merely suspects) that none exists.
-func decide(ctx context.Context, in *core.Instance, T float64, opt Options) (*core.Schedule, guessStats) {
+// if Capped/Cancelled, merely suspects) that none exists. d is the solve's
+// DP context; decide simplifies the instance for T and resets d for it.
+func decide(ctx context.Context, d *dp, T float64) (*core.Schedule, guessStats) {
 	var gs guessStats
-	s := simplify(in, T, opt.Eps)
+	s := d.p.simplify(T)
 	if s == nil {
 		return nil, gs // trivially infeasible (a job or setup fits nowhere)
 	}
-	d := newDP(s, opt.NodeCap)
+	d.reset(s)
 	d.ctx = ctx
 	ok := d.solve()
 	gs.Nodes = d.nodes
@@ -221,7 +226,7 @@ func decide(ctx context.Context, in *core.Instance, T float64, opt Options) (*co
 	}
 	assign := convert(s, d.integralAssign(), d.fractionalItems())
 	sched := s.mapBack(assign)
-	if err := sched.Validate(in); err != nil {
+	if err := sched.Validate(s.in); err != nil {
 		// Construction bug guard: never return an invalid schedule.
 		return nil, gs
 	}
@@ -231,5 +236,6 @@ func decide(ctx context.Context, in *core.Instance, T float64, opt Options) (*co
 // DebugDecide exposes the per-guess decision procedure for diagnostics and
 // the experiment harness (it is not part of the algorithmic API).
 func DebugDecide(in *core.Instance, T float64, opt Options) (*core.Schedule, guessStats) {
-	return decide(context.Background(), in, T, opt.normalize())
+	opt = opt.normalize()
+	return decide(context.Background(), newSolveDP(prepare(in, opt.Eps), opt.NodeCap), T)
 }
