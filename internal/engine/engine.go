@@ -16,7 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -102,6 +102,7 @@ type Caps struct {
 	Guarantee string
 	// Priority orders automatic selection: among applicable solvers the
 	// highest priority wins (the strongest guarantee for the environment).
+	// The registry reads it once, when the solver is registered.
 	Priority int
 }
 
@@ -132,6 +133,9 @@ type Registry struct {
 	mu      sync.RWMutex
 	solvers map[string]Solver
 	order   []string // registration order, for deterministic iteration
+	// byPriority holds the solvers highest Priority first, ties in
+	// registration order: the order Select tries them in.
+	byPriority []Solver
 }
 
 // NewRegistry returns an empty registry.
@@ -152,6 +156,12 @@ func (r *Registry) Register(s Solver) error {
 	}
 	r.solvers[name] = s
 	r.order = append(r.order, name)
+	prio := s.Capabilities().Priority
+	at := len(r.byPriority)
+	for at > 0 && r.byPriority[at-1].Capabilities().Priority < prio {
+		at--
+	}
+	r.byPriority = slices.Insert(r.byPriority, at, s)
 	return nil
 }
 
@@ -221,14 +231,11 @@ func (r *Registry) Applicable(in *core.Instance, opt Options) []Solver {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []Solver
-	for _, name := range r.order {
-		if s := r.solvers[name]; mismatch(s, in, opt) == "" {
+	for _, s := range r.byPriority {
+		if mismatch(s, in, opt) == "" {
 			out = append(out, s)
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		return out[a].Capabilities().Priority > out[b].Capabilities().Priority
-	})
 	return out
 }
 
@@ -236,13 +243,19 @@ func (r *Registry) Applicable(in *core.Instance, opt Options) []Solver {
 // PTAS for identical/uniform machines, the 2-approximation for
 // class-uniform restricted assignment, the 3-approximation for
 // class-uniform processing times, randomized rounding for general
-// unrelated machines, with the baselines as last resorts.
+// unrelated machines, with the baselines as last resorts. It is
+// Applicable(in, opt)[0], but tests the solvers in that order and stops at
+// the first match, so the structure tests of weaker solvers (the
+// class-uniform scans) never run on an instance a stronger one takes.
 func (r *Registry) Select(in *core.Instance, opt Options) (Solver, error) {
-	app := r.Applicable(in, opt)
-	if len(app) == 0 {
-		return nil, fmt.Errorf("engine: no registered solver is applicable to %v", in)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, s := range r.byPriority {
+		if mismatch(s, in, opt) == "" {
+			return s, nil
+		}
 	}
-	return app[0], nil
+	return nil, fmt.Errorf("engine: no registered solver is applicable to %v", in)
 }
 
 // Solve picks the strongest applicable solver and runs it under ctx,

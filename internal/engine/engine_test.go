@@ -42,6 +42,36 @@ func TestRegistrySelectsDocumentedSolver(t *testing.T) {
 	}
 }
 
+// TestSelectIsFirstApplicable checks that Select, which stops at the first
+// applicable solver, picks Applicable's strongest one on seeded instances
+// of every machine environment, generic and class-uniform, with and
+// without a job-count guard that admits the exact solver.
+func TestSelectIsFirstApplicable(t *testing.T) {
+	makers := map[string]func(*rand.Rand, gen.Params) *core.Instance{
+		"identical":                gen.Identical,
+		"uniform":                  gen.Uniform,
+		"restricted":               gen.Restricted,
+		"restricted class-uniform": gen.RestrictedClassUniform,
+		"unrelated":                gen.Unrelated,
+		"unrelated class-uniform":  gen.UnrelatedClassUniform,
+	}
+	reg := Default()
+	for name, mk := range makers {
+		for seed := int64(1); seed <= 5; seed++ {
+			in := mk(rand.New(rand.NewSource(seed)), gen.Params{N: 4 + 4*int(seed), M: 3, K: 2})
+			for _, opt := range []Options{{}, {MaxJobs: 64}} {
+				s, err := reg.Select(in, opt)
+				if err != nil {
+					t.Fatalf("%s/%d: Select: %v", name, seed, err)
+				}
+				if want := reg.Applicable(in, opt)[0]; s != want {
+					t.Errorf("%s/%d (MaxJobs %d): Select picked %q, Applicable leads with %q", name, seed, opt.MaxJobs, s.Name(), want.Name())
+				}
+			}
+		}
+	}
+}
+
 // TestApplicableCapabilityMatching checks kind, structure and size guards.
 func TestApplicableCapabilityMatching(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))

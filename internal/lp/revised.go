@@ -52,6 +52,18 @@ import (
 // basic or entering; when x reaches r·y it leaves at its upper bound and a
 // trivial eta adds a_x to y's column.
 //
+// Pricing and the pivot row read the VUB columns from state kept current
+// across pivots (Maros, Computational Techniques of the Simplex Method,
+// ch. 9), not re-derived per pivot. Each slot of keyX holds its column's
+// bound sign (−1 at 0, +1 at r·y, 0 basic or clamped) and a copy of d, so a
+// key's candidates are one contiguous pass (vubCandidates); each key holds
+// its rider count, rider-set signature and rider list, which foldRiders
+// walks instead of the pivot row's support. updateDuals and pivotDuals
+// copy every d they change into the slots; applyPivot, applyFlip, park and
+// SetVarUpper refresh the key whose column changed status or bound. price
+// rebuilds the whole state, and coldReset and Warm mark it stale, for a
+// rebuild at its next use.
+//
 // Dantzig pricing switches to Bland's rule after a stall, as in the legacy
 // tableau solver, so degenerate instances cannot cycle forever.
 type solverState struct {
@@ -82,6 +94,7 @@ type solverState struct {
 	refactors int  // refactorizations since the previous Solve returned
 	dualOK    bool // the current basis is known dual feasible (prior optimum)
 	fromStart bool // the basis is the construction-time start, not yet solved from
+	vubStale  bool // the VUB pricing state needs a rebuild before its next use
 
 	info *PresolveInfo // scaled builds only: reported on every Solution
 }
@@ -112,13 +125,17 @@ func newSolverState(kind BackendKind, p *Problem, ws *Workspace, scale bool) *so
 	} else {
 		s.inv = &etaFile{}
 	}
-	s.d = growF(&ws.d, s.sf.n)
+	s.d = grow(&ws.d, s.sf.n)
 	s.initColumn()
 	s.basis = make([]int, s.sf.m)
 	s.status = make([]varStatus, s.sf.n)
-	clear(growF(&ws.etaCol, s.sf.m))
-	clear(ws.normSig) // key norms are the last build's
-	s.pos = growI32(&ws.pos, s.sf.nv)
+	clear(grow(&ws.etaCol, s.sf.m))
+	nk := len(s.sf.keys)
+	ws.vubSgn, ws.vubD = grow(&ws.vubSgn, s.sf.nVUB), grow(&ws.vubD, s.sf.nVUB)
+	ws.riderX, ws.riders = grow(&ws.riderX, s.sf.nVUB), grow(&ws.riders, nk)
+	ws.keySig, ws.keyNorm = grow(&ws.keySig, nk), grow(&ws.keyNorm, nk)
+	clear(grow(&ws.normSig, nk)) // key norms are the last build's
+	s.pos = grow(&ws.pos, s.sf.nv)
 	s.coldReset()
 	return s
 }
@@ -150,6 +167,7 @@ func (s *solverState) SetVarUpper(v int, upper float64) {
 		if upper == 0 && s.status[v] == atUpper {
 			s.clampVUB(v, y, r)
 		}
+		s.touchVUB(v) // a clamp or an unclamp moves the slot's sign
 		return
 	}
 	if s.status[v] == atUpper && math.IsInf(upper, 1) {
@@ -211,7 +229,7 @@ func (s *solverState) Warm(b *Basis) error {
 			s.status[j] = atLower // a clamped VUB column sits at 0
 		}
 	}
-	s.dAge = -1
+	s.dAge, s.vubStale = -1, true
 	if err := s.refactor(); err != nil {
 		s.coldReset()
 		return fmt.Errorf("lp: Warm basis is singular: %w", err)
@@ -241,7 +259,7 @@ func (s *solverState) Solve() (*Solution, error) {
 	defer SolveGauge.exit()
 	defer func() { s.fromStart = false }() // a start serves one solve only
 	s.iters = 0
-	s.xB = growF(&s.ws.xB, s.sf.m)
+	s.xB = grow(&s.ws.xB, s.sf.m)
 	s.computeXB()
 	maxIters := 200*(s.sf.m+s.sf.n) + 20000
 
@@ -308,12 +326,13 @@ func (s *solverState) coldReset() {
 	s.dualOK = false
 	s.fromStart = false
 	s.dAge = -1
+	s.vubStale = true
 }
 
 // computeXB recomputes the basic values from the current rhs, bounds and
 // nonbasic statuses: xB = B⁻¹(b − Σ_{j at upper} u_j·a_j).
 func (s *solverState) computeXB() {
-	rhsEff := growF(&s.ws.rhsEff, s.sf.m)
+	rhsEff := grow(&s.ws.rhsEff, s.sf.m)
 	copy(rhsEff, s.sf.rhs)
 	for j := 0; j < s.sf.n; j++ {
 		if s.status[j] == atUpper {
@@ -373,11 +392,11 @@ func (s *solverState) refactor() error {
 
 	// Slack-first: retire every basic slack's own row (rc −1) and gather
 	// the structural columns — the bump — into cols.
-	rc := growInt(&s.ws.rc, m)
+	rc := grow(&s.ws.rc, m)
 	for r := range rc {
 		rc[r] = 0
 	}
-	cols := growInt(&s.ws.newBasis, m)[:0]
+	cols := grow(&s.ws.newBasis, m)[:0]
 	for _, j := range s.basis {
 		if j >= nv {
 			rc[j-nv] = -1
@@ -392,8 +411,8 @@ func (s *solverState) refactor() error {
 	// marks placed. Row → column-position CSR over the bump pattern in
 	// live rows (CSC duplicates count with multiplicity), so retiring a
 	// pivot row decrements exactly the columns it touches.
-	cnt := growInt(&s.ws.cnt, nb)
-	rowPtr := growI32(&s.ws.rowPtr, m+1)
+	cnt := grow(&s.ws.cnt, nb)
+	rowPtr := grow(&s.ws.rowPtr, m+1)
 	for r := range rowPtr {
 		rowPtr[r] = 0
 	}
@@ -417,8 +436,8 @@ func (s *solverState) refactor() error {
 	for r := 0; r < m; r++ {
 		rowPtr[r+1] += rowPtr[r]
 	}
-	rowCol := growI32(&s.ws.rowCol, nnz)
-	fill := growI32(&s.ws.rowFill, m)
+	rowCol := grow(&s.ws.rowCol, nnz)
+	fill := grow(&s.ws.rowFill, m)
 	copy(fill, rowPtr[:m])
 	for i, j := range cols {
 		for _, pc := range s.parts(j) {
@@ -450,11 +469,11 @@ func (s *solverState) refactor() error {
 	// nonzero count, walked through singly-linked count buckets (bhead[c]
 	// chains the columns with exactly c entries; placed columns are
 	// skipped by their cnt mark as the walk passes them).
-	bhead := growInt(&s.ws.bhead, maxCnt+1)
+	bhead := grow(&s.ws.bhead, maxCnt+1)
 	for c := range bhead {
 		bhead[c] = -1
 	}
-	bnext := growInt(&s.ws.bnext, nb)
+	bnext := grow(&s.ws.bnext, nb)
 	for i := nb - 1; i >= 0; i-- {
 		c := cnt[i]
 		bnext[i] = bhead[c]
@@ -570,11 +589,11 @@ func (s *solverState) setPos() {
 // ftranColumn expects between calls.
 func (s *solverState) initColumn() {
 	m := s.sf.m
-	w := growF(&s.ws.w, m)
+	w := grow(&s.ws.w, m)
 	for i := range w {
 		w[i] = 0
 	}
-	mark := growBool(&s.ws.colMark, m)
+	mark := grow(&s.ws.colMark, m)
 	for i := range mark {
 		mark[i] = false
 	}
@@ -653,7 +672,7 @@ func (s *solverState) rowCopy() *standardForm {
 // the case in phase 2 of a feasibility LP), which lets callers skip the
 // per-column pricing dot products entirely.
 func (s *solverState) dualsFor(phase2 bool) ([]float64, bool) {
-	y := growF(&s.ws.y, s.sf.m)
+	y := grow(&s.ws.y, s.sf.m)
 	zero := true
 	for i := 0; i < s.sf.m; i++ {
 		var c float64
@@ -744,6 +763,7 @@ func (s *solverState) price(phase2 bool) {
 				}
 			}
 		}
+		s.rebuildVUB()
 	}
 	if phase2 {
 		s.dAge = 0
@@ -784,11 +804,11 @@ func (s *solverState) dualFeasible() bool {
 func (s *solverState) pivotRow(r int, rho []float64) []int32 {
 	sf := s.rowCopy()
 	if s.alpha == nil {
-		s.alpha = growF(&s.ws.alpha, sf.n)
+		s.alpha = grow(&s.ws.alpha, sf.n)
 		for j := range s.alpha {
 			s.alpha[j] = 0
 		}
-		s.mark = growBool(&s.ws.mark, sf.nv)
+		s.mark = grow(&s.ws.mark, sf.nv)
 		for j := range s.mark {
 			s.mark[j] = false
 		}
@@ -827,14 +847,17 @@ func (s *solverState) addPivotRow(i int, ri float64, touched []int32) []int32 {
 
 // foldRiders adds r·α_x into α_y for every rider x (at its upper bound
 // under a nonbasic key y) on the pivot row: the composite column's entry.
+// It walks the keys' rider lists, not the row's support, and takes a rider
+// as on the row when the row marked it.
 func (s *solverState) foldRiders(touched []int32) []int32 {
-	sf, alpha, mark := &s.sf, s.alpha, s.mark
-	nv := int32(sf.nv)
-	for _, x := range touched {
-		if x >= nv || s.status[x] != atUpper {
-			continue
-		}
-		if y := sf.vubKey[x]; y >= 0 && s.status[y] != basic {
+	s.vubSync()
+	sf, ws, alpha, mark := &s.sf, s.ws, s.alpha, s.mark
+	for i, y := range sf.keys {
+		lo := sf.keyPtr[y]
+		for _, x := range ws.riderX[lo : lo+ws.riders[i]] {
+			if !mark[x] {
+				continue
+			}
 			if !mark[y] {
 				mark[y] = true
 				touched = append(touched, y)
@@ -865,12 +888,15 @@ func (s *solverState) pivotDuals(touched []int32, q, r int, arq float64) {
 	s.updateDuals(touched, theta)
 	s.d[q] = 0
 	s.d[s.basis[r]] = -theta
+	s.syncD(q)
+	s.syncD(s.basis[r])
 }
 
 // updateDuals applies d_j −= θ·α_j to the nonbasic columns of the pivot
-// row in s.alpha and consumes it.
+// row in s.alpha, copies the new d of each VUB column into its slot, and
+// consumes the row.
 func (s *solverState) updateDuals(touched []int32, theta float64) {
-	nv := int32(s.sf.nv)
+	nv, pos, dv := int32(s.sf.nv), s.sf.vubPos, s.ws.vubD
 	for _, j := range touched {
 		if s.status[j] != basic {
 			s.d[j] -= theta * s.alpha[j]
@@ -878,6 +904,9 @@ func (s *solverState) updateDuals(touched []int32, theta float64) {
 		s.alpha[j] = 0 // clearRow, in the same pass
 		if j < nv {
 			s.mark[j] = false
+			if pos != nil && pos[j] >= 0 {
+				dv[pos[j]] = s.d[j]
+			}
 		}
 	}
 	s.dAge++
@@ -970,7 +999,7 @@ func (s *solverState) primal(phase2 bool, maxIters int) (Status, error) {
 				// y's column gains or loses a_x: a column change in y's row
 				// q, with pivot element 1 ± r·w_q (see applyFlip).
 				q := int(s.pos[y])
-				rho := growF(&s.ws.rho, s.sf.m)
+				rho := grow(&s.ws.rho, s.sf.m)
 				s.btranPair(q, -1, 0, rho)
 				s.updateDuals(s.pivotRow(q, rho), dir*r*s.d[j]/(1+dir*r*w[q]))
 			}
@@ -978,7 +1007,7 @@ func (s *solverState) primal(phase2 bool, maxIters int) (Status, error) {
 		} else {
 			piv, q, r := s.pivotElem(j, leave, leaveAt, w)
 			if phase2 && !s.sf.objZero {
-				rho := growF(&s.ws.rho, s.sf.m)
+				rho := grow(&s.ws.rho, s.sf.m)
 				s.btranPair(leave, q, r, rho)
 				s.pivotDuals(s.pivotRow(leave, rho), j, leave, piv)
 			}
@@ -1024,8 +1053,10 @@ func (s *solverState) chooseEntering(bland bool) (j int, dir, dj float64) {
 			rate = -rate
 		}
 		score := rate
-		if vub && c < s.sf.nv && s.ws.riders[c] > 0 && !bland && rate > tol {
-			score /= s.keyNorm(c)
+		if vub && !bland && rate > tol {
+			if k := s.sf.keyIndex(c); k >= 0 && s.ws.riders[k] > 0 {
+				score /= s.keyNorm(k)
+			}
 		}
 		if ch.offer(c, rate, score); bland && ch.best == c {
 			break // the plain columns ascend
@@ -1054,64 +1085,158 @@ func (ch *chooser) offer(c int, rate, score float64) {
 	}
 }
 
-// vubCandidates offers the VUB columns and counts each nonbasic key's
-// riders (its columns at their upper bound) with a signature of the set. A
-// column whose key is nonbasic at 0, where both its bounds are 0, is parked
-// instead, with no pivot, where its reduced cost asks: at r·y (riding along
-// when y enters) for d < −tol. d of the key follows.
+// vubCandidates offers the VUB columns from the maintained slot state, one
+// contiguous pass over each key's slots: the rate of slot k is
+// vubSgn[k]·vubD[k] (the sign is 0 on basic and clamped columns, which
+// never enter). A column whose key is nonbasic at 0, where both its bounds
+// are 0, is parked instead, with no pivot, where its reduced cost asks: at
+// r·y (riding along when y enters) for d < −tol. d of the key follows.
 func (s *solverState) vubCandidates(ch *chooser) {
-	ws, sf, d, status := s.ws, &s.sf, s.d, s.status
-	if len(ws.keySig) != sf.nv {
-		ws.riders, ws.keyNorm = make([]int32, sf.nv), make([]float64, sf.nv)
-		ws.keySig, ws.normSig = make([]uint64, sf.nv), make([]uint64, sf.nv)
-	}
-	for _, y := range sf.keys {
-		n, sig, nonbasic := int32(0), uint64(0), status[y] != basic
-		parked := nonbasic && s.keyVal(int(y)) == 0
-		for _, x := range sf.keyX[sf.keyPtr[y]:sf.keyPtr[y+1]] {
-			st, dx := status[x], d[x]
-			switch {
-			case st == basic || sf.ub[x] == 0:
-				continue
-			case !parked:
-				if st == atLower {
-					dx = -dx
-				}
-				// Under Bland every column is offered: the scan goes key
-				// by key, not by ascending index, so a lower index may
-				// come after a larger rate.
-				if ch.bland || dx > ch.score {
-					ch.offer(int(x), dx, dx)
-				}
-			case dx < -tol && st == atLower:
-				st, status[x], d[y] = atUpper, atUpper, d[y]+sf.vubR[x]*dx
-			case dx > tol && st == atUpper:
-				st, status[x], d[y] = atLower, atLower, d[y]-sf.vubR[x]*dx
+	s.vubSync()
+	sf, sgn, dv := &s.sf, s.ws.vubSgn, s.ws.vubD
+	for i, y := range sf.keys {
+		lo, hi := sf.keyPtr[y], sf.keyPtr[y+1]
+		switch {
+		case s.status[y] != basic && s.keyVal(int(y)) == 0:
+			s.park(i, lo, hi)
+		case ch.bland:
+			// Every eligible column is offered: the scan goes key by key,
+			// not by ascending index, so a lower index may come after a
+			// larger rate.
+			for k := lo; k < hi; k++ {
+				rate := float64(sgn[k]) * dv[k]
+				ch.offer(int(sf.keyX[k]), rate, rate)
 			}
-			if st == atUpper && nonbasic {
+		default:
+			sg, dk := sgn[lo:hi], dv[lo:hi]
+			dk = dk[:len(sg)]
+			best, bk := max(ch.score, tol), -1
+			for k, g := range sg {
+				if rate := float64(g) * dk[k]; rate > best {
+					best, bk = rate, k
+				}
+			}
+			if bk >= 0 {
+				ch.best, ch.score = int(sf.keyX[lo+int32(bk)]), best
+			}
+		}
+	}
+}
+
+// park moves the columns of key keys[i], nonbasic at 0, to the bound their
+// reduced cost asks for, in slot order, folding each move into d of the
+// key: a slot moves exactly when its rate is above tol.
+func (s *solverState) park(i int, lo, hi int32) {
+	sf, sgn, dv, d := &s.sf, s.ws.vubSgn, s.ws.vubD, s.d
+	y, moved := sf.keys[i], false
+	for k := lo; k < hi; k++ {
+		g, dx := sgn[k], dv[k]
+		if !(float64(g)*dx > tol) { // also skips sign 0 and a NaN d
+			continue
+		}
+		x := sf.keyX[k]
+		if g < 0 {
+			s.status[x], d[y] = atUpper, d[y]+sf.vubR[x]*dx
+		} else {
+			s.status[x], d[y] = atLower, d[y]-sf.vubR[x]*dx
+		}
+		sgn[k], moved = -g, true
+	}
+	if moved {
+		s.listRiders(i)
+	}
+}
+
+// vubSync rebuilds the VUB pricing state when an event left it stale.
+func (s *solverState) vubSync() {
+	if s.vubStale {
+		s.rebuildVUB()
+	}
+}
+
+// rebuildVUB recomputes the VUB pricing state from status and d: every
+// slot's d copy, sign and rider membership, and every key's riders.
+func (s *solverState) rebuildVUB() {
+	for k, x := range s.sf.keyX {
+		s.ws.vubD[k] = s.d[x]
+	}
+	for i := range s.sf.keys {
+		s.refreshKey(i)
+	}
+	s.vubStale = false
+}
+
+// refreshKey recomputes the signs of key keys[i]'s slots from the statuses
+// and bounds, then its riders.
+func (s *solverState) refreshKey(i int) {
+	sf, sgn := &s.sf, s.ws.vubSgn
+	y := sf.keys[i]
+	for k := sf.keyPtr[y]; k < sf.keyPtr[y+1]; k++ {
+		switch x := sf.keyX[k]; {
+		case s.status[x] == basic || sf.ub[x] == 0:
+			sgn[k] = 0
+		case s.status[x] == atLower:
+			sgn[k] = -1
+		default:
+			sgn[k] = 1
+		}
+	}
+	s.listRiders(i)
+}
+
+// listRiders rebuilds key keys[i]'s rider list, count and signature from
+// its slots' signs. The riders of a key are its columns at r·y while it is
+// nonbasic; a basic key has none.
+func (s *solverState) listRiders(i int) {
+	sf, ws := &s.sf, s.ws
+	y := sf.keys[i]
+	lo, hi := sf.keyPtr[y], sf.keyPtr[y+1]
+	n, sig := int32(0), uint64(0)
+	if s.status[y] != basic {
+		for k := lo; k < hi; k++ {
+			if ws.vubSgn[k] > 0 {
+				x := sf.keyX[k]
+				ws.riderX[lo+n] = x
 				n++
 				sig += uint64(x+1) * uint64(x+1)
 			}
 		}
-		ws.riders[y], ws.keySig[y] = n, sig+uint64(n)<<48
+	}
+	ws.riders[i], ws.keySig[i] = n, sig+uint64(n)<<48
+}
+
+// touchVUB refreshes the key state of column j after j's status or bound
+// changed, when j is a VUB column or a key.
+func (s *solverState) touchVUB(j int) {
+	if s.sf.slot(j) >= 0 {
+		s.refreshKey(s.sf.keyIndex(int(s.sf.vubKey[j])))
+	} else if i := s.sf.keyIndex(j); i >= 0 {
+		s.refreshKey(i)
 	}
 }
 
-// keyNorm returns the 2-norm of key y's composite column, recomputed when
-// its rider set changed.
-func (s *solverState) keyNorm(y int) float64 {
+// syncD copies d_j into column j's slot, when j is a VUB column.
+func (s *solverState) syncD(j int) {
+	if k := s.sf.slot(j); k >= 0 {
+		s.ws.vubD[k] = s.d[j]
+	}
+}
+
+// keyNorm returns the 2-norm of key keys[i]'s composite column, recomputed
+// when its rider set changed.
+func (s *solverState) keyNorm(i int) float64 {
 	ws := s.ws
-	if ws.normSig[y] != ws.keySig[y] {
+	if ws.normSig[i] != ws.keySig[i] {
 		v := ws.etaCol
-		pat := s.scatterCol(v, ws.normRows[:0], y)
+		pat := s.scatterCol(v, ws.normRows[:0], int(s.sf.keys[i]))
 		n2 := 0.0
 		for _, r := range pat {
 			n2 += v[r] * v[r]
 			v[r], ws.colMark[r] = 0, false
 		}
-		ws.normRows, ws.normSig[y], ws.keyNorm[y] = pat, ws.keySig[y], math.Sqrt(n2)
+		ws.normRows, ws.normSig[i], ws.keyNorm[i] = pat, ws.keySig[i], math.Sqrt(n2)
 	}
-	return ws.keyNorm[y]
+	return ws.keyNorm[i]
 }
 
 // ratioTest finds the maximum step t for entering column j moving in
@@ -1234,6 +1359,7 @@ func (s *solverState) applyFlip(j int, dir float64, w []float64, pat []int32, t 
 	} else {
 		s.status[j] = atLower
 	}
+	s.touchVUB(j)
 	s.iters++
 }
 
@@ -1288,6 +1414,8 @@ func (s *solverState) applyPivot(j int, dir float64, w []float64, pat []int32, l
 	if y, r := s.sf.vub(j); y >= 0 && dir < 0 && s.status[y] == basic {
 		s.trivialEta(int(s.pos[y]), leave, -r) // j left y's column
 	}
+	s.touchVUB(old)
+	s.touchVUB(j)
 	s.iters++
 }
 
@@ -1305,7 +1433,7 @@ func (s *solverState) applyPivot(j int, dir float64, w []float64, pat []int32, l
 // solve.
 func (s *solverState) dualSimplex(maxIters int) (Status, error) {
 	m := s.sf.m
-	rho := growF(&s.ws.rho, m)
+	rho := grow(&s.ws.rho, m)
 	stall := 0
 	lastViol := math.Inf(1)
 	for iter := 0; ; iter++ {
@@ -1459,7 +1587,7 @@ func (s *solverState) finish(st Status) *Solution {
 	if s.iters > 0 {
 		s.computeXB()
 	}
-	x := growF(&s.ws.x, s.sf.nv)
+	x := grow(&s.ws.x, s.sf.nv)
 	for j := 0; j < s.sf.nv; j++ {
 		if s.status[j] == atUpper {
 			x[j] = s.upper(j)

@@ -49,11 +49,14 @@ type standardForm struct {
 	// Variable upper bounds (Problem.AddVUB): column x ≤ vubR[x]·column
 	// vubKey[x] in scaled coordinates (vubKey −1: none), with vubR = C_y/C_x.
 	// keyX[keyPtr[y]:keyPtr[y+1]] lists the columns key y bounds, keys the
-	// keys, and plain every other column, ascending.
+	// keys, and plain every other column, ascending. A position in keyX is
+	// a slot; vubPos[j] is the slot of VUB column j, −2−i for the key
+	// keys[i], and −1 for any other column (nil without VUBs).
 	nVUB                       int
 	vubKey, keyPtr, keyX, keys []int32
 	vubR                       []float64
 	plain                      []int32
+	vubPos                     []int32
 }
 
 // build populates the standard form from a Problem, reusing ws buffers.
@@ -64,7 +67,7 @@ func (sf *standardForm) build(p *Problem, ws *Workspace, scale bool) int {
 	n := nv + m
 	sf.m, sf.nv, sf.n = m, nv, n
 
-	sf.obj = growF(&ws.sfObj, nv)
+	sf.obj = grow(&ws.sfObj, nv)
 	copy(sf.obj, p.obj)
 	sf.objZero = true
 	for _, c := range sf.obj {
@@ -73,16 +76,16 @@ func (sf *standardForm) build(p *Problem, ws *Workspace, scale bool) int {
 			break
 		}
 	}
-	sf.ub = growF(&ws.sfUB, n)
+	sf.ub = grow(&ws.sfUB, n)
 	copy(sf.ub, p.ub)
-	sf.rhs = growF(&ws.sfRHS, m)
-	sf.rowMul = growF(&ws.sfRowMul, m)
+	sf.rhs = grow(&ws.sfRHS, m)
+	sf.rowMul = grow(&ws.sfRowMul, m)
 
 	// Column counts first, then prefix sums, then fill. The problem stores
 	// coefficients as append-only triplets; a variable repeated within one
 	// row simply yields duplicate (row, col) CSC entries, which is harmless
 	// because every access path (scatterColumn, dotColumn) accumulates.
-	cnt := growI32(&ws.sfCnt, nv+1)
+	cnt := grow(&ws.sfCnt, nv+1)
 	for i := range cnt {
 		cnt[i] = 0
 	}
@@ -90,14 +93,14 @@ func (sf *standardForm) build(p *Problem, ws *Workspace, scale bool) int {
 	for _, v := range p.tVar {
 		cnt[v+1]++
 	}
-	sf.colPtr = growI32(&ws.sfPtr, nv+1)
+	sf.colPtr = grow(&ws.sfPtr, nv+1)
 	sf.colPtr[0] = 0
 	for j := 0; j < nv; j++ {
 		sf.colPtr[j+1] = sf.colPtr[j] + cnt[j+1]
 	}
-	sf.colRow = growI32(&ws.sfRow, nnz)
-	sf.colVal = growF(&ws.sfVal, nnz)
-	next := growI32(&ws.sfNext, nv)
+	sf.colRow = grow(&ws.sfRow, nnz)
+	sf.colVal = grow(&ws.sfVal, nnz)
+	next := grow(&ws.sfNext, nv)
 	copy(next, sf.colPtr[:nv])
 	for r, row := range p.rows {
 		sign := 1.0
@@ -136,8 +139,8 @@ func (sf *standardForm) build(p *Problem, ws *Workspace, scale bool) int {
 func (sf *standardForm) buildVUB(p *Problem, ws *Workspace) {
 	nv := sf.nv
 	sf.nVUB = len(p.vubX)
-	sf.vubKey, sf.vubR = growI32(&ws.sfVubKey, nv), growF(&ws.sfVubR, nv)
-	sf.keyPtr, sf.keyX = growI32(&ws.sfKeyPtr, nv+1), growI32(&ws.sfKeyX, sf.nVUB)
+	sf.vubKey, sf.vubR = grow(&ws.sfVubKey, nv), grow(&ws.sfVubR, nv)
+	sf.keyPtr, sf.keyX = grow(&ws.sfKeyPtr, nv+1), grow(&ws.sfKeyX, sf.nVUB)
 	for j := range sf.keyPtr {
 		sf.keyPtr[j] = 0
 		if j < nv {
@@ -165,12 +168,42 @@ func (sf *standardForm) buildVUB(p *Problem, ws *Workspace) {
 		}
 	}
 	ws.sfKeys, ws.sfPlain = sf.keys, sf.plain
-	next := growI32(&ws.sfNext, nv)
+	next := grow(&ws.sfNext, nv)
 	copy(next, sf.keyPtr[:nv])
 	for k, x := range p.vubX {
 		sf.keyX[next[p.vubY[k]]] = x
 		next[p.vubY[k]]++
 	}
+	sf.vubPos = nil
+	if sf.nVUB == 0 {
+		return
+	}
+	sf.vubPos = grow(&ws.sfVubPos, nv)
+	for j := range sf.vubPos {
+		sf.vubPos[j] = -1
+	}
+	for i, y := range sf.keys {
+		sf.vubPos[y] = int32(-2 - i)
+	}
+	for k, x := range sf.keyX {
+		sf.vubPos[x] = int32(k)
+	}
+}
+
+// slot returns the keyX slot of VUB column j, or −1.
+func (sf *standardForm) slot(j int) int {
+	if sf.nVUB == 0 || j >= sf.nv || sf.vubPos[j] < 0 {
+		return -1
+	}
+	return int(sf.vubPos[j])
+}
+
+// keyIndex returns the position of key column j in keys, or −1.
+func (sf *standardForm) keyIndex(j int) int {
+	if sf.nVUB == 0 || j >= sf.nv || sf.vubPos[j] > -2 {
+		return -1
+	}
+	return int(-2 - sf.vubPos[j])
 }
 
 // keyXs returns the columns that column j bounds as a key (nil for none).
@@ -201,16 +234,16 @@ const ruizMaxPasses = 8
 // count separately toward the maxima; any positive factors keep the LP
 // equivalent.
 func (sf *standardForm) equilibrate(ws *Workspace) int {
-	R := growF(&ws.sfRowScale, sf.m)
-	C := growF(&ws.sfColScale, sf.nv)
+	R := grow(&ws.sfRowScale, sf.m)
+	C := grow(&ws.sfColScale, sf.nv)
 	for r := range R {
 		R[r] = 1
 	}
 	for j := range C {
 		C[j] = 1
 	}
-	rmax := growF(&ws.sfRowMax, sf.m)
-	cmax := growF(&ws.sfColMax, sf.nv)
+	rmax := grow(&ws.sfRowMax, sf.m)
+	cmax := grow(&ws.sfColMax, sf.nv)
 	passes := 0
 	for passes < ruizMaxPasses && len(sf.colVal) > 0 {
 		for r := range rmax {
@@ -271,7 +304,7 @@ func equilibrated(maxes []float64) bool {
 // buildRows builds the row-wise copy of the structural columns into
 // ws-backed storage (a transpose of the CSC arrays, O(nnz)).
 func (sf *standardForm) buildRows(ws *Workspace) {
-	ptr := growI32(&ws.sfRowPtr, sf.m+1)
+	ptr := grow(&ws.sfRowPtr, sf.m+1)
 	for r := range ptr {
 		ptr[r] = 0
 	}
@@ -282,9 +315,9 @@ func (sf *standardForm) buildRows(ws *Workspace) {
 		ptr[r+1] += ptr[r]
 	}
 	nnz := len(sf.colRow)
-	col := growI32(&ws.sfRowCol, nnz)
-	val := growF(&ws.sfRowVal, nnz)
-	next := growI32(&ws.sfNext, sf.m)
+	col := grow(&ws.sfRowCol, nnz)
+	val := grow(&ws.sfRowVal, nnz)
+	next := grow(&ws.sfNext, sf.m)
 	copy(next, ptr[:sf.m])
 	for j := 0; j < sf.nv; j++ {
 		for k := sf.colPtr[j]; k < sf.colPtr[j+1]; k++ {

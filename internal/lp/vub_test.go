@@ -115,8 +115,9 @@ func vubSeed(rng *rand.Rand, keys, jobs int) []byte {
 	return append(out, 96+8*byte(1+rng.Intn(6)))
 }
 
-// checkVUB solves the spec cold on be and compares it with the tableau on
-// the explicit rows: status, objective, and x ≤ y on the returned X.
+// checkVUB solves the spec on be and compares it with the tableau on the
+// explicit rows: status, objective, and x ≤ y on the returned X. It also
+// checks the maintained VUB pricing state against a rebuild.
 func checkVUB(t *testing.T, step string, kind BackendKind, vs *vubSpec, be Backend) {
 	t.Helper()
 	ref, err := vs.build().Solve()
@@ -127,6 +128,7 @@ func checkVUB(t *testing.T, step string, kind BackendKind, vs *vubSpec, be Backe
 	if err != nil {
 		t.Fatalf("%s %s: %v", step, kind, err)
 	}
+	checkVUBState(t, step+" "+string(kind), be.(*solverState))
 	if got.Status != ref.Status {
 		t.Fatalf("%s %s: status %v, tableau %v", step, kind, got.Status, ref.Status)
 	}

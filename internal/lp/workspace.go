@@ -16,9 +16,10 @@ type Workspace struct {
 	sfCnt, sfPtr, sfRow, sfNext         []int32
 	sfRowPtr, sfRowCol                  []int32
 	sfRowVal                            []float64
-	// variable upper bounds: key and ratio per column, keys' column lists
-	sfVubKey, sfKeyPtr, sfKeyX, sfKeys, sfPlain []int32
-	sfVubR                                      []float64
+	// variable upper bounds: key and ratio per column, keys' column lists,
+	// and each column's slot or key position
+	sfVubKey, sfKeyPtr, sfKeyX, sfKeys, sfPlain, sfVubPos []int32
+	sfVubR                                                []float64
 	// equilibration factors and their per-pass maxima
 	sfRowScale, sfColScale, sfRowMax, sfColMax []float64
 
@@ -39,11 +40,18 @@ type Workspace struct {
 	pos    []int32
 	etaCol []float64
 	parts  []int32
-	// per key: its riders (vubCandidates) and its composite column's norm
-	// with the rider-set signature that norm is for
+	// VUB pricing state, kept current across pivots (see solverState).
+	// Per keyX slot (nVUB): the bound sign (−1 at 0, +1 at r·y, 0 basic or
+	// clamped), a copy of d, and the rider lists, each key's riders at the
+	// front of its own slot range. Per key (len(keys)): the rider count,
+	// the rider-set signature, and the composite column's norm with the
+	// signature that norm is for.
+	vubSgn          []int8
+	vubD            []float64
+	riderX          []int32
 	riders          []int32
-	keyNorm         []float64
 	keySig, normSig []uint64
+	keyNorm         []float64
 	normRows        []int32
 	// solution output (nv)
 	x []float64
@@ -59,35 +67,11 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// growF resizes *s to n, reallocating only when capacity is exceeded.
+// grow resizes *s to n, reallocating only when capacity is exceeded.
 // Contents are unspecified (callers overwrite).
-func growF(s *[]float64, n int) []float64 {
+func grow[T any](s *[]T, n int) []T {
 	if cap(*s) < n {
-		*s = make([]float64, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-func growI32(s *[]int32, n int) []int32 {
-	if cap(*s) < n {
-		*s = make([]int32, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-func growBool(s *[]bool, n int) []bool {
-	if cap(*s) < n {
-		*s = make([]bool, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-func growInt(s *[]int, n int) []int {
-	if cap(*s) < n {
-		*s = make([]int, n)
+		*s = make([]T, n)
 	}
 	*s = (*s)[:n]
 	return *s
