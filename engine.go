@@ -250,7 +250,8 @@ func (e *Engine) hasSubscribers() bool {
 // from the fingerprint cache, under the WithTimeout deadline, streaming
 // progress to WithEvents/Events subscribers.
 func (e *Engine) Solve(ctx context.Context, in *Instance, opts ...SolveOption) (Result, error) {
-	return e.solveOne(ctx, in, e.config(opts))
+	res, _, err := e.solveOne(ctx, in, e.config(opts))
+	return res, err
 }
 
 // solveSession is the per-call warm-start state shared by Solve and
@@ -371,11 +372,12 @@ func (e *Engine) fail(s solveSession) {
 // solveOne runs one configured solve: seed the bound bus from the cache,
 // dispatch (strongest-applicable, the named solver, or — with
 // WithPortfolio — the full applicable race), then fold the outcome back
-// into the cache.
-func (e *Engine) solveOne(ctx context.Context, in *Instance, cfg solveConfig) (Result, error) {
+// into the cache. It also returns the session's fingerprint of in, which
+// is "" when nothing consumed it (no cache, no event listener, no retain).
+func (e *Engine) solveOne(ctx context.Context, in *Instance, cfg solveConfig) (Result, string, error) {
 	s, err := e.begin(ctx, in, cfg)
 	if err != nil {
-		return Result{}, err
+		return Result{}, "", err
 	}
 	defer s.cancel()
 	var ret engine.RetainedState
@@ -398,7 +400,7 @@ func (e *Engine) solveOne(ctx context.Context, in *Instance, cfg solveConfig) (R
 	}
 	if err != nil {
 		e.fail(s)
-		return Result{}, err
+		return Result{}, "", err
 	}
 	res, _ = e.finish(s, res)
 	if cfg.retain && res.Schedule != nil {
@@ -413,7 +415,7 @@ func (e *Engine) solveOne(ctx context.Context, in *Instance, cfg solveConfig) (R
 			Algorithm:   res.Algorithm,
 		})
 	}
-	return res, nil
+	return res, s.fp, nil
 }
 
 // finish closes a session by reconciling a solver result with the cached
@@ -551,7 +553,7 @@ func (e *Engine) SolveBatch(ctx context.Context, ins []*Instance, opts ...SolveO
 						br.Err = err
 						break
 					}
-					br.Result, br.Err = e.solveOne(ctx, ins[i], cfg)
+					br.Result, _, br.Err = e.solveOne(ctx, ins[i], cfg)
 					e.gov.Release(1)
 				}
 				br.Elapsed = time.Since(start)

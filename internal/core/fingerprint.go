@@ -12,13 +12,26 @@ import (
 // scheme (e.g. bounds persisted across processes).
 const fingerprintVersion = "sched/instance/v1"
 
+// baseFingerprintVersion opens the compact encoding of an identical or
+// uniform instance whose matrices its base fields determine. Neither domain
+// string is a prefix of the other, so the two encodings never collide.
+const baseFingerprintVersion = "sched/instance-base/v2"
+
 // Fingerprint returns a canonical content hash of the instance, stable
-// across processes and identical for instances that pose the same
-// scheduling problem: it covers the machine environment (Kind), the
-// dimensions, the job→class map and the full processing and setup matrices.
-// The derived base fields (JobSize, SetupSize, Speed, Eligible) are fully
-// determined by Kind, P and S and are deliberately not hashed, so an
-// instance and its Clone — or a deserialized copy — fingerprint alike.
+// across processes: equal fingerprints mean the same scheduling problem,
+// the same machine environment (Kind), class map and processing and setup
+// matrices.
+//
+// An identical or uniform instance whose P and S are bit for bit what
+// NewIdentical or NewUniform derive from its base fields (P[i][j] =
+// JobSize[j]/Speed[i], S[i][k] = SetupSize[k]/Speed[i], speed 1 on
+// identical machines) is hashed by those base fields: Kind, the
+// dimensions, Class, JobSize, SetupSize and, on uniform machines, Speed.
+// They fix P and S exactly, and they are n+K+m numbers instead of m·(n+K).
+// Every other instance (unrelated, restricted, or an identical or uniform
+// one whose matrices were edited) is hashed by Kind, the dimensions, Class
+// and the full P and S under the older domain string. Either way an
+// instance and its Clone, or a deserialized copy, fingerprint alike.
 //
 // The engine layer keys its bound cache by this value: repeated solves of a
 // fingerprint-identical instance warm-start from the bounds (and best
@@ -26,7 +39,7 @@ const fingerprintVersion = "sched/instance/v1"
 func (in *Instance) Fingerprint() string {
 	// The encoding goes through one fixed buffer that is hashed whenever
 	// it fills: few Write calls, and no allocation that grows with the
-	// instance (the whole encoding is 8·(4+n+m·n+m·K) bytes).
+	// instance.
 	h := sha256.New()
 	buf := make([]byte, 0, 1024)
 	put := func(u uint64) {
@@ -36,7 +49,17 @@ func (in *Instance) Fingerprint() string {
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, u)
 	}
-	h.Write([]byte(fingerprintVersion))
+	putFloats := func(xs []float64) {
+		for _, v := range xs {
+			put(math.Float64bits(v))
+		}
+	}
+	compact := (in.Kind == Identical || in.Kind == Uniform) && in.checkDerived() == nil
+	if compact {
+		h.Write([]byte(baseFingerprintVersion))
+	} else {
+		h.Write([]byte(fingerprintVersion))
+	}
 	put(uint64(in.Kind))
 	put(uint64(in.N))
 	put(uint64(in.M))
@@ -44,14 +67,18 @@ func (in *Instance) Fingerprint() string {
 	for _, c := range in.Class {
 		put(uint64(c))
 	}
-	for _, row := range in.P {
-		for _, v := range row {
-			put(math.Float64bits(v))
+	if compact {
+		putFloats(in.JobSize)
+		putFloats(in.SetupSize)
+		if in.Kind == Uniform {
+			putFloats(in.Speed)
 		}
-	}
-	for _, row := range in.S {
-		for _, v := range row {
-			put(math.Float64bits(v))
+	} else {
+		for _, row := range in.P {
+			putFloats(row)
+		}
+		for _, row := range in.S {
+			putFloats(row)
 		}
 	}
 	h.Write(buf)

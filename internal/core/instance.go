@@ -370,6 +370,18 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("core: base sizes missing for %v instance", in.Kind)
 		}
 	}
+	// The PTAS, Lemma 2.1 LPT, RA-2 and the volume bound read the base
+	// fields, every other algorithm reads P and S: they must agree.
+	switch in.Kind {
+	case Identical, Uniform:
+		if err := in.checkDerived(); err != nil {
+			return err
+		}
+	case RestrictedAssignment:
+		if err := in.checkRestricted(); err != nil {
+			return err
+		}
+	}
 	for j := 0; j < in.N; j++ {
 		ok := false
 		for i := 0; i < in.M; i++ {
@@ -380,6 +392,90 @@ func (in *Instance) Validate() error {
 		}
 		if !ok {
 			return fmt.Errorf("core: job %d has no feasible machine", j)
+		}
+	}
+	return nil
+}
+
+// checkDerived reports whether an identical or uniform instance's P and S
+// are exactly what NewIdentical and NewUniform derive from its base fields:
+// P[i][j] = JobSize[j]/v_i and S[i][k] = SetupSize[k]/v_i bit for bit, with
+// v_i = Speed[i] on uniform machines and 1 on identical ones. It returns
+// nil when they are, and otherwise an error naming the first entry (or base
+// field length) that disagrees. Rows that NewIdentical shares are checked
+// once.
+func (in *Instance) checkDerived() error {
+	if len(in.JobSize) != in.N || len(in.SetupSize) != in.K {
+		return fmt.Errorf("core: base sizes missing for %v instance", in.Kind)
+	}
+	if len(in.P) != in.M || len(in.S) != in.M {
+		return fmt.Errorf("core: matrices have %d/%d rows, want %d", len(in.P), len(in.S), in.M)
+	}
+	if in.Kind == Uniform && len(in.Speed) != in.M {
+		return fmt.Errorf("core: %d speeds, want %d", len(in.Speed), in.M)
+	}
+	var prevP, prevS []float64
+	for i := 0; i < in.M; i++ {
+		rowP, rowS := in.P[i], in.S[i]
+		if len(rowP) != in.N || len(rowS) != in.K {
+			return fmt.Errorf("core: P/S row %d has %d/%d entries, want %d/%d", i, len(rowP), len(rowS), in.N, in.K)
+		}
+		v := 1.0
+		if in.Kind == Uniform {
+			v = in.Speed[i]
+		} else if i > 0 && in.N > 0 && in.K > 0 && &rowP[0] == &prevP[0] && &rowS[0] == &prevS[0] {
+			continue // a shared row, already checked
+		}
+		prevP, prevS = rowP, rowS
+		for j, p := range rowP {
+			if want := in.JobSize[j] / v; math.Float64bits(p) != math.Float64bits(want) {
+				return fmt.Errorf("core: p[%d][%d] = %v disagrees with jobSize[%d] (want %v)", i, j, p, j, want)
+			}
+		}
+		for k, s := range rowS {
+			if want := in.SetupSize[k] / v; math.Float64bits(s) != math.Float64bits(want) {
+				return fmt.Errorf("core: s[%d][%d] = %v disagrees with setupSize[%d] (want %v)", i, k, s, k, want)
+			}
+		}
+	}
+	return nil
+}
+
+// checkRestricted reports whether a restricted-assignment instance's
+// Eligible, P and S are what NewRestricted derives from its base fields:
+// one eligibility row of length M per job, P[i][j] = JobSize[j] where job j
+// is eligible on machine i and +Inf elsewhere, and S[i][k] = SetupSize[k]
+// where some job of class k is eligible on machine i and +Inf elsewhere,
+// bit for bit. It assumes the shapes Validate checks before it.
+func (in *Instance) checkRestricted() error {
+	if len(in.Eligible) != in.N {
+		return fmt.Errorf("core: eligibility rows for %d jobs, want %d", len(in.Eligible), in.N)
+	}
+	setup := make([]bool, in.M*in.K) // setup[i*K+k]: a job of class k may run on i
+	for j, row := range in.Eligible {
+		if len(row) != in.M {
+			return fmt.Errorf("core: eligibility row %d has %d entries, want %d", j, len(row), in.M)
+		}
+		for i, ok := range row {
+			want := Inf
+			if ok {
+				want = in.JobSize[j]
+				setup[i*in.K+in.Class[j]] = true
+			}
+			if p := in.P[i][j]; math.Float64bits(p) != math.Float64bits(want) {
+				return fmt.Errorf("core: p[%d][%d] = %v disagrees with jobSize[%d] and eligible[%d] (want %v)", i, j, p, j, j, want)
+			}
+		}
+	}
+	for i, row := range in.S {
+		for k, s := range row {
+			want := Inf
+			if setup[i*in.K+k] {
+				want = in.SetupSize[k]
+			}
+			if math.Float64bits(s) != math.Float64bits(want) {
+				return fmt.Errorf("core: s[%d][%d] = %v disagrees with setupSize[%d] and eligible (want %v)", i, k, s, k, want)
+			}
 		}
 	}
 	return nil

@@ -333,11 +333,13 @@ func VolumeLowerBound(in *core.Instance) float64 {
 	for j := range best {
 		best[j] = math.Inf(1)
 	}
+	// An Inf sum never beats the +Inf start, and Validate rules out NaN
+	// and negative entries, so no finiteness test is needed.
 	for i, row := range in.P {
+		srow := in.S[i]
 		for j, p := range row {
-			s := in.S[i][in.Class[j]]
-			if core.IsFinite(p) && core.IsFinite(s) && p+s < best[j] {
-				best[j] = p + s
+			if v := p + srow[in.Class[j]]; v < best[j] {
+				best[j] = v
 			}
 		}
 	}

@@ -560,6 +560,7 @@ func TestBadRequests(t *testing.T) {
 		"missing instance": `{}`,
 		"bad instance":     `{"instance": {"kind": "nope"}}`,
 		"bad timeout":      `{"instance": {"kind":"identical"}, "options": {"timeout": "soon"}}`,
+		"no eligibility":   `{"instance": {"kind":"restricted","n":1,"m":1,"k":1,"class":[0],"p":[[1]],"s":[[1]],"jobSize":[1],"setupSize":[1]}}`,
 	} {
 		resp, err := http.Post(h.ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -590,6 +591,43 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "algoritm") {
 			t.Errorf("%s with a misspelled option: status %d (%s), want 400 naming the field", path, resp.StatusCode, data)
+		}
+	}
+	// A uniform instance whose P disagrees with its jobSize/speed is an
+	// input error on both endpoints: the PTAS would read jobSize and
+	// certify a lower bound for another problem than P poses.
+	uni, err := sched.NewUniform([]float64{5, 3, 8, 2, 7, 4}, []int{0, 1, 0, 2, 1, 2}, []float64{2, 4, 1}, []float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var uniJSON bytes.Buffer
+	if err := uni.WriteJSON(&uniJSON); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(uniJSON.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	sizes := doc["jobSize"].([]any)
+	for j := range sizes {
+		sizes[j] = sizes[j].(float64) * 10
+	}
+	scaled, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, body := range map[string]string{
+		"/v1/solve": fmt.Sprintf(`{"instance": %s}`, scaled),
+		"/v1/batch": fmt.Sprintf(`{"instances": [%s]}`, scaled),
+	} {
+		resp, err := http.Post(h.ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "disagrees with jobSize[0]") {
+			t.Errorf("%s with P ≠ jobSize/speed: status %d (%s), want 400 naming the entry", path, resp.StatusCode, data)
 		}
 	}
 	// An already-expired explicit deadline is shed, not an input error.

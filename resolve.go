@@ -96,11 +96,11 @@ func (e *Engine) Open(ctx context.Context, in *Instance, opts ...SolveOption) (*
 	}
 	cfg := e.config(opts)
 	cfg.retain = true
-	res, err := e.solveOne(ctx, in, cfg)
+	res, fp, err := e.solveOne(ctx, in, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Handle{eng: e, in: in, fp: in.Fingerprint(), res: res}, nil
+	return &Handle{eng: e, in: in, fp: fp, res: res}, nil
 }
 
 // Resolve applies a delta to a solved handle and re-solves the mutated
@@ -190,11 +190,11 @@ func (e *Engine) Resolve(ctx context.Context, prev *Handle, d Delta, opts ...Sol
 		cfg.seed = &engine.CachedBounds{Upper: math.Inf(1), Lower: lower}
 	}
 
-	res, err := e.solveOne(ctx, newIn, cfg)
+	res, fp, err := e.solveOne(ctx, newIn, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Handle{eng: e, in: newIn, fp: newIn.Fingerprint(), res: res}, nil
+	return &Handle{eng: e, in: newIn, fp: fp, res: res}, nil
 }
 
 // StreamResult is one event's outcome within an Engine.Stream run.

@@ -125,6 +125,9 @@ func TestResolveMatchesColdSolve(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}
+			if h.Fingerprint() != in.Fingerprint() {
+				t.Fatalf("Open fingerprint %s != instance fingerprint %s", h.Fingerprint(), in.Fingerprint())
+			}
 			for step := 0; step < 5; step++ {
 				d := randDeltaSched(rng, h.Instance())
 				newIn, err := d.Apply(h.Instance())
